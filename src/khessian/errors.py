@@ -24,11 +24,7 @@ class LinearSolveError(RuntimeError):
 
 
 class SolveFailure(RuntimeError):
-    """Newton continuation failed; carries the partial report for diagnosis."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """A Newton stage failed; ``solve`` turns it into a failed SolveReport."""
 
 
 class ConfigError(ValueError):

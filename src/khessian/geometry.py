@@ -48,6 +48,9 @@ class TorusGrid:
         self._symz: dict[int, np.ndarray] = {}
         self._symzbar: dict[int, np.ndarray] = {}
         self._lap = None
+        self._axes = tuple(range(2 * self.n))
+        self._hess_sym = None
+        self._inv_lap = None
 
     # ---------------------------------------------------------- coordinates
 
@@ -127,39 +130,97 @@ class TorusGrid:
             out[..., j] = self.ifft(hat * self._symbol_z(j))
         return out
 
+    # Real fields take real-to-complex transforms over the half spectrum
+    # (last axis cut to N/2 + 1 entries); the symbols below live there.
+
+    def _half_symbol(self, j: int, bar: bool, reflect: bool) -> np.ndarray:
+        """Half-spectrum symbol of d_j (or d_jbar), optionally at the
+        reflected index -m mod N, which keeps m = -N/2 at the Nyquist plane."""
+        freq = self._freq
+        if reflect:
+            freq = np.where(np.arange(self.N) == self.N // 2, freq, -freq)
+        mx = self._axis_view(freq, 2 * j)
+        my = self._axis_view(freq, 2 * j + 1)
+        sym = np.pi * (1j * mx - my) if bar else np.pi * (1j * mx + my)
+        return sym[..., : self.N // 2 + 1]
+
+    def _hessian_symbols(self) -> list[list[np.ndarray]]:
+        """Half-spectrum symbols of the real fields that make up ddbar u.
+
+        With S = symbol of d_i d_jbar and S~(m) = conj S(-m mod N), entry
+        [i][i] is the real S_ii, [i][j] (i < j) is (S + S~)/2, the symbol of
+        Re u_{i jbar}, and [j][i] is (S - S~)/2i, the symbol of Im u_{i jbar}.
+        Each depends on the axes of blocks i and j only, so it is stored
+        broadcastable.  Away from the Nyquist planes S~ = conj S.
+        """
+        if self._hess_sym is None:
+            n = self.n
+            sym = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    s = self._half_symbol(i, False, False) * self._half_symbol(j, True, False)
+                    if i == j:
+                        sym[i][i] = s.real
+                        continue
+                    s_ref = np.conj(
+                        self._half_symbol(i, False, True) * self._half_symbol(j, True, True)
+                    )
+                    sym[i][j] = 0.5 * (s + s_ref)
+                    sym[j][i] = -0.5j * (s - s_ref)
+            self._hess_sym = sym
+        return self._hess_sym
+
+    def _require_real(self, field: np.ndarray, name: str) -> None:
+        if not np.isrealobj(field):
+            raise DomainError(f"{name} expects a real field")
+        self._check_shape(field)
+
     def complex_hessian(self, field: np.ndarray) -> np.ndarray:
         """d_i d_jbar field for a real field, shape grid + (n, n).
 
         Hermitian by construction: the lower triangle mirrors the upper and
-        the diagonal is forced real.
+        the diagonal is real.  One real forward transform and n^2 real
+        inverse ones build it.  The result is a view of a tensor-first
+        (n, n) + grid buffer, which the pencil kernel reads without a copy.
         """
-        if not np.isrealobj(field):
-            raise DomainError("complex_hessian expects a real field")
-        hat = self.fft(field)
-        out = np.empty(self.shape + (self.n, self.n), dtype=complex)
-        for i in range(self.n):
-            for j in range(i, self.n):
-                ent = self.ifft(hat * self._symbol_z(i) * self._symbol_zbar(j))
-                if i == j:
-                    out[..., i, i] = ent.real
-                else:
-                    out[..., i, j] = ent
-                    out[..., j, i] = np.conj(ent)
-        return out
+        self._require_real(field, "complex_hessian")
+        hat = np.fft.rfftn(field)
+        sym = self._hessian_symbols()
+        n = self.n
+        out = np.empty((n, n) + self.shape, dtype=complex)
+        for i in range(n):
+            out[i, i] = np.fft.irfftn(hat * sym[i][i], s=self.shape, axes=self._axes)
+            for j in range(i + 1, n):
+                re = np.fft.irfftn(hat * sym[i][j], s=self.shape, axes=self._axes)
+                im = np.fft.irfftn(hat * sym[j][i], s=self.shape, axes=self._axes)
+                out[i, j].real = re
+                out[i, j].imag = im
+                out[j, i].real = re
+                out[j, i].imag = -im
+        return np.moveaxis(out, (0, 1), (-2, -1))
+
+    def _inverse_laplace_half(self) -> np.ndarray:
+        if self._inv_lap is None:
+            sym = self.laplace_symbol[..., : self.N // 2 + 1].copy()
+            zero = (0,) * (2 * self.n)
+            sym[zero] = 1.0
+            inv = 1.0 / sym
+            inv[zero] = 0.0
+            self._inv_lap = inv
+        return self._inv_lap
 
     def complex_laplacian(self, field: np.ndarray) -> np.ndarray:
-        return self.ifft(self.fft(field) * self.laplace_symbol)
+        """sum_j d_j d_jbar of a real field (real)."""
+        self._require_real(field, "complex_laplacian")
+        half = self.laplace_symbol[..., : self.N // 2 + 1]
+        return np.fft.irfftn(np.fft.rfftn(field) * half, s=self.shape, axes=self._axes)
 
     def solve_laplacian(self, rhs: np.ndarray) -> np.ndarray:
-        """Mean-zero solution of the complex Laplace equation; the rhs mean
-        is discarded (zero mode of the symbol)."""
-        hat = self.fft(rhs)
-        sym = self.laplace_symbol.copy()
-        zero = (0,) * (2 * self.n)
-        sym[zero] = 1.0
-        hat = hat / sym
-        hat[zero] = 0.0
-        return self.ifft(hat)
+        """Real mean-zero solution of the complex Laplace equation for a real
+        rhs; the rhs mean is discarded (zero mode of the symbol)."""
+        self._require_real(rhs, "solve_laplacian")
+        hat = np.fft.rfftn(rhs) * self._inverse_laplace_half()
+        return np.fft.irfftn(hat, s=self.shape, axes=self._axes)
 
     # ---------------------------------------------------------- integration
 
@@ -278,17 +339,20 @@ class ChernTensors:
 
     gamma[..., p, i, j]      : Gamma^p_ij
     torsion[..., p, i, j]    : T^p_ij = Gamma^p_ij - Gamma^p_ji
-    curvature[..., i, j, k, p]: R_{i jbar k}^p = -d_jbar Gamma^p_ik
+    curvature[..., i, j, k, p]: R_{i jbar k}^p = -d_jbar Gamma^p_ik, or None
+                                when built with_curvature=False
     """
 
     metric: np.ndarray
     inverse: np.ndarray
     gamma: np.ndarray
     torsion: np.ndarray
-    curvature: np.ndarray
+    curvature: np.ndarray | None
 
     def lowered_curvature(self) -> np.ndarray:
         """R_{i jbar k lbar} = R_{i jbar k}^p g_{p lbar}."""
+        if self.curvature is None:
+            raise DomainError("tensors were built without curvature")
         return np.einsum(
             "...ijkp,...pl->...ijkl", self.curvature, self.metric, optimize=True
         )
@@ -319,7 +383,7 @@ def chern_tensors(grid: TorusGrid, g: np.ndarray, with_curvature: bool = True) -
                             hat * grid._symbol_zbar(j)
                         )
     else:
-        curvature = np.zeros(grid.shape + (n, n, n, n), dtype=complex)
+        curvature = None
     return ChernTensors(metric=g, inverse=ginv, gamma=gamma, torsion=torsion,
                         curvature=curvature)
 
@@ -441,6 +505,8 @@ def commutation_residual(
     """
     if tensors is None:
         tensors = chern_tensors(grid, g, with_curvature=True)
+    if tensors.curvature is None:
+        raise DomainError("commutation residuals need tensors built with curvature")
     if derivatives is None:
         derivatives = covariant_derivatives(grid, u, tensors, order=order)
     t = tensors.torsion

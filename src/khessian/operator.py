@@ -1,14 +1,27 @@
 """The normalized k-Hessian operator F = sigma_k^{1/k} on Hermitian pencils.
 
 Inputs are pencils (g, w) of Hermitian matrices with g positive definite;
-the operator acts on the relative eigenvalues lambda(g^{-1} w).  Derivative
-formulas are evaluated in a g-orthonormal eigenframe (diagonal first
-derivative, the (2,2)-tensor second derivative splits into a "diagonal"
-block on real perturbation diagonals and an "off" block on off-diagonal
-moduli) and conjugated back to coordinates where needed.
+the operator acts on the relative eigenvalues lambda(g^{-1} w).
+
+Two routes evaluate it.  The pencil kernel (``pencil_table``) never forms
+eigenvalues: sigma_1..sigma_k follow from the traces of the powers of
+A = g^{-1} w by Newton's identities, and the coordinate derivative is the
+matrix polynomial
+
+    Phi = (1/k) sigma_k^{1/k-1} (sum_{j<k} (-1)^j sigma_{k-1-j} A^j) g^{-1},
+
+which is Hermitian.  The solver runs on it.  The eigen route
+(``relative_eigenvalues`` and the eigenframe functions) serves callers whose
+output is a spectrum or an eigenframe quantity: derivative formulas there
+are evaluated in a g-orthonormal eigenframe (diagonal first derivative, the
+(2,2)-tensor second derivative splits into a "diagonal" block on real
+perturbation diagonals and an "off" block on off-diagonal moduli) and
+conjugated back to coordinates where needed.
 
 All routines broadcast over leading batch axes; eigenvalue order is
-descending.
+descending.  The kernel loops over the n x n matrix slots with whole-batch
+array operations, which is fastest when the batch is the contiguous axis:
+``as_tensor_first`` lays a pencil out that way without changing its shape.
 """
 
 from __future__ import annotations
@@ -187,6 +200,102 @@ def concavity_form(values, k: int, diag_perturb, off_perturb) -> float | np.ndar
         "...ip,...ip->...", off_block * mask, np.abs(b) ** 2, optimize=True
     )
     return float(quad) if np.ndim(quad) == 0 else quad
+
+
+# ----------------------------------------------------------- pencil kernel
+
+def _slots(a) -> np.ndarray:
+    """(n, n, ...) view of a (..., n, n) array."""
+    return np.moveaxis(np.asarray(a), (-2, -1), (0, 1))
+
+
+def _unslots(a: np.ndarray) -> np.ndarray:
+    """(..., n, n) view of an (n, n, ...) array."""
+    return np.moveaxis(a, (0, 1), (-2, -1))
+
+
+def as_tensor_first(a) -> np.ndarray:
+    """Copy of a (..., n, n) array, same shape and values, whose memory is
+    laid out (n, n, ...): each matrix slot is one contiguous batch field."""
+    return _unslots(np.ascontiguousarray(_slots(a)))
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched product of (n, n, ...) slot arrays, one batch field per term."""
+    n = a.shape[0]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    for i in range(n):
+        for j in range(n):
+            acc = a[i, 0] * b[0, j]
+            for m in range(1, n):
+                acc += a[i, m] * b[m, j]
+            out[i, j] = acc
+    return out
+
+
+@dataclass
+class PencilTable:
+    """sigma_0..sigma_k of A = g^{-1} w at every batch point.
+
+    sigma[j] is the sigma_j field (sigma[0] = 1); ok marks the strict
+    Gamma_k interior, sigma_1..sigma_k > 0 and sigma_k >= SIGMA_FLOOR.
+    powers holds A^0..A^{k-1} as (n, n, ...) slot arrays for ``gradient``.
+    """
+
+    k: int
+    sigma: np.ndarray
+    ok: np.ndarray
+    powers: list[np.ndarray]
+
+    @property
+    def inside(self) -> bool:
+        return bool(np.all(self.ok))
+
+    def root(self) -> np.ndarray:
+        """F = sigma_k^{1/k}."""
+        return self.sigma[self.k] ** (1.0 / self.k)
+
+    def gradient(self, ginv) -> np.ndarray:
+        """Phi = dF/dw, the (..., n, n) coordinate derivative; equal to
+        ``coordinate_gradient(vecs, sigma_root_gradient(lam, k))``."""
+        k, s = self.k, self.sigma
+        poly = s[k - 1] * self.powers[0]
+        for j in range(1, k):
+            poly = poly + (-1) ** j * s[k - 1 - j] * self.powers[j]
+        phi = _matmul(poly, _slots(ginv))
+        phi *= (1.0 / k) * s[k] ** (1.0 / k - 1.0)
+        return _unslots(phi)
+
+
+def pencil_table(ginv, w, k: int) -> PencilTable:
+    """Eigen-free sigma table of the pencils (g, w), given g^{-1}.
+
+    Newton's identities j sigma_j = sum_{i=1}^{j} (-1)^{i-1} sigma_{j-i} p_i
+    turn the power traces p_i = Re tr(A^i), i <= k, into sigma_1..sigma_k.
+    Inputs are (..., n, n); ``as_tensor_first`` inputs run fastest.
+    """
+    n = np.shape(w)[-1]
+    if not 1 <= k <= n:
+        raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
+    a = _matmul(_slots(ginv), _slots(w))
+    eye = np.eye(n).reshape((n, n) + (1,) * (a.ndim - 2))
+    powers = [eye, a]
+    for _ in range(2, k):
+        powers.append(_matmul(powers[-1], a))
+    traces = [sum(a[i, i].real for i in range(n))]
+    for j in range(2, k + 1):
+        # tr(A^j) = sum_{i,m} (A^{j-1})_{im} A_{mi}
+        last = powers[j - 1]
+        traces.append(sum((last[i, m] * a[m, i]).real for i in range(n) for m in range(n)))
+    sigma = np.empty((k + 1,) + a.shape[2:])
+    sigma[0] = 1.0
+    for j in range(1, k + 1):
+        acc = np.zeros(a.shape[2:])
+        for i in range(1, j + 1):
+            acc += (-1) ** (i - 1) * sigma[j - i] * traces[i - 1]
+        sigma[j] = acc / j
+    ok = np.all(sigma[1:] > 0.0, axis=0) & (sigma[k] >= SIGMA_FLOOR)
+    return PencilTable(k=k, sigma=sigma, ok=ok, powers=powers[:k])
 
 
 @dataclass

@@ -15,6 +15,13 @@ derivative of F at the current pencil.  The offset unknown b absorbs the
 solvability constraint of the closed source; u is kept mean-zero during the
 iteration and shifted to sup u = 0 on success.
 
+Every pencil evaluation goes through the eigen-free kernel
+``operator.pencil_table`` with g^{-1} formed once per solve: the cone test,
+the residual and Phi all come from the sigma table of A = g^{-1} w, and the
+table of the accepted line-search trial serves the next Newton step.
+Eigenvalues are computed only for the report (``eig_min``/``eig_max`` and
+the Hessian extremes).
+
 Continuation runs along f_t = (1 - t) log C(n, k) + t f in S equal steps,
 bisecting a failed step once before giving up.
 """
@@ -29,15 +36,14 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConeViolationError, DomainError, LinearSolveError, SolveFailure
-from .geometry import TorusGrid, gradient_norm_sq, hessian_pencil_extremes
+from .geometry import TorusGrid, gradient_norm_sq, hessian_pencil_extremes, inverse_metric
 from .operator import (
-    SIGMA_FLOOR,
-    coordinate_gradient,
-    relative_eigenvalues,
+    PencilTable,
+    as_tensor_first,
+    pencil_table,
     relative_eigenvalues_only,
-    sigma_root_gradient,
+    require_hermitian,
 )
-from .symfunc import elementary_all
 
 
 @dataclass
@@ -118,33 +124,44 @@ class SolveReport:
 
 # --------------------------------------------------------------- residuals
 
-def _cone_table(lam: np.ndarray, k: int):
-    """(ok, sigma_k) with ok = strict Gamma_k membership at every node."""
-    e = elementary_all(lam)
-    ok = bool(np.all(e[..., 1 : k + 1] > 0.0) and np.all(e[..., k] >= SIGMA_FLOOR))
-    return ok, e[..., k]
+def _require_metric(grid: TorusGrid, g: np.ndarray) -> None:
+    """Reject a metric the pencil kernel cannot run on, with DomainError: the
+    kernel inverts g and would not notice an indefinite or non-Hermitian one."""
+    n = grid.n
+    if g.shape != grid.shape + (n, n):
+        raise DomainError(f"metric shape {g.shape} does not match grid {grid.shape}")
+    if not np.all(np.isfinite(g)):
+        raise DomainError("metric g has non-finite entries")
+    require_hermitian(g, "g")
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError("g must be positive definite at every node") from exc
+
+
+def _residual(table: PencilTable, f: np.ndarray, b: float) -> np.ndarray:
+    """The k-th-root residual F - exp((f + b)/k) from a pencil table."""
+    return table.root() - np.exp((f + b) / table.k)
 
 
 def residual_field(
     grid: TorusGrid, u: np.ndarray, b: float, f: np.ndarray, g: np.ndarray, k: int
 ) -> np.ndarray:
     """k-th-root residual F - exp((f + b)/k); raises if omega_u exits Gamma_k."""
-    w = g + grid.complex_hessian(u)
-    lam = relative_eigenvalues_only(g, w)
-    ok, sk = _cone_table(lam, k)
-    if not ok:
+    _require_metric(grid, g)
+    table = pencil_table(inverse_metric(g), g + grid.complex_hessian(u), k)
+    if not table.inside:
         raise ConeViolationError(f"omega_u left Gamma_{k}")
-    return sk ** (1.0 / k) - np.exp((f + b) / k)
+    return _residual(table, f, b)
 
 
 def manufactured_source(grid: TorusGrid, g: np.ndarray, u_star: np.ndarray, k: int) -> np.ndarray:
     """Source f with exact solution (u_star, b = 0): f = log sigma_k(lambda)."""
-    w = g + grid.complex_hessian(u_star)
-    lam = relative_eigenvalues_only(g, w)
-    ok, sk = _cone_table(lam, k)
-    if not ok:
+    _require_metric(grid, g)
+    table = pencil_table(inverse_metric(g), g + grid.complex_hessian(u_star), k)
+    if not table.inside:
         raise ConeViolationError("manufactured potential leaves Gamma_k; reduce amplitude")
-    return np.log(sk)
+    return np.log(table.sigma[k])
 
 
 # ----------------------------------------------------------- Newton pieces
@@ -158,7 +175,8 @@ def newton_step(
 ):
     """Solve the bordered linearization for (du, db).
 
-    phi: coordinate derivative of F at the current pencil (grid + (n, n));
+    phi: Hermitian coordinate derivative of F at the current pencil
+    (grid + (n, n)); only its diagonal and upper triangle are read;
     source_scale: exp((f + b)/k)/k > 0, the -db coefficient;
     residual: current k-th-root residual.
 
@@ -174,12 +192,23 @@ def newton_step(
         raise LinearSolveError(f"mean ellipticity coefficient {cbar} <= 0")
     cb_mean = float(source_scale.mean())
 
+    # Re tr(phi conj(hv)) for Hermitian phi and hv, in real arithmetic over
+    # the diagonal and the upper triangle: the lower one doubles the upper.
+    n = grid.n
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    coef_diag = [np.ascontiguousarray(phi[..., i, i].real) for i in range(n)]
+    coef_re = [2.0 * phi[..., i, j].real for i, j in upper]
+    coef_im = [2.0 * phi[..., i, j].imag for i, j in upper]
+
     def matvec(z):
         v = z[:m].reshape(shape)
         beta = z[m]
         hv = grid.complex_hessian(v)
-        lv = np.einsum("...ij,...ij->...", phi, np.conj(hv), optimize=True).real
-        lv = lv - source_scale * beta
+        lv = -source_scale * beta
+        for i, c in enumerate(coef_diag):
+            lv = lv + c * hv[..., i, i].real
+        for (i, j), cr, ci in zip(upper, coef_re, coef_im):
+            lv = lv + cr * hv[..., i, j].real + ci * hv[..., i, j].imag
         return np.concatenate([lv.ravel(), [v.mean()]])
 
     def precond(z):
@@ -187,7 +216,7 @@ def newton_step(
         s = z[m]
         wm = w.mean()
         beta = -wm / cb_mean
-        v = grid.solve_laplacian((w - wm) / cbar).real + s
+        v = grid.solve_laplacian((w - wm) / cbar) + s
         return np.concatenate([v.ravel(), [beta]])
 
     op = LinearOperator((m + 1, m + 1), matvec=matvec, dtype=float)
@@ -223,7 +252,7 @@ def newton_step(
 
 def line_search(
     grid: TorusGrid,
-    g: np.ndarray,
+    ginv: np.ndarray,
     w: np.ndarray,
     hess_du: np.ndarray,
     b: float,
@@ -235,8 +264,9 @@ def line_search(
 ):
     """Backtracking step: largest s in {1, 1/2, ...} >= linesearch_min_step
     with omega_u + s ddbar(du) strictly in Gamma_k at every node and a
-    strict sup-residual decrease.  Returns (s, w_new, residual_new) or
-    raises SolveFailure.
+    strict sup-residual decrease.  ginv is the inverse metric g^{-1}.
+    Returns (s, w_new, residual_new, table_new) or raises SolveFailure;
+    table_new is the pencil table at w_new, which carries Phi.
 
     The trial pencil is w + s * hess_du: the Hessian is linear in u, so the
     cached pencil stays exact along the search ray.
@@ -244,13 +274,12 @@ def line_search(
     s = 1.0
     while s >= options.linesearch_min_step:
         w_trial = w + s * hess_du
-        lam = relative_eigenvalues_only(g, w_trial)
-        ok, sk = _cone_table(lam, k)
-        if ok:
-            r_trial = sk ** (1.0 / k) - np.exp((f + (b + s * du_db)) / k)
+        table = pencil_table(ginv, w_trial, k)
+        if table.inside:
+            r_trial = _residual(table, f, b + s * du_db)
             sup_trial = float(np.abs(r_trial).max())
             if sup_trial < sup_residual:
-                return s, w_trial, r_trial
+                return s, w_trial, r_trial, table
         s *= 0.5
     raise SolveFailure(
         f"line search found no admissible step above {options.linesearch_min_step}"
@@ -259,14 +288,13 @@ def line_search(
 
 # ------------------------------------------------------------ continuation
 
-def _newton_solve(grid, g, f, k, u, b, w, options, history, path, t):
+def _newton_solve(grid, ginv, f, k, u, b, w, options, history, path, t):
     """Newton iteration at fixed source f; mutates nothing, returns
     (u, b, w, record) or raises SolveFailure/LinearSolveError."""
-    lam = relative_eigenvalues_only(g, w)
-    ok, sk = _cone_table(lam, k)
-    if not ok:
+    table = pencil_table(ginv, w, k)
+    if not table.inside:
         raise SolveFailure("initial pencil outside Gamma_k")
-    residual = sk ** (1.0 / k) - np.exp((f + b) / k)
+    residual = _residual(table, f, b)
     sup_res = float(np.abs(residual).max())
     history.append(sup_res)
     min_step = 1.0
@@ -284,15 +312,13 @@ def _newton_solve(grid, g, f, k, u, b, w, options, history, path, t):
             )
         if iteration == options.max_newton:
             break
-        lam, vecs = relative_eigenvalues(g, w, validate=False)
-        grad_diag = sigma_root_gradient(lam, k)
-        phi = coordinate_gradient(vecs, grad_diag)
+        phi = table.gradient(ginv)
         source_scale = np.exp((f + b) / k) / k
         du, db, iters = newton_step(grid, phi, source_scale, residual, options)
         total_gmres += iters
         hess_du = grid.complex_hessian(du)
-        s, w, residual = line_search(
-            grid, g, w, hess_du, b, db, f, k, sup_res, options
+        s, w, residual, table = line_search(
+            grid, ginv, w, hess_du, b, db, f, k, sup_res, options
         )
         min_step = min(min_step, s)
         u = u + s * du
@@ -323,11 +349,15 @@ def solve(
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
     if f.shape != grid.shape:
         raise DomainError(f"source shape {f.shape} does not match grid {grid.shape}")
+    if not np.all(np.isfinite(f)):
+        raise DomainError("source f has non-finite values")
+    _require_metric(grid, g)
     start = time.perf_counter()
     log_identity = log(comb(n, k))
+    ginv = as_tensor_first(inverse_metric(g))
     u = np.zeros(grid.shape)
     b = 0.0
-    w = g.copy()
+    w = as_tensor_first(g)
     history: list[float] = []
     path: list[dict] | None = [] if record_path else None
     stages: list[StageRecord] = []
@@ -344,7 +374,7 @@ def solve(
         t = schedule[idx]
         try:
             u, b, w, record = _newton_solve(
-                grid, g, source_at(t), k, u, b, w, options, history, path, t
+                grid, ginv, source_at(t), k, u, b, w, options, history, path, t
             )
             stages.append(record)
             t_good = t
@@ -357,7 +387,7 @@ def solve(
             bisected.add(idx)
             try:
                 u, b, w, record = _newton_solve(
-                    grid, g, source_at(mid), k, u, b, w, options, history, path, mid
+                    grid, ginv, source_at(mid), k, u, b, w, options, history, path, mid
                 )
                 stages.append(record)
                 t_good = mid

@@ -55,3 +55,75 @@ def random_unitary(rng, n: int) -> np.ndarray:
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(a)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+# ------------------------------------------------------- eigen route (pencil)
+
+def eigen_pencil(g, w, k: int):
+    """Eigen route for one pencil (g, w) with g positive definite.
+
+    Returns (lam, sig, phi): the relative eigenvalues from a Cholesky
+    reduction and eigh, sig[j] = sigma_j(lam) for j <= k by subset sums, and
+    Phi = V diag(dF/dlambda) V^H with V^H g V = I and
+    dF/dlambda_i = (1/k) sigma_k^{1/k-1} sigma_{k-1}(lam | i).  phi is None
+    where sigma_k <= 0 and F has no derivative.
+    """
+    g = np.asarray(g, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    n = g.shape[-1]
+    linv = np.linalg.inv(np.linalg.cholesky(g))
+    c = linv @ w @ linv.conj().T
+    lam, q = np.linalg.eigh(0.5 * (c + c.conj().T))
+    vecs = linv.conj().T @ q
+    sig = np.array([sigma_enumerated(lam, j) for j in range(k + 1)])
+    if sig[k] <= 0.0:
+        return lam, sig, None
+    grad = np.array([sigma_restricted_enumerated(k - 1, lam, i) for i in range(n)])
+    grad = grad * (1.0 / k) * sig[k] ** (1.0 / k - 1.0)
+    return lam, sig, vecs @ np.diag(grad) @ vecs.conj().T
+
+
+# ------------------------------------------- complex-FFT route (torus grid)
+
+def _wavenumber_views(n: int, N: int):
+    freq = np.fft.fftfreq(N) * N
+    views = []
+    for a in range(2 * n):
+        shape = [1] * (2 * n)
+        shape[a] = N
+        views.append(freq.reshape(shape))
+    return views
+
+
+def complex_hessian_fft(u, n: int) -> np.ndarray:
+    """d_i d_jbar u by full complex FFTs: the upper triangle from
+    ifftn(fftn(u) S_ij), the real part on the diagonal, the lower triangle
+    mirrored.  S_ij = pi^2 (i m_x^i + m_y^i)(i m_x^j - m_y^j), with
+    m = -N/2 on the Nyquist planes as numpy's fftfreq orders it."""
+    u = np.asarray(u, dtype=float)
+    m = _wavenumber_views(n, u.shape[0])
+    hat = np.fft.fftn(u)
+    out = np.empty(u.shape + (n, n), dtype=complex)
+    for i in range(n):
+        for j in range(i, n):
+            sym = np.pi**2 * (1j * m[2 * i] + m[2 * i + 1]) * (1j * m[2 * j] - m[2 * j + 1])
+            ent = np.fft.ifftn(hat * sym)
+            if i == j:
+                out[..., i, i] = ent.real
+            else:
+                out[..., i, j] = ent
+                out[..., j, i] = np.conj(ent)
+    return out
+
+
+def solve_laplacian_fft(rhs, n: int) -> np.ndarray:
+    """Mean-zero solution of sum_j d_j d_jbar v = rhs - mean(rhs) by full
+    complex FFTs (complex output)."""
+    rhs = np.asarray(rhs, dtype=float)
+    m = _wavenumber_views(n, rhs.shape[0])
+    sym = -sum((np.pi * v) ** 2 for v in m) * np.ones(rhs.shape)
+    zero = (0,) * (2 * n)
+    sym[zero] = 1.0
+    hat = np.fft.fftn(rhs) / sym
+    hat[zero] = 0.0
+    return np.fft.ifftn(hat)

@@ -5,6 +5,8 @@ from khessian import geometry
 from khessian.errors import DomainError
 from khessian.geometry import TorusGrid, chern_tensors, metric_preset
 
+from oracles import complex_hessian_fft, solve_laplacian_fft
+
 
 @pytest.fixture(scope="module")
 def grid16():
@@ -98,6 +100,36 @@ def test_laplacian_consistent_with_hessian_trace(grid8):
     h = grid8.complex_hessian(u)
     lap = grid8.complex_laplacian(u)
     assert np.abs(np.trace(h, axis1=-2, axis2=-1) - lap).max() < 1e-11
+
+
+def _fft_route_fields(grid, rng):
+    """A white-noise field (every mode, Nyquist planes included) and fields
+    whose content sits on the m = N/2 planes, the last axis among them."""
+    nyq = np.pi * grid.N
+    yield rng.normal(size=grid.shape)
+    yield np.cos(nyq * grid.x(0)) * np.sin(2 * np.pi * grid.y(grid.n - 1)) + grid.zeros()
+    yield np.cos(nyq * grid.y(grid.n - 1)) * np.cos(2 * np.pi * grid.x(0) + 0.3) + grid.zeros()
+    yield (np.cos(nyq * grid.x(0)) * np.cos(nyq * grid.y(0))
+           * np.cos(nyq * grid.x(grid.n - 1)) + 0.5 * rng.normal(size=grid.shape))
+
+
+@pytest.mark.parametrize("n,N", [(2, 8), (2, 12), (3, 8)])
+def test_real_fft_routes_match_complex_fft_route(n, N):
+    grid = TorusGrid(n, N)
+    rng = np.random.default_rng(10 * n + N)
+    for u in _fft_route_fields(grid, rng):
+        ref = complex_hessian_fft(u, n)
+        h = grid.complex_hessian(u)
+        assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
+        ref_v = solve_laplacian_fft(u, n)
+        v = grid.solve_laplacian(u)
+        assert np.isrealobj(v)
+        assert np.abs(v - ref_v).max() <= 1e-12 * np.abs(ref_v).max()
+
+
+def test_solve_laplacian_rejects_complex_input(grid8):
+    with pytest.raises(DomainError):
+        grid8.solve_laplacian(grid8.zeros(dtype=complex))
 
 
 def test_solve_laplacian_roundtrip(grid8):

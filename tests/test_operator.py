@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from khessian import operator, symfunc
 from khessian.errors import ConeViolationError, DomainError
 
-from oracles import central_difference, hermitian_random, random_unitary
+from oracles import central_difference, eigen_pencil, hermitian_random, random_unitary
 
 
 # ------------------------------------------------------- eigenvalue pencil
@@ -239,3 +239,95 @@ def test_gradient_positive_on_cone(seed):
     lam = symfunc.sample_gamma_k(4, 2, count=16, seed=seed)
     grad = operator.sigma_root_gradient(lam, 2)
     assert np.all(grad > 0.0)
+
+
+# ------------------------------------------------------- pencil kernel
+
+def _random_pencils(rng, lam):
+    """Pencils (g, w) with relative eigenvalues lam: a random positive
+    definite g = L L^H and w = L U diag(lam) U^H L^H for a random unitary U."""
+    m, n = lam.shape
+    g = np.empty((m, n, n), dtype=complex)
+    w = np.empty_like(g)
+    for p in range(m):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        g[p] = a @ a.conj().T / n + 0.5 * np.eye(n)
+        chol = np.linalg.cholesky(g[p])
+        u = random_unitary(rng, n)
+        wp = chol @ u @ np.diag(lam[p]) @ u.conj().T @ chol.conj().T
+        w[p] = 0.5 * (wp + wp.conj().T)
+    return g, w
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_pencil_kernel_matches_eigen_oracle(n):
+    # Newton's identities combine power traces of size max|lambda|^j, so
+    # sigma_j is compared relative to that.  Phi carries sigma_k^{1/k-1},
+    # whose relative condition is max|lambda|^k / sigma_k on any route; it
+    # is compared where that stays below 100.
+    rng = np.random.default_rng(100 + n)
+    for k in range(1, n + 1):
+        lam = np.vstack([
+            symfunc.sample_gamma_k(n, k, 60, seed=10 * n + k),
+            symfunc.sample_gamma_k_boundary(n, k, 20, seed=10 * n + k),
+            rng.normal(size=(40, n)),  # mostly outside Gamma_k
+        ])
+        g, w = _random_pencils(rng, lam)
+        ginv = np.linalg.inv(g)
+        table = operator.pencil_table(ginv, w, k)
+        with np.errstate(invalid="ignore"):  # Phi is undefined outside the cone
+            phi = table.gradient(ginv)
+        verdicts = {True: 0, False: 0}
+        compared = 0
+        for p in range(lam.shape[0]):
+            lam_p, sig, phi_ref = eigen_pencil(g[p], w[p], k)
+            scale = np.abs(lam_p).max() ** np.arange(k + 1)
+            assert np.all(np.abs(table.sigma[:, p] - sig) <= 1e-12 * scale), (n, k, p)
+            inside = bool(np.all(sig[1:] > 0.0) and sig[k] >= operator.SIGMA_FLOOR)
+            if bool(table.ok[p]) != inside:
+                shell = np.any(np.abs(sig[1:]) <= 1e-12 * scale[1:]) or (
+                    abs(sig[k] - operator.SIGMA_FLOOR) <= 1e-12 * scale[k]
+                )
+                assert shell, (n, k, p, sig)
+            verdicts[inside] += 1
+            if inside and table.ok[p] and sig[k] >= 1e-2 * scale[k]:
+                compared += 1
+                err = np.abs(phi[p] - phi_ref).max() / np.abs(phi_ref).max()
+                assert err <= 1e-12, (n, k, p, err)
+        assert verdicts[True] >= 40 and verdicts[False] >= 10, verdicts
+        assert compared >= 25
+
+
+def test_pencil_gradient_index_convention():
+    # Phi[i, j] pairs with w[i, j] exactly as coordinate_gradient's
+    # V diag(grad) V^H does; the complex pencil makes Phi^T differ from Phi.
+    rng = np.random.default_rng(41)
+    g = np.eye(3) + 0.3 * hermitian_random(rng, 3)
+    w = g + 0.2 * hermitian_random(rng, 3)
+    ginv = np.linalg.inv(g)
+    for k in (1, 2, 3):
+        lam, vecs = operator.relative_eigenvalues(g, w)
+        ref = operator.coordinate_gradient(vecs, operator.sigma_root_gradient(lam, k))
+        phi = operator.pencil_table(ginv, w, k).gradient(ginv)
+        assert np.abs(phi - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(phi - phi.T).max() > 1e-3 * np.abs(ref).max()
+
+
+def test_pencil_table_layouts_agree():
+    rng = np.random.default_rng(43)
+    g = np.stack([np.eye(2) + 0.2 * hermitian_random(rng, 2) for _ in range(12)])
+    w = np.stack([g[p] + 0.3 * hermitian_random(rng, 2) for p in range(12)])
+    ginv = np.linalg.inv(g)
+    plain = operator.pencil_table(ginv, w, 2)
+    ginv_t = operator.as_tensor_first(ginv)
+    slots = operator.pencil_table(ginv_t, operator.as_tensor_first(w), 2)
+    assert np.array_equal(ginv_t, ginv)
+    assert np.array_equal(plain.sigma, slots.sigma)
+    assert np.array_equal(plain.gradient(ginv), slots.gradient(ginv_t))
+
+
+def test_pencil_table_rejects_bad_k():
+    with pytest.raises(DomainError):
+        operator.pencil_table(np.eye(2), np.eye(2), 3)
+    with pytest.raises(DomainError):
+        operator.pencil_table(np.eye(2), np.eye(2), 0)

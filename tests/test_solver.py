@@ -93,10 +93,12 @@ def test_line_search_backtracks_on_cone_exit():
     du = grid.trig_field([(0.15, (1, 0, 0, 0), 0.0)])
     hess = grid.complex_hessian(du)
     # full step pushes w_11 to 1 - 0.15 pi^2 < 0; half step stays inside
-    s, w_new, r_new = line_search(
-        grid, g, g.copy(), hess, 0.0, 0.0, grid.zeros(), 2, 1e9, SolverOptions()
+    s, w_new, r_new, table = line_search(
+        grid, np.linalg.inv(g), g.copy(), hess, 0.0, 0.0, grid.zeros(), 2, 1e9,
+        SolverOptions(),
     )
     assert s == 0.5
+    assert table.inside
     assert w_new[..., 0, 0].real.min() > 0.0
     assert np.isfinite(r_new).all()
 
@@ -108,7 +110,9 @@ def test_line_search_exhaustion_raises():
     hess = grid.complex_hessian(du)
     opts = SolverOptions(linesearch_min_step=0.6)  # only s = 1 is tried
     with pytest.raises(SolveFailure):
-        line_search(grid, g, g.copy(), hess, 0.0, 0.0, grid.zeros(), 2, 1e9, opts)
+        line_search(
+            grid, np.linalg.inv(g), g.copy(), hess, 0.0, 0.0, grid.zeros(), 2, 1e9, opts
+        )
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 2)])
@@ -223,6 +227,36 @@ def test_solve_input_validation():
         solve(grid, g, grid.zeros(), 3)
     with pytest.raises(DomainError):
         solve(grid, g, np.zeros((4, 4, 4, 4)), 2)
+
+
+def test_solve_rejects_nan_source():
+    # without the check this ran 840 GMRES iterations and reported
+    # "GMRES stopped"
+    grid = TorusGrid(2, 8)
+    g = metric_preset(grid, "euclidean")
+    f = grid.zeros()
+    f[1, 2, 3, 4] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        solve(grid, g, f, 2)
+
+
+def test_solve_rejects_non_hermitian_metric():
+    # without the check this "converged"
+    grid = TorusGrid(2, 8)
+    g = metric_preset(grid, "euclidean")
+    g[..., 0, 1] = 0.1
+    with pytest.raises(DomainError, match="not Hermitian"):
+        solve(grid, g, grid.zeros(), 2)
+
+
+def test_solve_rejects_indefinite_metric():
+    # without the check this raised numpy's LinAlgError
+    grid = TorusGrid(2, 8)
+    g = -metric_preset(grid, "euclidean")
+    with pytest.raises(DomainError, match="positive definite"):
+        solve(grid, g, grid.zeros(), 2)
+    with pytest.raises(DomainError, match="positive definite"):
+        manufactured_source(grid, g, grid.zeros(), 2)
 
 
 def test_mesh_convergence_against_analytic_source():
