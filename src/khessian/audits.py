@@ -14,8 +14,6 @@ scalar offset making the source compatible.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, log
@@ -80,23 +78,6 @@ class AuditReport:
                 "rows": self.rows,
             }
         )
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=False)
-            fh.write("\n")
-
-    def write_csv(self, path) -> None:
-        header: list[str] = []
-        for row in self.rows:
-            for key in row:
-                if key not in header:
-                    header.append(key)
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=header, restval="")
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow(_plain(row))
 
 
 # ------------------------------------------------------------- cone audits

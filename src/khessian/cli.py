@@ -7,9 +7,11 @@
 
 Configuration is YAML merged over built-in defaults; --set overrides use
 dotted paths (--set problem.N=16).  Unknown keys are rejected with their
-full path.  Every run writes report.json (with the effective configuration
-embedded) and rows.csv into the output directory, which resolves from the
-config, then the KHESSIAN_OUTDIR environment variable, then ./khessian-out.
+full path, and every value is type-checked against its default; the solver
+section is SolverOptions, checked by SolverOptions.validated().  Every run
+writes report.json (with the effective configuration embedded) and rows.csv
+into the output directory, which resolves from the config, then the
+KHESSIAN_OUTDIR environment variable, then ./khessian-out.
 
 Exit status: 0 on success, 1 when the run completed but failed (solver
 divergence, audit violation), 2 for configuration errors.
@@ -20,14 +22,15 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import difflib
 import json
+import numbers
 import os
 import re
 import sys
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 
@@ -75,15 +78,7 @@ DEFAULTS = {
         "metric": {"preset": "euclidean", "epsilon": 0.1, "amplitude": 0.02},
         "source": {"terms": [[0.5, [1, 0, 0, 0], 0.0]]},
     },
-    "solver": {
-        "continuation_steps": 8,
-        "newton_tol": 1e-9,
-        "max_newton": 30,
-        "linesearch_min_step": 2.0**-20,
-        "linear_rtol": 1e-10,
-        "linear_maxiter": 800,
-        "gmres_restart": 60,
-    },
+    "solver": dataclasses.asdict(SolverOptions()),
     "mms": {
         "terms": [
             [0.025, [1, 1, 0, 0], 0.0],
@@ -118,33 +113,6 @@ DEFAULTS = {
 def _expect(cond: bool, path: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"{path}: {message}")
-
-
-def _check_int(value, path, minimum=None, even=False):
-    _expect(
-        isinstance(value, int) and not isinstance(value, bool),
-        path,
-        f"expected an integer, got {value!r}",
-    )
-    if minimum is not None:
-        _expect(value >= minimum, path, f"must be >= {minimum}, got {value}")
-    if even:
-        _expect(value % 2 == 0, path, f"must be even, got {value}")
-    return value
-
-
-def _check_float(value, path, minimum=None, positive=False):
-    _expect(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        path,
-        f"expected a number, got {value!r}",
-    )
-    value = float(value)
-    if positive:
-        _expect(value > 0, path, f"must be positive, got {value}")
-    if minimum is not None:
-        _expect(value >= minimum, path, f"must be >= {minimum}, got {value}")
-    return value
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -192,100 +160,87 @@ def _apply_set(cfg: dict, assignment: str) -> None:
     node[leaf] = value
 
 
+def _check_types(value, default, path: str) -> None:
+    """Type-check a value against its default: a scalar default fixes the
+    type (an int passes for a float, a bool never for a number, a None
+    default admits a string), every list is non-empty, a list of records
+    holds records of the default record's length checked position by
+    position, and a list of scalars is homogeneous."""
+    if isinstance(default, dict):
+        for key, sub in default.items():
+            _check_types(value[key], sub, f"{path}.{key}")
+    elif isinstance(default, list):
+        _expect(
+            isinstance(value, list) and value, path, f"expected a non-empty list, got {value!r}"
+        )
+        item = default[0]
+        for idx, entry in enumerate(value):
+            at = f"{path}[{idx}]"
+            if isinstance(item, list):
+                _expect(
+                    isinstance(entry, list) and len(entry) == len(item),
+                    at,
+                    f"expected a list of {len(item)} entries like {item!r}, got {entry!r}",
+                )
+                for pos, (sub, sub_default) in enumerate(zip(entry, item)):
+                    _check_types(sub, sub_default, f"{at}[{pos}]")
+            else:
+                _check_types(entry, item, at)
+    else:
+        if isinstance(default, bool):
+            ok, label = isinstance(value, bool), "a boolean"
+        elif isinstance(default, int):
+            ok, label = isinstance(value, numbers.Integral), "an integer"
+        elif isinstance(default, float):
+            ok, label = isinstance(value, numbers.Real), "a number"
+        elif default is None:
+            ok, label = value is None or isinstance(value, str), "a path string or null"
+        else:
+            ok, label = isinstance(value, str), "a string"
+        ok = ok and isinstance(value, bool) == isinstance(default, bool)
+        _expect(ok, path, f"expected {label}, got {value!r}")
+
+
 def _validate(cfg: dict) -> dict:
+    try:
+        SolverOptions(**cfg["solver"]).validated()
+    except DomainError as exc:
+        raise ConfigError(f"solver.{exc}") from exc
+    for key, default in DEFAULTS.items():
+        if key != "solver":
+            _check_types(cfg[key], default, key)
+    # Range rules for what the library leaves unchecked (problem.n too, as
+    # sample-cone builds no grid), and for the problem keys whose errors name
+    # their dotted path.  The library rejects the rest (audit grid sizes,
+    # lemma21's n and k, the torsion epsilon) with DomainError.
     p = cfg["problem"]
-    n = _check_int(p["n"], "problem.n", minimum=2)
-    k = _check_int(p["k"], "problem.k", minimum=1)
-    _expect(k <= n, "problem.k", f"must satisfy k <= n, got k={k}, n={n}")
-    _check_int(p["N"], "problem.N", minimum=8, even=True)
-    preset = p["metric"]["preset"]
+    n, k, N = p["n"], p["k"], p["N"]
+    _expect(n >= 2, "problem.n", f"must be >= 2, got {n}")
+    _expect(1 <= k <= n, "problem.k", f"must satisfy 1 <= k <= n, got k={k}, n={n}")
+    _expect(N >= 8 and N % 2 == 0, "problem.N", f"must be even and >= 8, got {N}")
     _expect(
-        preset in PRESET_NAMES,
+        p["metric"]["preset"] in PRESET_NAMES,
         "problem.metric.preset",
-        f"unknown preset {preset!r}, choose from {PRESET_NAMES}",
+        f"unknown preset {p['metric']['preset']!r}, choose from {PRESET_NAMES}",
     )
-    _check_float(p["metric"]["epsilon"], "problem.metric.epsilon", positive=True)
-    _check_float(p["metric"]["amplitude"], "problem.metric.amplitude", positive=True)
-    _validate_terms(p["source"]["terms"], "problem.source.terms")
-    s = cfg["solver"]
-    _check_int(s["continuation_steps"], "solver.continuation_steps", minimum=1)
-    _check_float(s["newton_tol"], "solver.newton_tol", positive=True)
-    _check_int(s["max_newton"], "solver.max_newton", minimum=1)
-    _check_float(s["linesearch_min_step"], "solver.linesearch_min_step", positive=True)
-    _check_float(s["linear_rtol"], "solver.linear_rtol", positive=True)
-    _check_int(s["linear_maxiter"], "solver.linear_maxiter", minimum=1)
-    _check_int(s["gmres_restart"], "solver.gmres_restart", minimum=1)
-    _validate_terms(cfg["mms"]["terms"], "mms.terms")
-    _check_float(cfg["mms"]["tol"], "mms.tol", positive=True)
+    for idx, (_, freqs, _) in enumerate(p["source"]["terms"]):
+        _expect(
+            len(freqs) % 2 == 0,
+            f"problem.source.terms[{idx}][1]",
+            f"expected an even number of integer frequencies, got {freqs!r}",
+        )
     a = cfg["audit"]
-    _check_int(a["samples"], "audit.samples", minimum=1)
-    _expect(
-        isinstance(a["pairs"], list) and a["pairs"],
-        "audit.pairs",
-        "expected a non-empty list of [n, k] pairs",
-    )
-    for idx, pair in enumerate(a["pairs"]):
-        _expect(
-            isinstance(pair, list) and len(pair) == 2,
-            f"audit.pairs[{idx}]",
-            f"expected [n, k], got {pair!r}",
-        )
-    _check_int(a["lemma21"]["n"], "audit.lemma21.n", minimum=3)
-    _check_int(a["lemma21"]["k"], "audit.lemma21.k", minimum=3)
-    _check_float(a["lemma22_amplitude"], "audit.lemma22_amplitude", positive=True)
-    _expect(
-        isinstance(a["family_amplitudes"], list) and a["family_amplitudes"],
-        "audit.family_amplitudes",
-        "expected a non-empty list of scalings",
-    )
-    _expect(
-        isinstance(a["p_list"], list) and len(a["p_list"]) >= 2,
-        "audit.p_list",
-        "expected a list of at least two exponents",
-    )
-    _check_float(a["cherrier_factor"], "audit.cherrier_factor", positive=True)
-    c = a["commutation"]
-    _check_int(c["N_lo"], "audit.commutation.N_lo", minimum=8, even=True)
-    _check_int(c["N_hi"], "audit.commutation.N_hi", minimum=8, even=True)
-    _check_float(c["epsilon"], "audit.commutation.epsilon", positive=True)
-    if cfg["output_dir"] is not None:
-        _expect(
-            isinstance(cfg["output_dir"], str),
-            "output_dir",
-            f"expected a path string, got {cfg['output_dir']!r}",
-        )
-    _expect(
-        isinstance(cfg["save_fields"], bool),
-        "save_fields",
-        f"expected a boolean, got {cfg['save_fields']!r}",
-    )
-    _check_int(cfg["seed"], "seed", minimum=0)
+    for path, value in (
+        ("problem.metric.amplitude", p["metric"]["amplitude"]),
+        ("mms.tol", cfg["mms"]["tol"]),
+        ("audit.samples", a["samples"]),
+        ("audit.lemma22_amplitude", a["lemma22_amplitude"]),
+        ("audit.cherrier_factor", a["cherrier_factor"]),
+    ):
+        _expect(value > 0, path, f"must be positive, got {value}")
+    _expect(len(a["p_list"]) >= 2, "audit.p_list", "expected at least two exponents")
+    _expect(cfg["seed"] >= 0, "seed", f"must be >= 0, got {cfg['seed']}")
     return cfg
-
-
-def _validate_terms(terms, path):
-    _expect(isinstance(terms, list) and terms, path, "expected a non-empty list")
-    for idx, term in enumerate(terms):
-        at = f"{path}[{idx}]"
-        _expect(
-            isinstance(term, (list, tuple)) and len(term) == 3,
-            at,
-            f"expected [amplitude, [2n integer frequencies], phase], got {term!r}",
-        )
-        amp, freqs, phase = term
-        _check_float(amp, f"{at}[0]")
-        _expect(
-            isinstance(freqs, (list, tuple)) and len(freqs) >= 2 and len(freqs) % 2 == 0,
-            f"{at}[1]",
-            f"expected an even-length list of integer frequencies, got {freqs!r}",
-        )
-        for fidx, fr in enumerate(freqs):
-            _expect(
-                isinstance(fr, int) and not isinstance(fr, bool),
-                f"{at}[1][{fidx}]",
-                f"expected an integer, got {fr!r}",
-            )
-        _check_float(phase, f"{at}[2]")
 
 
 def _terms_for(n: int, terms, path) -> list[tuple]:
@@ -358,19 +313,6 @@ def _problem_pieces(cfg: dict):
     return grid, g, p["k"]
 
 
-def _solver_options(cfg: dict) -> SolverOptions:
-    s = cfg["solver"]
-    return SolverOptions(
-        continuation_steps=s["continuation_steps"],
-        newton_tol=s["newton_tol"],
-        max_newton=s["max_newton"],
-        linesearch_min_step=s["linesearch_min_step"],
-        linear_rtol=s["linear_rtol"],
-        linear_maxiter=s["linear_maxiter"],
-        gmres_restart=s["gmres_restart"],
-    )
-
-
 def _stage_rows(report) -> list[dict]:
     return [
         {
@@ -389,7 +331,7 @@ def _cmd_solve(cfg: dict, outdir: Path) -> int:
     f = grid.trig_field(
         _terms_for(grid.n, cfg["problem"]["source"]["terms"], "problem.source.terms")
     )
-    rep = solve(grid, g, f, k, options=_solver_options(cfg))
+    rep = solve(grid, g, f, k, options=SolverOptions(**cfg["solver"]))
     if cfg["save_fields"]:
         save_field(outdir / "u.khf", rep.u, grid.n, grid.N, kind="potential")
         save_field(outdir / "f.khf", f, grid.n, grid.N, kind="source")
@@ -405,7 +347,7 @@ def _cmd_mms(cfg: dict, outdir: Path) -> int:
     grid, g, k = _problem_pieces(cfg)
     u_star = grid.trig_field(_terms_for(grid.n, cfg["mms"]["terms"], "mms.terms"))
     f = manufactured_source(grid, g, u_star, k)
-    rep = solve(grid, g, f, k, options=_solver_options(cfg))
+    rep = solve(grid, g, f, k, options=SolverOptions(**cfg["solver"]))
     err = recovery_error(rep, u_star) if rep.success else float("inf")
     passed = rep.success and err <= cfg["mms"]["tol"]
     if cfg["save_fields"]:
@@ -436,7 +378,7 @@ def _family(cfg: dict) -> audits.FamilyResult:
         _terms_for(p["n"], p["source"]["terms"], "problem.source.terms"),
         cfg["audit"]["family_amplitudes"],
         epsilon=p["metric"]["epsilon"],
-        options=_solver_options(cfg),
+        options=SolverOptions(**cfg["solver"]),
     )
 
 

@@ -54,6 +54,21 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _reduce_pencil(g, w):
+    """Cholesky reduction of the pencil: returns (L, a) with g = L L^H and
+    a the Hermitian part of L^{-1} w L^{-H}, which has the relative
+    eigenvalues of (g, w).  Raises DomainError unless g is positive definite."""
+    g = np.asarray(g, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    try:
+        chol = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError("g must be positive definite") from exc
+    y = np.linalg.solve(chol, w)
+    a = np.linalg.solve(chol, np.conj(np.swapaxes(y, -1, -2)))  # L^{-1} w^H L^{-H}
+    return chol, 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+
+
 def relative_eigenvalues(g, w, validate: bool = True):
     """Eigenpairs of w v = lambda g v for Hermitian w and positive definite g.
 
@@ -62,19 +77,10 @@ def relative_eigenvalues(g, w, validate: bool = True):
     vecs^H g vecs = identity.  Implemented by Cholesky reduction to an
     ordinary Hermitian problem, which keeps the eigenvalues real.
     """
-    g = np.asarray(g, dtype=complex)
-    w = np.asarray(w, dtype=complex)
     if validate:
         require_hermitian(g, "g")
         require_hermitian(w, "w")
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("g must be positive definite") from exc
-    y = np.linalg.solve(chol, w)
-    a = np.linalg.solve(chol, np.conj(np.swapaxes(y, -1, -2)))
-    a = np.conj(np.swapaxes(a, -1, -2))  # a = L^{-1} w L^{-H}
-    a = 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+    chol, a = _reduce_pencil(g, w)
     lam, q = np.linalg.eigh(a)
     vecs = np.linalg.solve(np.conj(np.swapaxes(chol, -1, -2)), q)
     return lam[..., ::-1], vecs[..., :, ::-1]
@@ -82,13 +88,7 @@ def relative_eigenvalues(g, w, validate: bool = True):
 
 def relative_eigenvalues_only(g, w) -> np.ndarray:
     """Descending eigenvalues of the pencil without eigenvectors (cheaper)."""
-    g = np.asarray(g, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    chol = np.linalg.cholesky(g)
-    y = np.linalg.solve(chol, w)
-    a = np.linalg.solve(chol, np.conj(np.swapaxes(y, -1, -2)))
-    a = 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-    return np.linalg.eigvalsh(a)[..., ::-1]
+    return np.linalg.eigvalsh(_reduce_pencil(g, w)[1])[..., ::-1]
 
 
 def _cone_guard(lam: np.ndarray, k: int) -> np.ndarray:

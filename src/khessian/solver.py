@@ -28,8 +28,9 @@ bisecting a failed step once before giving up.
 
 from __future__ import annotations
 
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import comb, log
 
 import numpy as np
@@ -57,14 +58,27 @@ class SolverOptions:
     gmres_restart: int = 60
 
     def validated(self) -> "SolverOptions":
-        if self.continuation_steps < 1:
-            raise DomainError("continuation_steps must be >= 1")
-        if not 0 < self.newton_tol < 1:
-            raise DomainError("newton_tol must lie in (0, 1)")
-        if self.max_newton < 1:
-            raise DomainError("max_newton must be >= 1")
-        if not 0 < self.linesearch_min_step <= 1:
-            raise DomainError("linesearch_min_step must lie in (0, 1]")
+        """Check the type and range of every field; messages start with the
+        field name."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            integral = isinstance(f.default, int)
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if integral else numbers.Real
+            ):
+                label = "an integer" if integral else "a number"
+                raise DomainError(f"{f.name} must be {label}, got {value!r}")
+        for name, ok, rule in (
+            ("continuation_steps", self.continuation_steps >= 1, "be >= 1"),
+            ("newton_tol", 0 < self.newton_tol < 1, "lie in (0, 1)"),
+            ("max_newton", self.max_newton >= 1, "be >= 1"),
+            ("linesearch_min_step", 0 < self.linesearch_min_step <= 1, "lie in (0, 1]"),
+            ("linear_rtol", 0 < self.linear_rtol < 1, "lie in (0, 1)"),
+            ("linear_maxiter", self.linear_maxiter >= 1, "be >= 1"),
+            ("gmres_restart", self.gmres_restart >= 1, "be >= 1"),
+        ):
+            if not ok:
+                raise DomainError(f"{name} must {rule}, got {getattr(self, name)!r}")
         return self
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from khessian import audits
+from khessian.cli import _write_outputs
 from khessian.errors import DomainError
 from khessian.geometry import TorusGrid, metric_preset
 
@@ -26,10 +27,9 @@ def small_family():
 
 def test_report_serialization(tmp_path):
     rep = audits.audit_basic_inequality(pairs=((3, 2),), samples=500)
+    _write_outputs(tmp_path, rep.as_dict(), rep.rows)
     jpath = tmp_path / "report.json"
     cpath = tmp_path / "rows.csv"
-    rep.write_json(jpath)
-    rep.write_csv(cpath)
     loaded = json.loads(jpath.read_text())
     assert loaded["name"] == rep.name
     assert loaded["passed"] is True

@@ -79,6 +79,40 @@ def test_value_validation():
         load_config(None, ["problem.source.terms=[[0.5, [1, 0, 0], 0.0]]"], None)
 
 
+@pytest.mark.parametrize(
+    "assignment, path",
+    [
+        ("audit.lemma22_cases=[[3, 8]]", "audit.lemma22_cases[0]"),
+        ("audit.p_list=[a, b]", "audit.p_list[0]"),
+        ("audit.pairs=[[3, x]]", "audit.pairs[0][1]"),
+        ("audit.family_amplitudes=[a]", "audit.family_amplitudes[0]"),
+        ("audit.commutation.presets=torsion", "audit.commutation.presets"),
+        ("audit.commutation.orders=[]", "audit.commutation.orders"),
+        ("solver.newton_tol=2", "solver.newton_tol"),
+    ],
+)
+def test_value_validation_names_path(assignment, path):
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}[: ]"):
+        load_config(None, [assignment], None)
+
+
+def test_bad_value_is_exit_2_without_traceback(tmp_path, monkeypatch, capsys):
+    rc = run_cli(
+        ["audit", "lemma22", "--set", "audit.lemma22_cases=[[3, 8]]"], tmp_path, monkeypatch
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: audit.lemma22_cases[0]")
+    assert "Traceback" not in err
+
+
+def test_readme_defaults_match():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^```yaml\n(.*?)^```", readme, re.S | re.M)
+    assert block is not None
+    assert yaml.safe_load(block.group(1)) == DEFAULTS
+
+
 def test_seed_flag_wins():
     cfg = load_config(None, ["seed=3"], 11)
     assert cfg["seed"] == 11

@@ -295,6 +295,12 @@ def test_hessian_pencil_extremes(grid16):
     assert hi == pytest.approx(0.05 * np.pi**2, rel=1e-6)
 
 
+def test_hessian_pencil_extremes_rejects_indefinite_metric(grid8):
+    u = grid8.trig_field([(0.05, [1, 0, 0, 0], 0.0)])
+    with pytest.raises(DomainError, match="positive definite"):
+        geometry.hessian_pencil_extremes(grid8, u, -geometry.identity_metric(grid8))
+
+
 def test_cone_band_integrand_requires_band(grid8):
     u = grid8.trig_field([(0.01, [1, 0, 0, 0], 0.0)])
     g = geometry.identity_metric(grid8)

@@ -50,6 +50,8 @@ def test_relative_eigenvalues_batched_matches_loop():
 def test_relative_eigenvalues_rejects_bad_inputs():
     with pytest.raises(DomainError):
         operator.relative_eigenvalues(-np.eye(2), np.eye(2))  # not PD
+    with pytest.raises(DomainError):
+        operator.relative_eigenvalues_only(-np.eye(2), np.eye(2))
     skew = np.array([[1.0, 1.0], [2.0, 1.0]], dtype=complex)
     with pytest.raises(DomainError):
         operator.relative_eigenvalues(np.eye(2), skew)  # not Hermitian

@@ -35,6 +35,19 @@ def test_options_validation():
         SolverOptions(max_newton=0).validated()
     with pytest.raises(DomainError):
         SolverOptions(linesearch_min_step=2.0).validated()
+    for bad in (
+        {"continuation_steps": 2.5},
+        {"max_newton": 2.5},
+        {"continuation_steps": True},
+        {"linear_rtol": -1.0},
+        {"linear_rtol": 0.0},
+        {"linear_rtol": 1.0},
+        {"linear_maxiter": 0},
+        {"gmres_restart": 0},
+    ):
+        with pytest.raises(DomainError, match=f"^{next(iter(bad))} "):
+            SolverOptions(**bad).validated()
+    assert SolverOptions(continuation_steps=np.int64(4)).validated().continuation_steps == 4
 
 
 def test_residual_pinned_flat():
