@@ -47,10 +47,8 @@ from .geometry import (
     metric_preset,
 )
 from .operator import (
-    OperatorEval,
     concavity_form,
     coordinate_gradient,
-    evaluate,
     garding_floor,
     relative_eigenvalues,
     relative_eigenvalues_only,
@@ -92,7 +90,6 @@ __all__ = [
     "FamilyResult",
     "Form",
     "LinearSolveError",
-    "OperatorEval",
     "PRESET_NAMES",
     "SamplingBudgetError",
     "SolveFailure",
@@ -116,7 +113,6 @@ __all__ = [
     "coordinate_gradient",
     "covariant_derivatives",
     "elementary_all",
-    "evaluate",
     "garding_floor",
     "gradient_band_form",
     "gradient_norm_sq",

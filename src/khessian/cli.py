@@ -279,13 +279,11 @@ def load_config(path: str | None, sets, seed: int | None) -> dict:
 
 
 def _resolve_outdir(cfg: dict) -> Path:
-    out = cfg["output_dir"] or os.environ.get("KHESSIAN_OUTDIR") or "khessian-out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(cfg["output_dir"] or os.environ.get("KHESSIAN_OUTDIR") or "khessian-out")
 
 
 def _write_outputs(outdir: Path, report: dict, rows: list[dict]) -> None:
+    outdir.mkdir(parents=True, exist_ok=True)  # only here: a failed run leaves none
     with open(outdir / "report.json", "w") as fh:
         json.dump(audits._plain(report), fh, indent=2)
         fh.write("\n")
@@ -332,14 +330,14 @@ def _cmd_solve(cfg: dict, outdir: Path) -> int:
         _terms_for(grid.n, cfg["problem"]["source"]["terms"], "problem.source.terms")
     )
     rep = solve(grid, g, f, k, options=SolverOptions(**cfg["solver"]))
-    if cfg["save_fields"]:
-        save_field(outdir / "u.khf", rep.u, grid.n, grid.N, kind="potential")
-        save_field(outdir / "f.khf", f, grid.n, grid.N, kind="source")
     _write_outputs(
         outdir,
         {"command": "solve", "passed": rep.success, **rep.summary_dict(), "config": cfg},
         _stage_rows(rep),
     )
+    if cfg["save_fields"]:
+        save_field(outdir / "u.khf", rep.u, grid.n, grid.N, kind="potential")
+        save_field(outdir / "f.khf", f, grid.n, grid.N, kind="source")
     return 0 if rep.success else 1
 
 
@@ -350,9 +348,6 @@ def _cmd_mms(cfg: dict, outdir: Path) -> int:
     rep = solve(grid, g, f, k, options=SolverOptions(**cfg["solver"]))
     err = recovery_error(rep, u_star) if rep.success else float("inf")
     passed = rep.success and err <= cfg["mms"]["tol"]
-    if cfg["save_fields"]:
-        save_field(outdir / "u.khf", rep.u, grid.n, grid.N, kind="potential")
-        save_field(outdir / "u_star.khf", u_star, grid.n, grid.N, kind="reference")
     _write_outputs(
         outdir,
         {
@@ -365,6 +360,9 @@ def _cmd_mms(cfg: dict, outdir: Path) -> int:
         },
         _stage_rows(rep),
     )
+    if cfg["save_fields"]:
+        save_field(outdir / "u.khf", rep.u, grid.n, grid.N, kind="potential")
+        save_field(outdir / "u_star.khf", u_star, grid.n, grid.N, kind="reference")
     return 0 if passed else 1
 
 
@@ -382,58 +380,74 @@ def _family(cfg: dict) -> audits.FamilyResult:
     )
 
 
+# the config entry that holds the parameters each audit validates itself
+_AUDIT_PARAMS = {
+    "lemma21": "audit.lemma21",
+    "basic-inequality": "audit.pairs",
+    "lemma22": "audit.lemma22_cases",
+    "commutation": "audit.commutation",
+}
+
+
 def _cmd_audit(cfg: dict, outdir: Path, name: str) -> int:
-    a = cfg["audit"]
-    if name == "lemma21":
-        rep = audits.audit_lemma21(
-            a["lemma21"]["n"], a["lemma21"]["k"], samples=a["samples"], seed=cfg["seed"]
-        )
-    elif name == "basic-inequality":
-        rep = audits.audit_basic_inequality(
-            pairs=tuple(tuple(pair) for pair in a["pairs"]),
-            samples=a["samples"],
-            seed=cfg["seed"],
-        )
-    elif name == "lemma22":
-        rep = audits.audit_lemma22(
-            cases=tuple(tuple(c) for c in a["lemma22_cases"]),
-            preset=cfg["problem"]["metric"]["preset"],
-            epsilon=cfg["problem"]["metric"]["epsilon"],
-            amplitude=a["lemma22_amplitude"],
-        )
-    elif name == "commutation":
-        c = a["commutation"]
-        rep = audits.audit_commutation(
-            N_lo=c["N_lo"],
-            N_hi=c["N_hi"],
-            presets=tuple(c["presets"]),
-            orders=tuple(c["orders"]),
-            epsilon=c["epsilon"],
-        )
-    elif name in ("c0", "b-bound", "c2", "cherrier"):
-        family = _family(cfg)
-        if name == "c0":
-            rep = audits.audit_c0(family)
-        elif name == "b-bound":
-            rep = audits.audit_b_bound(family)
-        elif name == "c2":
-            rep = audits.audit_c2(family)
-        else:
-            rep = audits.audit_cherrier(
-                family.grid,
-                family.g,
-                family.reports[-1].u,
-                p_list=tuple(a["p_list"]),
-                factor=a["cherrier_factor"],
-            )
-    else:
-        raise ConfigError(f"unknown audit {name!r}, choose from {AUDIT_NAMES}")
+    try:
+        rep = _run_audit(cfg, name)
+    except DomainError as exc:
+        if name not in _AUDIT_PARAMS:
+            raise
+        raise ConfigError(f"{_AUDIT_PARAMS[name]}: {exc}") from exc
     _write_outputs(
         outdir,
         {"command": f"audit {name}", "passed": rep.passed, **rep.as_dict(), "config": cfg},
         rep.rows,
     )
     return 0 if rep.passed else 1
+
+
+def _run_audit(cfg: dict, name: str) -> audits.AuditReport:
+    a = cfg["audit"]
+    if name == "lemma21":
+        return audits.audit_lemma21(
+            a["lemma21"]["n"], a["lemma21"]["k"], samples=a["samples"], seed=cfg["seed"]
+        )
+    if name == "basic-inequality":
+        return audits.audit_basic_inequality(
+            pairs=tuple(tuple(pair) for pair in a["pairs"]),
+            samples=a["samples"],
+            seed=cfg["seed"],
+        )
+    if name == "lemma22":
+        return audits.audit_lemma22(
+            cases=tuple(tuple(c) for c in a["lemma22_cases"]),
+            preset=cfg["problem"]["metric"]["preset"],
+            epsilon=cfg["problem"]["metric"]["epsilon"],
+            amplitude=a["lemma22_amplitude"],
+        )
+    if name == "commutation":
+        c = a["commutation"]
+        return audits.audit_commutation(
+            N_lo=c["N_lo"],
+            N_hi=c["N_hi"],
+            presets=tuple(c["presets"]),
+            orders=tuple(c["orders"]),
+            epsilon=c["epsilon"],
+        )
+    if name in ("c0", "b-bound", "c2", "cherrier"):
+        family = _family(cfg)
+        if name == "c0":
+            return audits.audit_c0(family)
+        if name == "b-bound":
+            return audits.audit_b_bound(family)
+        if name == "c2":
+            return audits.audit_c2(family)
+        return audits.audit_cherrier(
+            family.grid,
+            family.g,
+            family.reports[-1].u,
+            p_list=tuple(a["p_list"]),
+            factor=a["cherrier_factor"],
+        )
+    raise ConfigError(f"unknown audit {name!r}, choose from {AUDIT_NAMES}")
 
 
 def _cmd_sample_cone(cfg: dict, outdir: Path) -> int:

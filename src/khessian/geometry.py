@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .symfunc import in_gamma_k, sigma_restricted_each
+from .symfunc import require_gamma_k, sigma_restricted_each
 from .operator import relative_eigenvalues, relative_eigenvalues_only
 
 
@@ -586,12 +586,7 @@ def cone_band_integrand(
         raise DomainError(f"band index must satisfy 0 <= i <= k-2, got i={i}, k={k}")
     w = g + grid.complex_hessian(u)
     lam, vecs = relative_eigenvalues(g, w, validate=False)
-    inside = in_gamma_k(lam, k)
-    if not np.all(inside):
-        raise DomainError(
-            f"omega_u leaves Gamma_{k} at "
-            f"{int(np.size(inside) - np.count_nonzero(inside))} node(s)"
-        )
+    require_gamma_k(lam, k)
     du = grid.holomorphic_gradient(u)
     # frame components of du: with vecs^H g vecs = id the orthonormal frame
     # carries conj(vecs), so c = vecs^H du

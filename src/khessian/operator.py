@@ -10,13 +10,16 @@ matrix polynomial
 
     Phi = (1/k) sigma_k^{1/k-1} (sum_{j<k} (-1)^j sigma_{k-1-j} A^j) g^{-1},
 
-which is Hermitian.  The solver runs on it.  The eigen route
-(``relative_eigenvalues`` and the eigenframe functions) serves callers whose
-output is a spectrum or an eigenframe quantity: derivative formulas there
-are evaluated in a g-orthonormal eigenframe (diagonal first derivative, the
-(2,2)-tensor second derivative splits into a "diagonal" block on real
-perturbation diagonals and an "off" block on off-diagonal moduli) and
-conjugated back to coordinates where needed.
+which is Hermitian.  The solver runs on it, and ``PencilTable.gradient`` is
+the one coordinate derivative the package offers (there is no single-pencil
+``evaluate``).  The eigen route (``relative_eigenvalues`` and the eigenframe
+functions) serves callers whose output is a spectrum or an eigenframe
+quantity: derivative formulas there are evaluated in a g-orthonormal
+eigenframe (diagonal first derivative, the (2,2)-tensor second derivative
+splits into a "diagonal" block on real perturbation diagonals and an "off"
+block on off-diagonal moduli) and conjugated back to coordinates where
+needed.  Both routes take the Gamma_k verdict from ``symfunc`` with the
+floor SIGMA_FLOOR on sigma_k.
 
 All routines broadcast over leading batch axes; eigenvalue order is
 descending.  The kernel loops over the n x n matrix slots with whole-batch
@@ -30,8 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConeViolationError, DomainError
-from .symfunc import elementary_all, sigma_restricted_each, sigma_restricted_pairs
+from .errors import DomainError
+from .symfunc import (
+    check_k,
+    elementary_all,
+    gamma_k_verdict,
+    require_gamma_k,
+    sigma_restricted_each,
+    sigma_restricted_pairs,
+)
 
 # strict-interior guard: sigma_k below this is treated as a cone exit so the
 # k-th root and its derivatives stay well conditioned
@@ -91,35 +101,17 @@ def relative_eigenvalues_only(g, w) -> np.ndarray:
     return np.linalg.eigvalsh(_reduce_pencil(g, w)[1])[..., ::-1]
 
 
-def _cone_guard(lam: np.ndarray, k: int) -> np.ndarray:
-    """Return sigma table after enforcing strict Gamma_k membership."""
-    e = elementary_all(lam)
-    ok = np.all(e[..., 1 : k + 1] > 0.0, axis=-1) & (e[..., k] >= SIGMA_FLOOR)
-    if not np.all(ok):
-        n_bad = int(np.size(ok) - np.count_nonzero(ok))
-        raise ConeViolationError(
-            f"spectrum outside the strict Gamma_{k} interior at {n_bad} point(s)",
-            count=n_bad,
-        )
-    return e
-
-
 def sigma_root(values, k: int) -> float | np.ndarray:
     """F(lambda) = sigma_k(lambda)^{1/k} on the strict Gamma_k interior."""
-    lam = np.asarray(values, dtype=float)
-    _check_k(lam, k)
-    e = _cone_guard(lam, k)
-    out = e[..., k] ** (1.0 / k)
+    # [k, ...] keeps a 0-d array: numpy's scalar power may round differently
+    out = require_gamma_k(values, k, SIGMA_FLOOR)[k, ...] ** (1.0 / k)
     return float(out) if out.ndim == 0 else out
 
 
 def sigma_root_gradient(values, k: int) -> np.ndarray:
     """Eigenframe gradient: dF/dlambda_i = (1/k) sigma_k^{1/k-1} sigma_{k-1}(lambda|i)."""
-    lam = np.asarray(values, dtype=float)
-    _check_k(lam, k)
-    e = _cone_guard(lam, k)
-    sk = e[..., k]
-    return (1.0 / k) * sk[..., None] ** (1.0 / k - 1.0) * sigma_restricted_each(k - 1, lam)
+    sk = require_gamma_k(values, k, SIGMA_FLOOR)[k, ...]
+    return (1.0 / k) * sk[..., None] ** (1.0 / k - 1.0) * sigma_restricted_each(k - 1, values)
 
 
 def sigma_root_hessian(values, k: int):
@@ -134,16 +126,13 @@ def sigma_root_hessian(values, k: int):
         -(1/k) sigma_k^{1/k-1} sigma_{k-2}(lambda|i,p),
     with zeros on its diagonal.
     """
-    lam = np.asarray(values, dtype=float)
-    _check_k(lam, k)
-    n = lam.shape[-1]
-    e = _cone_guard(lam, k)
-    sk = e[..., k]
-    s1 = sigma_restricted_each(k - 1, lam)
+    n = np.shape(values)[-1]
+    sk = require_gamma_k(values, k, SIGMA_FLOOR)[k, ...]
+    s1 = sigma_restricted_each(k - 1, values)
     if k >= 2:
-        s2 = sigma_restricted_pairs(k - 2, lam)
+        s2 = sigma_restricted_pairs(k - 2, values)
     else:
-        s2 = np.zeros(lam.shape + (n,))
+        s2 = np.zeros(np.shape(values) + (n,))
     root1 = sk[..., None, None] ** (1.0 / k - 1.0)
     root2 = sk[..., None, None] ** (1.0 / k - 2.0)
     eye = np.eye(n)
@@ -237,8 +226,8 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class PencilTable:
     """sigma_0..sigma_k of A = g^{-1} w at every batch point.
 
-    sigma[j] is the sigma_j field (sigma[0] = 1); ok marks the strict
-    Gamma_k interior, sigma_1..sigma_k > 0 and sigma_k >= SIGMA_FLOOR.
+    sigma[j] is the sigma_j field (sigma[0] = 1); ok is the strict Gamma_k
+    interior, ``symfunc.gamma_k_verdict`` with floor SIGMA_FLOOR.
     powers holds A^0..A^{k-1} as (n, n, ...) slot arrays for ``gradient``.
     """
 
@@ -275,8 +264,7 @@ def pencil_table(ginv, w, k: int) -> PencilTable:
     Inputs are (..., n, n); ``as_tensor_first`` inputs run fastest.
     """
     n = np.shape(w)[-1]
-    if not 1 <= k <= n:
-        raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_k(k, n)
     a = _matmul(_slots(ginv), _slots(w))
     eye = np.eye(n).reshape((n, n) + (1,) * (a.ndim - 2))
     powers = [eye, a]
@@ -294,42 +282,5 @@ def pencil_table(ginv, w, k: int) -> PencilTable:
         for i in range(1, j + 1):
             acc += (-1) ** (i - 1) * sigma[j - i] * traces[i - 1]
         sigma[j] = acc / j
-    ok = np.all(sigma[1:] > 0.0, axis=0) & (sigma[k] >= SIGMA_FLOOR)
+    ok = gamma_k_verdict(sigma, k, SIGMA_FLOOR)
     return PencilTable(k=k, sigma=sigma, ok=ok, powers=powers[:k])
-
-
-@dataclass
-class OperatorEval:
-    """Operator value and derivatives at one pencil point."""
-
-    value: float
-    spectrum: np.ndarray  # descending relative eigenvalues
-    gradient: np.ndarray  # coordinate-frame Hermitian matrix Phi
-    gradient_diag: np.ndarray  # eigenframe diagonal of dF
-    hessian_diag: np.ndarray  # eigenframe second-derivative blocks
-    hessian_off: np.ndarray
-    vectors: np.ndarray  # g-orthonormal eigenvector columns
-
-
-def evaluate(g, w, k: int) -> OperatorEval:
-    """Full operator evaluation at a single (g, w) pencil."""
-    lam, vecs = relative_eigenvalues(g, w)
-    value = sigma_root(lam, k)
-    gdiag = sigma_root_gradient(lam, k)
-    hdiag, hoff = sigma_root_hessian(lam, k)
-    phi = coordinate_gradient(vecs, gdiag)
-    return OperatorEval(
-        value=float(np.asarray(value)),
-        spectrum=lam,
-        gradient=phi,
-        gradient_diag=gdiag,
-        hessian_diag=hdiag,
-        hessian_off=hoff,
-        vectors=vecs,
-    )
-
-
-def _check_k(lam: np.ndarray, k: int) -> None:
-    n = lam.shape[-1]
-    if not 1 <= k <= n:
-        raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")

@@ -45,6 +45,7 @@ from .operator import (
     relative_eigenvalues_only,
     require_hermitian,
 )
+from .symfunc import check_k
 
 
 @dataclass
@@ -359,8 +360,7 @@ def solve(
     """Continuation solve from the flat identity to the target source f."""
     options = (options or SolverOptions()).validated()
     n = grid.n
-    if not 1 <= k <= n:
-        raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_k(k, n)
     if f.shape != grid.shape:
         raise DomainError(f"source shape {f.shape} does not match grid {grid.shape}")
     if not np.all(np.isfinite(f)):

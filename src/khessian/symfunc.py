@@ -8,9 +8,13 @@ match the usual statement "lambda_1 >= ... >= lambda_n".
 
 sigma_k is computed with the stable coefficient recurrence for
 prod_i (1 + lambda_i t); no subset enumeration happens outside tests.
+``sigma_restricted`` is the one deletion routine and ``gamma_k_verdict`` the
+one Garding cone test; the operator calls it with a positive sigma_k floor.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -50,12 +54,7 @@ def elementary_all(values) -> np.ndarray:
 
 def sigma(k: int, values) -> float | np.ndarray:
     """sigma_k(values); k = 0 gives 1, k = n the full product."""
-    lam = np.asarray(values, dtype=float)
-    n = lam.shape[-1]
-    if not 0 <= k <= n:
-        raise DomainError(f"sigma_{k} undefined for spectra of length {n}")
-    out = elementary_all(lam)[..., k]
-    return float(out) if out.ndim == 0 else out
+    return sigma_restricted(k, values, ())
 
 
 def sigma_restricted(r: int, values, excluded) -> float | np.ndarray:
@@ -68,15 +67,14 @@ def sigma_restricted(r: int, values, excluded) -> float | np.ndarray:
     """
     lam = np.asarray(values, dtype=float)
     n = lam.shape[-1]
-    if np.isscalar(excluded) or isinstance(excluded, (int, np.integer)):
-        idx = [int(excluded)]
-    else:
-        idx = [int(i) for i in excluded]
-    if len(set(idx)) != len(idx):
-        raise DomainError(f"excluded indices must be distinct, got {idx}")
+    idx = [excluded] if np.isscalar(excluded) else list(excluded)
     for i in idx:
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+            raise DomainError(f"excluded index must be an integer, got {i!r}")
         if not 0 <= i < n:
             raise DomainError(f"excluded index {i} out of range for n={n}")
+    if len(set(idx)) != len(idx):
+        raise DomainError(f"excluded indices must be distinct, got {idx}")
     if not 0 <= r <= n:
         raise DomainError(f"sigma_{r} undefined for spectra of length {n}")
     reduced = lam.copy()
@@ -92,15 +90,7 @@ def sigma_restricted_each(r: int, values) -> np.ndarray:
     spectrum with entry i removed.
     """
     lam = np.asarray(values, dtype=float)
-    n = lam.shape[-1]
-    if not 0 <= r <= n:
-        raise DomainError(f"sigma_{r} undefined for spectra of length {n}")
-    out = np.empty(lam.shape, dtype=float)
-    for i in range(n):
-        reduced = lam.copy()
-        reduced[..., i] = 0.0
-        out[..., i] = elementary_all(reduced)[..., r]
-    return out
+    return np.stack([sigma_restricted(r, lam, i) for i in range(lam.shape[-1])], axis=-1)
 
 
 def sigma_restricted_pairs(r: int, values) -> np.ndarray:
@@ -111,18 +101,43 @@ def sigma_restricted_pairs(r: int, values) -> np.ndarray:
     """
     lam = np.asarray(values, dtype=float)
     n = lam.shape[-1]
-    if not 0 <= r <= n:
-        raise DomainError(f"sigma_{r} undefined for spectra of length {n}")
     out = np.empty(lam.shape + (n,), dtype=float)
     for i in range(n):
         for p in range(i, n):
-            reduced = lam.copy()
-            reduced[..., i] = 0.0
-            reduced[..., p] = 0.0
-            val = elementary_all(reduced)[..., r]
-            out[..., i, p] = val
-            out[..., p, i] = val
+            out[..., i, p] = out[..., p, i] = sigma_restricted(r, lam, {i, p})
     return out
+
+
+def check_k(k: int, n: int) -> None:
+    """Reject a cone index outside 1 <= k <= n."""
+    if not 1 <= k <= n:
+        raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
+
+
+def gamma_k_verdict(sig: np.ndarray, k: int, floor: float = 0.0) -> np.ndarray:
+    """The Garding cone test on a sigma table whose first axis is the sigma
+    index (sig[j] = sigma_j): True where sigma_1..sigma_k > 0 and
+    sigma_k >= floor.  Floor 0 is the open cone Gamma_k; the operator passes
+    a positive floor so the k-th root and its derivatives stay conditioned."""
+    ok = sig[k] >= floor
+    for j in range(1, k + 1):  # row by row: np.all over this strided view is slower
+        ok &= sig[j] > 0.0
+    return ok
+
+
+def require_gamma_k(values, k: int, floor: float = 0.0) -> np.ndarray:
+    """sigma_0..sigma_n of the spectra, sigma index first, after the verdict
+    of ``gamma_k_verdict``; raises ConeViolationError with the number of
+    spectra that fail it as ``count``."""
+    check_k(k, np.shape(values)[-1])
+    sig = np.moveaxis(elementary_all(values), -1, 0)
+    ok = gamma_k_verdict(sig, k, floor)
+    if not np.all(ok):
+        bad = int(np.size(ok) - np.count_nonzero(ok))
+        raise ConeViolationError(
+            f"{bad} spectra outside Gamma_{k} (sigma_{k} floor {floor:g})", count=bad
+        )
+    return sig
 
 
 def in_gamma_k(values, k: int) -> bool | np.ndarray:
@@ -130,12 +145,8 @@ def in_gamma_k(values, k: int) -> bool | np.ndarray:
 
     Batched input gives a boolean array over the batch axes.
     """
-    lam = np.asarray(values, dtype=float)
-    n = lam.shape[-1]
-    if not 1 <= k <= n:
-        raise DomainError(f"Gamma_{k} undefined for spectra of length {n}")
-    e = elementary_all(lam)
-    ok = np.all(e[..., 1 : k + 1] > 0.0, axis=-1)
+    check_k(k, np.shape(values)[-1])
+    ok = gamma_k_verdict(np.moveaxis(elementary_all(values), -1, 0), k)
     return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -159,8 +170,7 @@ def sample_gamma_k(
 
     Returns shape (count, n), or (n,) when count is None.
     """
-    if n < 1 or not 1 <= k <= n:
-        raise DomainError(f"invalid cone parameters n={n}, k={k}")
+    check_k(k, n)
     if scale <= 0:
         raise DomainError("scale must be positive")
     want = 1 if count is None else int(count)
@@ -268,12 +278,7 @@ def basic_inequality_check(values, k: int) -> bool | np.ndarray:
     if not 1 <= k < n:
         raise DomainError(f"need 1 <= k < n, got k={k}, n={n}")
     _require_descending(lam)
-    inside = in_gamma_k(lam, k)
-    if not np.all(inside):
-        raise ConeViolationError(
-            "basic inequality requires Gamma_k membership",
-            count=int(np.size(inside) - np.count_nonzero(inside)),
-        )
+    require_gamma_k(lam, k)
     bound = (n - k) * lam[..., k - 1 : k]
     ok = np.all(np.abs(lam[..., k:]) <= bound, axis=-1)
     return bool(ok) if ok.ndim == 0 else ok
@@ -302,8 +307,7 @@ def lemma21_ratio(values, k: int, i: int, j: int, subset) -> float:
     for p in sub:
         if not 1 <= p <= n or p == j:
             raise DomainError(f"subset position {p} invalid (n={n}, j={j})")
-    if not in_gamma_k(lam, k):
-        raise ConeViolationError("lemma ratio requires Gamma_k membership")
+    require_gamma_k(lam, k)
     denom = sigma_restricted(i, lam, j - 1)
     if denom <= 0.0:
         raise ConeViolationError(

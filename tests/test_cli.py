@@ -106,6 +106,27 @@ def test_bad_value_is_exit_2_without_traceback(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "name, assignment, path",
+    [
+        ("basic-inequality", "audit.pairs=[[3, 3]]", "audit.pairs"),
+        ("lemma21", "audit.lemma21.n=2", "audit.lemma21"),
+    ],
+)
+def test_audit_parameter_error_names_path_and_writes_nothing(
+    name, assignment, path, tmp_path, monkeypatch, capsys
+):
+    # the audit itself rejects these values; the CLI adds the config path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("KHESSIAN_OUTDIR", raising=False)
+    rc = main(["audit", name, "--set", assignment, "--set", "audit.samples=100"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "khessian-out").exists()
+
+
 def test_readme_defaults_match():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"^```yaml\n(.*?)^```", readme, re.S | re.M)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from khessian import geometry
-from khessian.errors import DomainError
+from khessian.errors import ConeViolationError, DomainError
 from khessian.geometry import TorusGrid, chern_tensors, metric_preset
 
 from oracles import complex_hessian_fft, solve_laplacian_fft
@@ -306,6 +306,10 @@ def test_cone_band_integrand_requires_band(grid8):
     g = geometry.identity_metric(grid8)
     with pytest.raises(DomainError):
         geometry.cone_band_integrand(grid8, u, g, 1, 2)  # i > k-2
+    big = grid8.trig_field([(1.0, [1, 0, 0, 0], 0.0)])  # omega_u leaves Gamma_2
+    with pytest.raises(ConeViolationError) as info:
+        geometry.cone_band_integrand(grid8, big, g, 0, 2)
+    assert 0 < info.value.count < grid8.N**4
 
 
 def test_cone_band_integrand_flat_i0(grid8):

@@ -74,6 +74,11 @@ def test_sigma_root_cone_guard():
         operator.sigma_root(np.array([2.0, 2.0, -1.0]), 2)  # sigma_2 = 0
     with pytest.raises(ConeViolationError):
         operator.sigma_root(np.array([1.0, 1e-16]), 2)  # below interior floor
+    batch = np.array([[1.0, 1.0], [2.0, -3.0], [1.0, 1e-16], [3.0, 1.0]])
+    for fn in (operator.sigma_root, operator.sigma_root_gradient, operator.sigma_root_hessian):
+        with pytest.raises(ConeViolationError) as info:
+            fn(batch, 2)
+        assert info.value.count == 2
 
 
 def test_gradient_pinned():
@@ -190,19 +195,20 @@ def test_unitary_covariance():
         assert np.allclose(lam, lam_u, atol=1e-10)
 
 
-def test_evaluate_gradient_is_hermitian_and_consistent():
+def test_pencil_gradient_is_hermitian_and_consistent():
     rng = np.random.default_rng(37)
     g = np.eye(3) + 0.2 * hermitian_random(rng, 3)
     w = np.eye(3) + 0.1 * hermitian_random(rng, 3)
-    ev = operator.evaluate(g, w, 2)
-    assert np.abs(ev.gradient - ev.gradient.conj().T).max() < 1e-12
+    ginv = np.linalg.inv(g)
+    phi = operator.pencil_table(ginv, w, 2).gradient(ginv)
+    assert np.abs(phi - phi.conj().T).max() < 1e-12
     # directional derivative through Phi matches FD of F(lambda(g^{-1}(w + t eta)))
     eta = hermitian_random(rng, 3, scale=1.0)
     t = 1e-6
     lam_p = operator.relative_eigenvalues_only(g, w + t * eta)
     lam_m = operator.relative_eigenvalues_only(g, w - t * eta)
     fd = (operator.sigma_root(lam_p, 2) - operator.sigma_root(lam_m, 2)) / (2 * t)
-    analytic = np.real(np.sum(ev.gradient * eta.conj()))
+    analytic = np.real(np.sum(phi * eta.conj()))
     assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 

@@ -115,11 +115,41 @@ def test_sigma_restricted_expansion_identity():
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_sigma_restricted_each_and_pairs_match_enumeration(n):
+    rng = np.random.default_rng(50 + n)
+    lam = rng.normal(size=(4, 3, n))
+    for r in range(n + 1):
+        each = symfunc.sigma_restricted_each(r, lam)
+        pairs = symfunc.sigma_restricted_pairs(r, lam)
+        assert each.shape == lam.shape and pairs.shape == lam.shape + (n,)
+        assert np.array_equal(pairs, np.swapaxes(pairs, -1, -2))
+        assert np.array_equal(np.diagonal(pairs, axis1=-2, axis2=-1), each)
+        for b in np.ndindex(lam.shape[:-1]):
+            for i in range(n):
+                expect = sigma_restricted_enumerated(r, lam[b], i)
+                assert each[b + (i,)] == pytest.approx(expect, rel=1e-10, abs=1e-10)
+                for p in range(n):
+                    expect = sigma_restricted_enumerated(r, lam[b], sorted({i, p}))
+                    assert pairs[b + (i, p)] == pytest.approx(expect, rel=1e-10, abs=1e-10)
+        if r > n - 1:
+            assert np.all(each == 0.0)
+        if r > n - 2:
+            off = ~np.eye(n, dtype=bool)
+            assert np.all(pairs[..., off] == 0.0)
+
+
 def test_sigma_restricted_bad_indices():
     with pytest.raises(DomainError):
         symfunc.sigma_restricted(1, [1.0, 2.0], 5)
     with pytest.raises(DomainError):
         symfunc.sigma_restricted(1, [1.0, 2.0, 3.0], [1, 1])
+    with pytest.raises(DomainError):
+        symfunc.sigma_restricted(1, [3.0, 2.0, 1.0], 1.5)
+    with pytest.raises(DomainError):
+        symfunc.sigma_restricted(1, [3.0, 2.0, 1.0], True)
+    with pytest.raises(DomainError):
+        symfunc.sigma_restricted(1, [3.0, 2.0, 1.0], [0, 1.5])
 
 
 # ---------------------------------------------------------------- cones
@@ -215,6 +245,10 @@ def test_basic_inequality_pinned():
 def test_basic_inequality_requires_cone():
     with pytest.raises(ConeViolationError):
         symfunc.basic_inequality_check(np.array([1.0, -1.0, -1.0]), 2)
+    lam = np.array([[3.0, 2.0, 1.0], [1.0, -1.0, -1.0], [1.0, 1e-16, 0.0]])
+    with pytest.raises(ConeViolationError) as info:
+        symfunc.basic_inequality_check(lam, 2)
+    assert info.value.count == 1  # floor 0: a tiny positive sigma_2 is inside
 
 
 def test_basic_inequality_requires_descending():
