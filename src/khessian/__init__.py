@@ -57,6 +57,7 @@ from .operator import (
     sigma_root_hessian,
 )
 from .solver import (
+    RejectedAttempt,
     SolveReport,
     SolverOptions,
     StageRecord,
@@ -91,6 +92,7 @@ __all__ = [
     "Form",
     "LinearSolveError",
     "PRESET_NAMES",
+    "RejectedAttempt",
     "SamplingBudgetError",
     "SolveFailure",
     "SolveReport",

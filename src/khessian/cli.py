@@ -55,7 +55,7 @@ _ConfigLoader.add_implicit_resolver(
 from . import audits
 from .errors import ConfigError, DomainError, SamplingBudgetError
 from .fieldio import save_field
-from .geometry import PRESET_NAMES, TorusGrid, metric_preset
+from .geometry import PRESET_NAMES, TorusGrid, check_preset, metric_preset
 from .solver import SolverOptions, manufactured_source, recovery_error, solve
 from .symfunc import elementary_all, sample_gamma_k
 
@@ -212,7 +212,7 @@ def _validate(cfg: dict) -> dict:
     # Range rules for what the library leaves unchecked (problem.n too, as
     # sample-cone builds no grid), and for the problem keys whose errors name
     # their dotted path.  The library rejects the rest (audit grid sizes,
-    # lemma21's n and k, the torsion epsilon) with DomainError.
+    # lemma21's n and k, the commutation audit's epsilon) with DomainError.
     p = cfg["problem"]
     n, k, N = p["n"], p["k"], p["N"]
     _expect(n >= 2, "problem.n", f"must be >= 2, got {n}")
@@ -223,6 +223,12 @@ def _validate(cfg: dict) -> dict:
         "problem.metric.preset",
         f"unknown preset {p['metric']['preset']!r}, choose from {PRESET_NAMES}",
     )
+    # at load, because lemma22 and the family audits build the metric inside
+    # the audit, where the error could not name this key
+    try:
+        check_preset(p["metric"]["preset"], p["metric"]["epsilon"])
+    except DomainError as exc:
+        raise ConfigError(f"problem.metric.epsilon: {exc}") from exc
     for idx, (_, freqs, _) in enumerate(p["source"]["terms"]):
         _expect(
             len(freqs) % 2 == 0,
@@ -319,6 +325,7 @@ def _stage_rows(report) -> list[dict]:
             "final_residual": s.final_residual,
             "min_step": s.min_step,
             "gmres_iterations": s.gmres_iterations,
+            "forcing_terms": " ".join(f"{eta:.3e}" for eta in s.forcing_terms),
         }
         for s in report.stages
     ]

@@ -295,6 +295,7 @@ def metric_preset(grid: TorusGrid, name: str, epsilon: float = 0.1,
                and g_ii >= 1 keeps relative-eigenvalue cone margins at least
                as good as the flat metric.
     """
+    check_preset(name, epsilon)
     if name == "euclidean":
         return identity_metric(grid)
     if name == "kahler":
@@ -304,8 +305,6 @@ def metric_preset(grid: TorusGrid, name: str, epsilon: float = 0.1,
         _require_positive(g, "kahler preset")
         return g
     if name == "torsion":
-        if not 0.0 < epsilon <= 0.2:
-            raise DomainError(f"torsion preset needs 0 < epsilon <= 0.2, got {epsilon}")
         n = grid.n
         g = np.zeros(grid.shape + (n, n), dtype=complex)
         for i in range(n):
@@ -316,7 +315,15 @@ def metric_preset(grid: TorusGrid, name: str, epsilon: float = 0.1,
                 wave = np.sin(2 * np.pi * grid.y(other))
             g[..., i, i] = 1.0 + epsilon * (1.0 + wave)
         return g
-    raise DomainError(f"unknown metric preset {name!r}; choose from {PRESET_NAMES}")
+
+
+def check_preset(name: str, epsilon: float) -> None:
+    """Raise DomainError unless metric_preset accepts this name and epsilon
+    (the torsion preset needs 0 < epsilon <= 0.2; the others ignore it)."""
+    if name not in PRESET_NAMES:
+        raise DomainError(f"unknown metric preset {name!r}; choose from {PRESET_NAMES}")
+    if name == "torsion" and not 0.0 < epsilon <= 0.2:
+        raise DomainError(f"torsion preset needs 0 < epsilon <= 0.2, got {epsilon}")
 
 
 def _require_positive(g: np.ndarray, label: str) -> None:

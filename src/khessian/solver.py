@@ -19,25 +19,37 @@ Every pencil evaluation goes through the eigen-free kernel
 ``operator.pencil_table`` with g^{-1} formed once per solve: the cone test,
 the residual and Phi all come from the sigma table of A = g^{-1} w, and the
 table of the accepted line-search trial serves the next Newton step.
-Eigenvalues are computed only for the report (``eig_min``/``eig_max`` and
-the Hessian extremes).
+Eigenvalues are computed only for the report: one call on (g, ddbar u)
+gives the Hessian extremes, and 1 plus them ``eig_min``/``eig_max``.
 
-Continuation runs along f_t = (1 - t) log C(n, k) + t f in S equal steps,
-bisecting a failed step once before giving up.
+Continuation runs along f_t = (1 - t) log C(n, k) + t f with step control
+(Deuflhard, Newton Methods for Nonlinear Problems, 2004).  The step starts
+at its cap 1/continuation_steps, halves when a stage fails (Newton stall,
+GMRES failure or cone exit) and doubles back toward the cap after each
+accepted stage; once it falls below MIN_STEP_RATIO times the cap the solve
+reports failure.  t is kept as an exact fraction, so with no failure the
+stages are t = j/continuation_steps and the last is exactly 1.0.
+
+Each GMRES solve runs to an Eisenstat-Walker forcing term (choice 2, SIAM J.
+Sci. Comput. 17, 1996), capped at ETA_MAX and floored at
+max(linear_rtol, newton_tol / (2 sup|residual|)): early Newton steps are
+solved loosely and the last one only as tightly as newton_tol needs.
+Newton stops only when the true sup residual is at most newton_tol.
 """
 
 from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
+from fractions import Fraction
 from math import comb, log
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConeViolationError, DomainError, LinearSolveError, SolveFailure
-from .geometry import TorusGrid, gradient_norm_sq, hessian_pencil_extremes, inverse_metric
+from .geometry import TorusGrid, gradient_norm_sq, inverse_metric
 from .operator import (
     PencilTable,
     as_tensor_first,
@@ -47,10 +59,18 @@ from .operator import (
 )
 from .symfunc import check_k
 
+# Smallest continuation step, as a fraction of the cap 1/continuation_steps.
+MIN_STEP_RATIO = Fraction(1, 64)
+# Eisenstat-Walker choice 2: eta = EW_GAMMA (|r_j| / |r_{j-1}|)^EW_ALPHA,
+# capped at ETA_MAX.
+ETA_MAX = 0.1
+EW_GAMMA = 0.9
+EW_ALPHA = 2.0
+
 
 @dataclass
 class SolverOptions:
-    continuation_steps: int = 8
+    continuation_steps: int = 1
     newton_tol: float = 1e-9
     max_newton: int = 30
     linesearch_min_step: float = 2.0**-20
@@ -90,6 +110,17 @@ class StageRecord:
     final_residual: float
     min_step: float
     gmres_iterations: int
+    forcing_terms: list[float] = field(default_factory=list)
+
+
+@dataclass
+class RejectedAttempt:
+    """A continuation stage that failed and halved the step."""
+
+    t: float
+    step: float
+    error: str
+    message: str
 
 
 @dataclass
@@ -106,6 +137,7 @@ class SolveReport:
     t_reached: float
     stages: list[StageRecord] = field(default_factory=list)
     residual_history: list[float] = field(default_factory=list)
+    rejected: list[RejectedAttempt] = field(default_factory=list)
     message: str = ""
     sup_abs_f: float = 0.0
     sup_abs_u: float = 0.0
@@ -133,6 +165,7 @@ class SolveReport:
             "eig_min": self.eig_min,
             "eig_max": self.eig_max,
             "wall_seconds": self.wall_seconds,
+            "rejected": [asdict(r) for r in self.rejected],
             "message": self.message,
         }
 
@@ -187,13 +220,15 @@ def newton_step(
     source_scale: np.ndarray,
     residual: np.ndarray,
     options: SolverOptions,
+    eta: float,
 ):
     """Solve the bordered linearization for (du, db).
 
     phi: Hermitian coordinate derivative of F at the current pencil
     (grid + (n, n)); only its diagonal and upper triangle are read;
     source_scale: exp((f + b)/k)/k > 0, the -db coefficient;
-    residual: current k-th-root residual.
+    residual: current k-th-root residual;
+    eta: the forcing term, GMRES's relative tolerance.
 
     The (nodes + 1) system [tr(phi ddbar du) - source_scale*db = -residual;
     mean(du) = 0] runs through GMRES with an exact inverse of the constant-
@@ -249,7 +284,7 @@ def newton_step(
         op,
         rhs,
         M=pre,
-        rtol=options.linear_rtol,
+        rtol=eta,
         atol=0.0,
         restart=restart,
         maxiter=outer,
@@ -303,9 +338,23 @@ def line_search(
 
 # ------------------------------------------------------------ continuation
 
+def _forcing_term(eta_prev, sup_prev, sup_res, options):
+    """Eisenstat-Walker choice 2 with its safeguard, capped at ETA_MAX and
+    floored so the last solve is tight enough for newton_tol but no tighter.
+    The first step of a stage (sup_prev None) starts at ETA_MAX."""
+    eta = ETA_MAX
+    if sup_prev is not None:
+        eta = EW_GAMMA * (sup_res / sup_prev) ** EW_ALPHA
+        safeguard = EW_GAMMA * eta_prev**EW_ALPHA
+        if safeguard > 0.1:
+            eta = max(eta, safeguard)
+        eta = min(eta, ETA_MAX)
+    return max(eta, options.linear_rtol, 0.5 * options.newton_tol / sup_res)
+
+
 def _newton_solve(grid, ginv, f, k, u, b, w, options, history, path, t):
-    """Newton iteration at fixed source f; mutates nothing, returns
-    (u, b, w, record) or raises SolveFailure/LinearSolveError."""
+    """Newton iteration at fixed source f; mutates nothing but history and
+    path, returns (u, b, w, record) or raises SolveFailure/LinearSolveError."""
     table = pencil_table(ginv, w, k)
     if not table.inside:
         raise SolveFailure("initial pencil outside Gamma_k")
@@ -314,6 +363,8 @@ def _newton_solve(grid, ginv, f, k, u, b, w, options, history, path, t):
     history.append(sup_res)
     min_step = 1.0
     total_gmres = 0
+    forcing: list[float] = []
+    eta = sup_prev = None
     for iteration in range(options.max_newton + 1):
         if sup_res <= options.newton_tol:
             if path is not None:
@@ -324,12 +375,15 @@ def _newton_solve(grid, ginv, f, k, u, b, w, options, history, path, t):
                 final_residual=sup_res,
                 min_step=min_step,
                 gmres_iterations=total_gmres,
+                forcing_terms=forcing,
             )
         if iteration == options.max_newton:
             break
         phi = table.gradient(ginv)
         source_scale = np.exp((f + b) / k) / k
-        du, db, iters = newton_step(grid, phi, source_scale, residual, options)
+        eta = _forcing_term(eta, sup_prev, sup_res, options)
+        forcing.append(eta)
+        du, db, iters = newton_step(grid, phi, source_scale, residual, options, eta)
         total_gmres += iters
         hess_du = grid.complex_hessian(du)
         s, w, residual, table = line_search(
@@ -339,6 +393,7 @@ def _newton_solve(grid, ginv, f, k, u, b, w, options, history, path, t):
         u = u + s * du
         u = u - u.mean()
         b = b + s * db
+        sup_prev = sup_res
         sup_res = float(np.abs(residual).max())
         history.append(sup_res)
         if path is not None:
@@ -357,7 +412,11 @@ def solve(
     options: SolverOptions | None = None,
     record_path: bool = False,
 ) -> SolveReport:
-    """Continuation solve from the flat identity to the target source f."""
+    """Continuation solve from the flat identity to the target source f.
+
+    A failed stage is listed in report.rejected and retried from the last
+    accepted state at half the step; path (with record_path) holds the
+    Newton iterates of accepted stages only."""
     options = (options or SolverOptions()).validated()
     n = grid.n
     check_k(k, n)
@@ -375,46 +434,49 @@ def solve(
     history: list[float] = []
     path: list[dict] | None = [] if record_path else None
     stages: list[StageRecord] = []
-    t_good = 0.0
+    rejected: list[RejectedAttempt] = []
 
-    def source_at(t: float) -> np.ndarray:
-        return (1.0 - t) * log_identity + t * f
-
-    schedule = [j / options.continuation_steps for j in range(options.continuation_steps + 1)]
-    idx = 0
+    cap = Fraction(1, int(options.continuation_steps))
+    step = cap
+    t_good = t_try = Fraction(0)  # the first stage is t = 0 itself
     failure: str | None = None
-    bisected: set[int] = set()  # each scheduled stage may be bisected once
-    while idx < len(schedule):
-        t = schedule[idx]
+    while True:
+        t = float(t_try)
+        trail: list[dict] | None = [] if record_path else None
         try:
             u, b, w, record = _newton_solve(
-                grid, ginv, source_at(t), k, u, b, w, options, history, path, t
+                grid, ginv, (1.0 - t) * log_identity + t * f, k, u, b, w,
+                options, history, trail, t,
             )
-            stages.append(record)
-            t_good = t
-            idx += 1
         except (SolveFailure, LinearSolveError, ConeViolationError) as exc:
-            mid = 0.5 * (t_good + t)
-            if idx in bisected or mid <= t_good:
-                failure = str(exc)
-                break
-            bisected.add(idx)
-            try:
-                u, b, w, record = _newton_solve(
-                    grid, ginv, source_at(mid), k, u, b, w, options, history, path, mid
+            rejected.append(
+                RejectedAttempt(t, float(t_try - t_good), type(exc).__name__, str(exc))
+            )
+            step /= 2
+            if step < MIN_STEP_RATIO * cap:
+                failure = (
+                    f"continuation step fell below {float(MIN_STEP_RATIO * cap):.3g} "
+                    f"after t={float(t_good):.6g}: {exc}"
                 )
-                stages.append(record)
-                t_good = mid
-                # retry the scheduled t from the midpoint state next loop
-            except (SolveFailure, LinearSolveError, ConeViolationError) as exc2:
-                failure = f"{exc}; bisection to t={mid:.4f} also failed: {exc2}"
                 break
+        else:
+            stages.append(record)
+            if path is not None:
+                path.extend(trail)
+            t_good = t_try
+            if t_good == 1:
+                break
+            step = min(2 * step, cap)
+        # clamp the step itself, so halving a clamped step changes t
+        step = min(step, 1 - t_good)
+        t_try = t_good + step
 
     success = failure is None
     if success:
         u = u - u.max()  # gauge: sup u = 0
-    lam_final = relative_eigenvalues_only(g, g + grid.complex_hessian(u))
-    lo, hi = hessian_pencil_extremes(grid, u, g)
+    # spectrum of (g, g + ddbar u) is 1 + spectrum of (g, ddbar u)
+    lam = relative_eigenvalues_only(g, grid.complex_hessian(u))
+    lo, hi = float(lam.min()), float(lam.max())
     report = SolveReport(
         success=success,
         n=n,
@@ -422,16 +484,17 @@ def solve(
         k=k,
         u=u,
         b=b,
-        t_reached=t_good,
+        t_reached=float(t_good),
         stages=stages,
         residual_history=history,
+        rejected=rejected,
         message=failure or "converged",
         sup_abs_f=float(np.abs(f).max()),
         sup_abs_u=float(np.abs(u).max()),
-        max_abs_hessian=float(max(abs(lo), abs(hi))),
+        max_abs_hessian=max(abs(lo), abs(hi)),
         max_grad_sq=float(gradient_norm_sq(grid, u, g).max()),
-        eig_min=float(lam_final.min()),
-        eig_max=float(lam_final.max()),
+        eig_min=1.0 + lo,
+        eig_max=1.0 + hi,
         wall_seconds=time.perf_counter() - start,
         path=path,
     )

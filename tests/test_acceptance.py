@@ -91,12 +91,13 @@ def test_criterion_2_identity_sources():
 def test_criterion_3_determinant_route_along_path():
     """For k = n the operator equals the metric determinant ratio; the two
     routes agree to 1e-12 at every grid point of every accepted Newton
-    iterate along the continuation path."""
+    iterate along the continuation path.  Eight fixed continuation steps
+    keep the path long enough for the iterate-count gate."""
     grid = TorusGrid(2, 12)
     g = metric_preset(grid, "torsion", epsilon=0.1)
     u_star = grid.trig_field(MMS_TERMS)
     f = manufactured_source(grid, g, u_star, 2)
-    rep = solve(grid, g, f, 2, record_path=True)
+    rep = solve(grid, g, f, 2, options=SolverOptions(continuation_steps=8), record_path=True)
     det_g = np.linalg.det(g)
     worst = 0.0
     for state in rep.path:

@@ -111,6 +111,12 @@ def test_bad_value_is_exit_2_without_traceback(tmp_path, monkeypatch, capsys):
     [
         ("basic-inequality", "audit.pairs=[[3, 3]]", "audit.pairs"),
         ("lemma21", "audit.lemma21.n=2", "audit.lemma21"),
+        pytest.param(
+            "lemma22",
+            ("problem.metric.preset=torsion", "problem.metric.epsilon=0.5"),
+            "problem.metric.epsilon",
+            id="lemma22-torsion-epsilon",
+        ),
     ],
 )
 def test_audit_parameter_error_names_path_and_writes_nothing(
@@ -119,7 +125,11 @@ def test_audit_parameter_error_names_path_and_writes_nothing(
     # the audit itself rejects these values; the CLI adds the config path
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("KHESSIAN_OUTDIR", raising=False)
-    rc = main(["audit", name, "--set", assignment, "--set", "audit.samples=100"])
+    sets = [assignment] if isinstance(assignment, str) else list(assignment)
+    argv = ["audit", name, "--set", "audit.samples=100"]
+    for item in sets:
+        argv += ["--set", item]
+    rc = main(argv)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ")

@@ -90,7 +90,7 @@ def test_newton_step_single_mode():
     phi[..., 0, 0] = 0.5
     phi[..., 1, 1] = 0.5
     scale = np.full(grid.shape, 0.5)
-    du, db, iters = newton_step(grid, phi, scale, residual, SolverOptions())
+    du, db, iters = newton_step(grid, phi, scale, residual, SolverOptions(), 1e-10)
     assert abs(du.mean()) < 1e-14
     assert abs(db) < 1e-5
     assert iters <= 8
@@ -231,6 +231,71 @@ def test_solve_failure_is_reported_not_raised():
     assert rep.t_reached < 1.0
     assert rep.message
     assert np.isfinite(rep.u).all()
+
+
+def _torsion_mms(N):
+    grid = TorusGrid(2, N)
+    g = metric_preset(grid, "torsion", epsilon=0.1)
+    ustar = grid.trig_field(MMS_TERMS)
+    return grid, g, ustar, manufactured_source(grid, g, ustar, 2)
+
+
+@pytest.mark.parametrize("steps", [8, 10])
+def test_fixed_cap_reproduces_the_uniform_schedule(steps):
+    # 10 steps of 0.1 summed in floats would end at 0.9999999999999999
+    grid, g, ustar, f = _torsion_mms(8)
+    rep = solve(grid, g, f, 2, options=SolverOptions(continuation_steps=steps))
+    assert rep.success
+    assert not rep.rejected
+    assert [s.t for s in rep.stages] == [j / steps for j in range(steps + 1)]
+    for stage in rep.stages:
+        assert stage.final_residual <= SolverOptions().newton_tol
+        assert len(stage.forcing_terms) == stage.newton_iterations
+
+
+def test_failed_full_step_recovers_by_halving():
+    # with six Newton steps per stage the full step t: 0 -> 1 stalls; the
+    # controller must record that attempt, halve, and still reach t = 1
+    grid = TorusGrid(2, 8)
+    g = metric_preset(grid, "torsion", epsilon=0.1)
+    f = grid.trig_field([(2.0, (1, 0, 0, 0), 0.0), (1.0, (0, 0, 1, 1), 0.7)])
+    opts = SolverOptions(max_newton=6)
+    rep = solve(grid, g, f, 2, options=opts, record_path=True)
+    assert rep.success
+    assert rep.t_reached == 1.0
+    first = rep.rejected[0]
+    assert (first.t, first.step, first.error) == (1.0, 1.0, "SolveFailure")
+    assert "Newton did not reach" in first.message
+    ts = [s.t for s in rep.stages]
+    assert ts[0] == 0.0 and ts[-1] == 1.0 and len(ts) > 2
+    assert ts == sorted(ts)
+    assert [p["t"] for p in rep.path] == sorted(p["t"] for p in rep.path)  # accepted only
+    for stage in rep.stages:
+        assert stage.final_residual <= opts.newton_tol
+        assert stage.newton_iterations <= 6
+    assert rep.summary_dict()["rejected"][0]["error"] == "SolveFailure"
+
+
+def test_adaptive_solve_matches_uniform_schedule_and_budget():
+    # oracle: one full step and eight fixed steps solve the same problem;
+    # the counter budget catches a return to oversolving (the fixed 8-stage
+    # schedule with GMRES at rtol 1e-10 took 32 Newton steps and ~620
+    # GMRES iterations here)
+    grid, g, ustar, f = _torsion_mms(12)
+    fast = solve(grid, g, f, 2)
+    fixed = solve(grid, g, f, 2, options=SolverOptions(continuation_steps=8))
+    assert fast.success and fixed.success
+    assert np.abs(fast.u - fixed.u).max() <= 1e-10
+    assert abs(fast.b - fixed.b) <= 1e-10
+    assert recovery_error(fast, ustar) <= 1e-8
+    assert [s.t for s in fast.stages] == [0.0, 1.0]
+    assert sum(s.newton_iterations for s in fast.stages) <= 15
+    assert sum(s.gmres_iterations for s in fast.stages) <= 150
+    for rep in (fast, fixed):
+        for stage in rep.stages:
+            assert stage.final_residual <= SolverOptions().newton_tol
+            eta = stage.forcing_terms
+            assert all(SolverOptions().linear_rtol <= e <= 0.5 for e in eta)
 
 
 def test_solve_input_validation():
