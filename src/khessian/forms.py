@@ -4,9 +4,15 @@ A form is stored sparsely as {(I, J): coefficient} where I and J are
 strictly increasing tuples of 0-based indices and the coefficient multiplies
 dz^I wedge dzbar^J (all dz factors first).  This is a deliberately small
 exact-algebra layer: wedge products track permutation signs, d/dbar apply
-the spectral derivatives of a TorusGrid.  It exists to cross-check the
-eigenframe formulas through an independent route, and to evaluate wedge
-integrands that have no convenient closed form.
+the spectral derivatives of a TorusGrid.
+
+It is the slow reference route.  The package runs none of it: the lemma-22
+audit evaluates its integrands as top-coefficient contractions (see
+``audits``), and the tests check those, the eigenframe formulas and the
+cone-band density against wedge products built here.  Every intermediate
+form holds one full-grid coefficient array per index pair, so at n = 3 a
+wedge chain costs hundreds of transforms and copies per integrand; at n = 4
+one (1,1) form on an N = 8 grid is already 4.3 GB.
 """
 
 from __future__ import annotations

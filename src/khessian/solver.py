@@ -105,22 +105,30 @@ class SolverOptions:
 
 @dataclass
 class StageRecord:
+    """An accepted continuation stage; its residuals are
+    SolveReport.residual_history[residual_start:residual_stop]."""
+
     t: float
     newton_iterations: int
     final_residual: float
     min_step: float
     gmres_iterations: int
     forcing_terms: list[float] = field(default_factory=list)
+    residual_start: int = 0
+    residual_stop: int = 0
 
 
 @dataclass
 class RejectedAttempt:
-    """A continuation stage that failed and halved the step."""
+    """A continuation stage that failed and halved the step; its residuals
+    are SolveReport.residual_history[residual_start:residual_stop]."""
 
     t: float
     step: float
     error: str
     message: str
+    residual_start: int
+    residual_stop: int
 
 
 @dataclass
@@ -443,6 +451,7 @@ def solve(
     while True:
         t = float(t_try)
         trail: list[dict] | None = [] if record_path else None
+        first = len(history)
         try:
             u, b, w, record = _newton_solve(
                 grid, ginv, (1.0 - t) * log_identity + t * f, k, u, b, w,
@@ -450,7 +459,8 @@ def solve(
             )
         except (SolveFailure, LinearSolveError, ConeViolationError) as exc:
             rejected.append(
-                RejectedAttempt(t, float(t_try - t_good), type(exc).__name__, str(exc))
+                RejectedAttempt(t, float(t_try - t_good), type(exc).__name__, str(exc),
+                                first, len(history))
             )
             step /= 2
             if step < MIN_STEP_RATIO * cap:
@@ -460,6 +470,7 @@ def solve(
                 )
                 break
         else:
+            record.residual_start, record.residual_stop = first, len(history)
             stages.append(record)
             if path is not None:
                 path.extend(trail)

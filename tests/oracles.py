@@ -12,6 +12,9 @@ import math
 
 import numpy as np
 
+from khessian.forms import Form, gradient_band_form, metric_form
+from khessian.geometry import TorusGrid, gradient_norm_sq
+
 
 def sigma_enumerated(lam, k: int) -> float:
     """sigma_k as an explicit sum over k-subsets; fine for n <= 6."""
@@ -49,6 +52,19 @@ def central_difference(func, x, h: float):
 def hermitian_random(rng, n: int, scale: float = 1.0) -> np.ndarray:
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return scale * 0.5 * (a + a.conj().T)
+
+
+def random_hermitian_field(grid, rng, base=2.0, scale=0.3):
+    """Smooth Hermitian matrix field = base * id + trig-modulated constant
+    part: non-diagonal and, for a non-constant modulation, not Kahler."""
+    n = grid.n
+    h = hermitian_random(rng, n, scale=scale)
+    mod = grid.trig_field([(1.0, rng.integers(-2, 3, size=2 * n), rng.uniform(0, 6))])
+    out = np.zeros(grid.shape + (n, n), dtype=complex)
+    out += h * mod[..., None, None]
+    for i in range(n):
+        out[..., i, i] += base
+    return out
 
 
 def random_unitary(rng, n: int) -> np.ndarray:
@@ -127,3 +143,57 @@ def solve_laplacian_fft(rhs, n: int) -> np.ndarray:
     hat = np.fft.fftn(rhs) / sym
     hat[zero] = 0.0
     return np.fft.ifftn(hat)
+
+
+# ------------------------------------------- Form route (lemma-22 integrands)
+
+def _correction_block(grid: TorusGrid, g: np.ndarray, degree: int) -> Form:
+    """Sum of omega^{degree-3p-2q} (sqrt-1)^p (d omega)^p (dbar omega)^p
+    ((sqrt-1) d dbar omega)^q over p, q in {0, 1} with 3p + 2q <= degree.
+
+    On a Kahler metric only the bare omega^degree term survives; the extra
+    terms carry the torsion corrections that keep the integrated bound
+    stable on non-Kahler backgrounds.
+    """
+    omega = metric_form(grid, g)
+    total: Form | None = None
+    for p in (0, 1):
+        for q in (0, 1):
+            rest = degree - 3 * p - 2 * q
+            if rest < 0:
+                continue
+            term = omega.wedge_power(rest)
+            if p:
+                torsion_part = omega.d_holo().wedge(omega.d_anti()) * 1j
+                term = term.wedge(torsion_part)
+            if q:
+                curv_part = omega.d_anti().d_holo() * 1j
+                term = term.wedge(curv_part)
+            total = term if total is None else total + term
+    assert total is not None
+    return total
+
+
+def _lemma22_constant(grid: TorusGrid, g: np.ndarray, u: np.ndarray, i: int):
+    """|integral of sqrt-1 du ^ dbar u ^ omega_u^i ^ T_i| over the Dirichlet
+    energy, both integrals against the metric volume, by the Form algebra.
+
+    Returns (constant, density, correction): the densities are the real
+    top-coefficient ratios to omega^n of the whole integrand and of its
+    correction part band ^ omega_u^i ^ (T_i - omega^{n-i-1}), so a caller
+    can compare them pointwise without a second Form evaluation.
+    """
+    band = gradient_band_form(grid, u)
+    omega = metric_form(grid, g)
+    omega_u = metric_form(grid, g + grid.complex_hessian(u))
+    degree = grid.n - i - 1
+    lead = band.wedge(omega_u.wedge_power(i))
+    block = _correction_block(grid, g, degree)
+    top = omega.wedge_power(grid.n)
+    density = lead.wedge(block).ratio_to(top).real
+    correction = np.zeros(grid.shape)
+    if degree >= 2:  # T_i is omega^degree below degree 2
+        correction = lead.wedge(block - omega.wedge_power(degree)).ratio_to(top).real
+    num = abs(grid.integrate(density, metric=g))
+    den = grid.integrate(gradient_norm_sq(grid, u, g), metric=g)
+    return num / den, density, correction

@@ -10,7 +10,10 @@ import pytest
 from khessian import audits
 from khessian.cli import _write_outputs
 from khessian.errors import DomainError
+from khessian.forms import metric_form
 from khessian.geometry import TorusGrid, metric_preset
+
+from oracles import _correction_block, _lemma22_constant, random_hermitian_field
 
 
 @pytest.fixture(scope="module")
@@ -79,15 +82,69 @@ def test_lemma22_correction_block_inert_on_kahler():
     # with vanishing torsion the corrected block collapses to omega^degree
     grid = TorusGrid(3, 8)
     g = metric_preset(grid, "kahler", amplitude=0.02)
-    from khessian.forms import metric_form
-
     omega = metric_form(grid, g)
     top = omega.wedge_power(3)
-    block = audits._correction_block(grid, g, 2)
+    block = _correction_block(grid, g, 2)
     bare = omega.wedge_power(2)
     probe = omega  # wedge both to top degree and compare densities
     diff = block.wedge(probe).ratio_to(top) - bare.wedge(probe).ratio_to(top)
     assert np.abs(diff).max() < 1e-6
+
+
+@pytest.mark.parametrize("name", ["euclidean", "kahler", "torsion", "random"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_lemma22_contraction_matches_form_route(n, name):
+    grid = TorusGrid(n, 8)
+    if name == "random":  # non-diagonal and not Kahler: off-diagonal signs count
+        g = random_hermitian_field(grid, np.random.default_rng(n))
+    else:
+        g = metric_preset(grid, name)
+    # every du component complex and nonzero, so a transposed band shows
+    rng = np.random.default_rng(10 + n)
+    u = grid.trig_field(
+        [(0.01, rng.integers(-1, 2, size=2 * n), rng.uniform(0, 6)) for _ in range(4)]
+    )
+    volume, energy, terms = audits._lemma22_terms(grid, g, u)
+    assert len(terms) == n
+    for i, (density, correction) in enumerate(terms):
+        c_ref, density_ref, correction_ref = _lemma22_constant(grid, g, u, i)
+        c_new = abs(grid.mean(density * volume)) / energy
+        assert abs(c_new - c_ref) <= 1e-12 * c_ref
+        scale = np.abs(density_ref).max()
+        assert np.abs(density - density_ref).max() <= 1e-12 * scale
+        if correction is None:
+            assert n - 1 - i < 2 and not correction_ref.any()
+        else:
+            assert np.abs(correction - correction_ref).max() <= 1e-12 * scale
+    if n == 3 and name in ("torsion", "random"):
+        assert np.abs(terms[0][1]).max() > 1e-3 * np.abs(terms[0][0]).max()
+
+
+def test_lemma22_reports_the_torsion_correction(monkeypatch):
+    rep = audits.audit_lemma22(cases=((3, 8, 8),))
+    assert rep.passed
+    i0 = next(r for r in rep.rows if r["i"] == 0)
+    assert i0["correction_sup"] > 0.0
+    assert abs(i0["correction_integral"]) < 1e-12 < i0["allowed"]
+    assert all(r["correction_integral"] == r["correction_sup"] == 0.0
+               for r in rep.rows if r["i"] > 0)
+    assert rep.constants["torsion_correction_tested"] is False
+    assert "torsion correction not tested" in rep.message
+    # a correction that integrates to more than the allowed drift is tested
+    monkeypatch.setattr(audits, "_ddbar_omega_contraction",
+                        lambda grid, g, du: np.full(grid.shape, 1e-3))
+    rep = audits.audit_lemma22(cases=((3, 8, 8),))
+    assert rep.constants["torsion_correction_tested"] is True
+    assert "not tested" not in rep.message
+
+
+def test_lemma22_rejects_n_above_3_before_building_a_grid(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(audits, "TorusGrid", no_grid)
+    with pytest.raises(DomainError, match="n <= 3"):
+        audits.audit_lemma22(cases=((2, 8, 16), (4, 8, 10)))
 
 
 def test_cherrier_zero_potential_and_shift_invariance(small_family):

@@ -117,6 +117,7 @@ def test_bad_value_is_exit_2_without_traceback(tmp_path, monkeypatch, capsys):
             "problem.metric.epsilon",
             id="lemma22-torsion-epsilon",
         ),
+        ("lemma22", "audit.lemma22_cases=[[4, 8, 10]]", "audit.lemma22_cases"),
     ],
 )
 def test_audit_parameter_error_names_path_and_writes_nothing(

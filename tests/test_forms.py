@@ -6,7 +6,7 @@ import pytest
 from khessian import forms, geometry, operator
 from khessian.geometry import TorusGrid, metric_preset
 
-from oracles import hermitian_random
+from oracles import random_hermitian_field as _random_hermitian_field
 
 
 @pytest.fixture(scope="module")
@@ -17,18 +17,6 @@ def grid():
 @pytest.fixture(scope="module")
 def grid3():
     return TorusGrid(3, 8)
-
-
-def _random_hermitian_field(grid, rng, base=2.0, scale=0.3):
-    """Smooth Hermitian matrix field = base * id + trig-modulated constant part."""
-    n = grid.n
-    h = hermitian_random(rng, n, scale=scale)
-    mod = grid.trig_field([(1.0, rng.integers(-2, 3, size=2 * n), rng.uniform(0, 6))])
-    out = np.zeros(grid.shape + (n, n), dtype=complex)
-    out += h * mod[..., None, None]
-    for i in range(n):
-        out[..., i, i] += base
-    return out
 
 
 def test_wedge_anticommutes_on_one_forms(grid):

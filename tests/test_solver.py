@@ -10,6 +10,7 @@ from khessian.errors import ConeViolationError, DomainError, SolveFailure
 from khessian.geometry import TorusGrid, metric_preset
 from khessian.solver import (
     SolverOptions,
+    StageRecord,
     line_search,
     manufactured_source,
     newton_step,
@@ -253,14 +254,18 @@ def test_fixed_cap_reproduces_the_uniform_schedule(steps):
         assert len(stage.forcing_terms) == stage.newton_iterations
 
 
-def test_failed_full_step_recovers_by_halving():
-    # with six Newton steps per stage the full step t: 0 -> 1 stalls; the
-    # controller must record that attempt, halve, and still reach t = 1
+def _stalled_torsion_solve(opts):
     grid = TorusGrid(2, 8)
     g = metric_preset(grid, "torsion", epsilon=0.1)
     f = grid.trig_field([(2.0, (1, 0, 0, 0), 0.0), (1.0, (0, 0, 1, 1), 0.7)])
+    return solve(grid, g, f, 2, options=opts, record_path=True)
+
+
+def test_failed_full_step_recovers_by_halving():
+    # with six Newton steps per stage the full step t: 0 -> 1 stalls; the
+    # controller must record that attempt, halve, and still reach t = 1
     opts = SolverOptions(max_newton=6)
-    rep = solve(grid, g, f, 2, options=opts, record_path=True)
+    rep = _stalled_torsion_solve(opts)
     assert rep.success
     assert rep.t_reached == 1.0
     first = rep.rejected[0]
@@ -274,6 +279,31 @@ def test_failed_full_step_recovers_by_halving():
         assert stage.final_residual <= opts.newton_tol
         assert stage.newton_iterations <= 6
     assert rep.summary_dict()["rejected"][0]["error"] == "SolveFailure"
+
+
+def test_residual_history_slices_partition_by_attempt():
+    rep = _stalled_torsion_solve(SolverOptions(max_newton=6))
+    assert rep.rejected
+    spans = sorted(
+        [(s.residual_start, s.residual_stop, s) for s in rep.stages]
+        + [(r.residual_start, r.residual_stop, r) for r in rep.rejected],
+        key=lambda item: item[0],
+    )
+    assert spans[0][0] == 0 and spans[-1][1] == len(rep.residual_history)
+    for (_, stop, _), (start, _, _) in zip(spans, spans[1:]):
+        assert stop == start
+    for start, stop, attempt in spans:
+        assert stop > start
+        if isinstance(attempt, StageRecord):
+            assert stop - start == attempt.newton_iterations + 1
+            assert rep.residual_history[stop - 1] == attempt.final_residual
+        elif "Newton did not reach" in attempt.message:
+            assert stop - start == 6 + 1  # a stall runs its whole budget
+        else:
+            assert stop - start <= 6 + 1
+    first = rep.summary_dict()["rejected"][0]
+    assert (first["residual_start"], first["residual_stop"]) == (
+        rep.rejected[0].residual_start, rep.rejected[0].residual_stop)
 
 
 def test_adaptive_solve_matches_uniform_schedule_and_budget():
