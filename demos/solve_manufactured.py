@@ -6,6 +6,9 @@ Pick a potential u*, build the source that makes it the exact solution,
 then hand the solver only the source and check what comes back.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from khessian import (
@@ -51,8 +54,10 @@ print(f"\nrecovery error (gauge matched): {err:.2e}")
 
 # Round-trip the solution through the flat binary dump and recheck the
 # equation residual on the loaded copy.
-save_field("u_demo.khf", report.u, n, N, kind="potential")
-u_back, header = load_field("u_demo.khf")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "u_demo.khf")
+    save_field(path, report.u, n, N, kind="potential")
+    u_back, header = load_field(path)
 res = residual_field(grid, u_back, report.b, f, g, k)
 print(f"reloaded field kind={header['kind']!r}, "
       f"sup residual {np.abs(res).max():.2e}")

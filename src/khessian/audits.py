@@ -93,6 +93,8 @@ class AuditReport:
 def _mixed_cone_samples(n: int, k: int, samples: int, seed: int) -> np.ndarray:
     """Interior draws plus a near-boundary shell, randomly interleaved so a
     prefix is a fair subsample."""
+    if samples < 1:
+        raise DomainError(f"samples must be at least 1, got {samples!r}")
     interior = sample_gamma_k(n, k, samples, seed=seed)
     shell = sample_gamma_k_boundary(n, k, max(samples // 4, 4), seed=seed + 1)
     lam = np.vstack([interior, shell])
@@ -125,6 +127,9 @@ def audit_lemma21(
     by_i_half: dict[int, float] = {}
     for i in range(k - 1):
         for j in range(1, n + 1):
+            denom = sigma_restricted(i, lam, j - 1)
+            bad = int(np.count_nonzero(denom <= 0.0))
+            good = denom > 0.0
             others = [p for p in range(1, n + 1) if p != j]
             for subset in combinations(others, i):
                 if subset:
@@ -133,10 +138,7 @@ def audit_lemma21(
                     )
                 else:
                     numer = np.ones(lam.shape[0])
-                denom = sigma_restricted(i, lam, j - 1)
-                bad = int(np.count_nonzero(denom <= 0.0))
-                violations += bad
-                good = denom > 0.0
+                violations += bad  # counted per row, as the rows report it
                 ratio = numer[good] / denom[good]
                 full_max = float(ratio.max())
                 half_max = float(ratio[: max(np.count_nonzero(good[:half]), 1)].max())

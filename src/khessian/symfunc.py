@@ -7,7 +7,8 @@ vectorized over arbitrary leading (batch) axes.  Where entry order matters
 match the usual statement "lambda_1 >= ... >= lambda_n".
 
 sigma_k is computed with the stable coefficient recurrence for
-prod_i (1 + lambda_i t); no subset enumeration happens outside tests.
+prod_i (1 + lambda_i t), sigma index first; no subset enumeration happens
+outside tests, and no bisection: the cone boundary comes in closed form.
 ``sigma_restricted`` is the one deletion routine and ``gamma_k_verdict`` the
 one Garding cone test; the operator calls it with a positive sigma_k floor.
 """
@@ -38,18 +39,18 @@ def elementary_all(values) -> np.ndarray:
     """All elementary symmetric functions sigma_0..sigma_n along the last axis.
 
     Returns an array of shape ``values.shape[:-1] + (n+1,)`` holding the
-    coefficients of prod_i (1 + lambda_i t), i.e. e[..., j] = sigma_j.
-    The update runs j descending so each lambda_i enters exactly once.
+    coefficients of prod_i (1 + lambda_i t), i.e. e[..., j] = sigma_j: a view
+    of a table with the sigma index first, where e[j] += lambda_i e[j-1]
+    updates contiguous batch rows, j descending so each lambda_i enters once.
     """
     lam = np.asarray(values, dtype=float)
     n = lam.shape[-1]
-    e = np.zeros(lam.shape[:-1] + (n + 1,), dtype=float)
-    e[..., 0] = 1.0
+    e = np.zeros((n + 1,) + lam.shape[:-1], dtype=float)
+    e[0] = 1.0
     for i in range(n):
-        top = min(i + 1, n)
-        for j in range(top, 0, -1):
-            e[..., j] += lam[..., i] * e[..., j - 1]
-    return e
+        for j in range(i + 1, 0, -1):
+            e[j] += lam[..., i] * e[j - 1]
+    return np.moveaxis(e, 0, -1)
 
 
 def sigma(k: int, values) -> float | np.ndarray:
@@ -171,13 +172,13 @@ def sample_gamma_k(
     Returns shape (count, n), or (n,) when count is None.
     """
     check_k(k, n)
-    if scale <= 0:
-        raise DomainError("scale must be positive")
-    want = 1 if count is None else int(count)
-    if want < 0:
-        raise DomainError("count must be nonnegative")
+    if not isinstance(scale, numbers.Real) or not 0.0 < scale < np.inf:
+        raise DomainError(f"scale must be finite and positive, got {scale!r}")
+    want = 1 if count is None else count
+    if isinstance(want, bool) or not isinstance(want, numbers.Integral) or want < 0:
+        raise DomainError(f"count must be a nonnegative integer, got {count!r}")
     rng = np.random.default_rng(seed)
-    got: list[np.ndarray] = []
+    got: list[np.ndarray] = [np.empty((0, n))]
     have = 0
     attempts = 0
     fallback = False
@@ -229,34 +230,25 @@ def sample_gamma_k_boundary(
 ) -> np.ndarray:
     """Spectra just inside the Gamma_k boundary.
 
-    Starting from interior samples, the smallest entry is pushed down by
-    bisection to the largest shift that keeps strict membership, then backed
-    off by ``depth`` of that shift.  Useful for stressing inequalities that
-    must hold up to the cone boundary.
+    Starting from interior samples, the smallest entry is pushed down by the
+    largest shift t* that keeps strict membership, then backed off by
+    ``depth`` of that shift.  As sigma_j(lambda - t e_n) = sigma_j(lambda|n) +
+    (lambda_n - t) sigma_{j-1}(lambda|n) with lambda|n in Gamma_{k-1}, and
+    Newton's inequalities make sigma_j(lambda|n) / sigma_{j-1}(lambda|n)
+    decrease in j, t* = lambda_n + sigma_k(lambda|n) / sigma_{k-1}(lambda|n)
+    exactly.  Useful for stressing inequalities that must hold up to the cone
+    boundary.
     """
+    if not isinstance(depth, numbers.Real) or not 0.0 < depth < 1.0:
+        raise DomainError(f"depth must lie in (0, 1), got {depth!r}")
     lam = np.atleast_2d(sample_gamma_k(n, k, count, scale=scale, seed=seed))
-    # bracket: shifting the smallest entry by -t leaves the cone for large t
-    t_hi = np.full(lam.shape[0], scale)
-    for _ in range(60):
-        trial = lam.copy()
-        trial[:, -1] -= t_hi
-        inside = in_gamma_k(trial, k)
-        if not np.any(inside):
-            break
-        t_hi[inside] *= 2.0
-    t_lo = np.zeros(lam.shape[0])
-    for _ in range(80):
-        mid = 0.5 * (t_lo + t_hi)
-        trial = lam.copy()
-        trial[:, -1] -= mid
-        inside = in_gamma_k(trial, k)
-        t_lo = np.where(inside, mid, t_lo)
-        t_hi = np.where(inside, t_hi, mid)
+    # deletion by zeroing keeps sigma_n(lambda|n) = 0, so t* = lambda_n at k = n
+    ratio = sigma_restricted(k, lam, n - 1) / sigma_restricted(k - 1, lam, n - 1)
     out = lam.copy()
-    out[:, -1] -= t_lo * (1.0 - depth)
+    out[:, -1] -= (lam[:, -1] + ratio) * (1.0 - depth)
     out = np.sort(out, axis=-1)[:, ::-1]
     bad = ~in_gamma_k(out, k)
-    if np.any(bad):  # fall back to the interior point where bisection degenerated
+    if np.any(bad):  # fall back to the interior point where rounding left the cone
         out[bad] = lam[bad]
     return out
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from khessian.forms import Form, gradient_band_form, metric_form
 from khessian.geometry import TorusGrid, gradient_norm_sq
+from khessian.symfunc import in_gamma_k
 
 
 def sigma_enumerated(lam, k: int) -> float:
@@ -36,6 +37,43 @@ def sigma_restricted_enumerated(r: int, lam, excluded) -> float:
     if r > len(keep):
         return 0.0
     return sigma_enumerated(np.asarray(keep), r)
+
+
+def elementary_all_last_axis(values) -> np.ndarray:
+    """sigma_0..sigma_n by the coefficient recurrence on a batch-first table,
+    e[..., j] += lambda_i e[..., j-1], j descending: the same operations in
+    the same order as the package's sigma-first table, so equal bit for bit."""
+    lam = np.asarray(values, dtype=float)
+    n = lam.shape[-1]
+    e = np.zeros(lam.shape[:-1] + (n + 1,), dtype=float)
+    e[..., 0] = 1.0
+    for i in range(n):
+        for j in range(i + 1, 0, -1):
+            e[..., j] += lam[..., i] * e[..., j - 1]
+    return e
+
+
+def boundary_shift_bisection(lam, k: int) -> np.ndarray:
+    """Largest t per row with lam - t e_n in Gamma_k, by a doubling bracket
+    from 1 and 80 bisection steps on the strict cone test."""
+    lam = np.atleast_2d(np.asarray(lam, dtype=float))
+    t_hi = np.ones(lam.shape[0])
+    for _ in range(60):
+        trial = lam.copy()
+        trial[:, -1] -= t_hi
+        inside = in_gamma_k(trial, k)
+        if not np.any(inside):
+            break
+        t_hi[inside] *= 2.0
+    t_lo = np.zeros(lam.shape[0])
+    for _ in range(80):
+        mid = 0.5 * (t_lo + t_hi)
+        trial = lam.copy()
+        trial[:, -1] -= mid
+        inside = in_gamma_k(trial, k)
+        t_lo = np.where(inside, mid, t_lo)
+        t_hi = np.where(inside, t_hi, mid)
+    return t_lo
 
 
 def central_difference(func, x, h: float):

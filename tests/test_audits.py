@@ -59,6 +59,46 @@ def test_lemma21_validation():
         audits.audit_lemma21(4, 2, samples=10)
 
 
+def test_cone_audits_reject_fewer_than_one_sample_before_drawing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampler called")
+
+    monkeypatch.setattr(audits, "sample_gamma_k", no_draws)
+    for samples in (0, -3):
+        with pytest.raises(DomainError):
+            audits.audit_lemma21(4, 3, samples=samples)
+        with pytest.raises(DomainError):
+            audits.audit_basic_inequality(samples=samples)
+
+
+def _feed_cone_samples(monkeypatch, lam):
+    monkeypatch.setattr(audits, "_mixed_cone_samples", lambda *args: lam)
+
+
+def test_lemma21_fails_when_only_the_second_half_holds_the_largest_ratio(monkeypatch):
+    # first half: entries in [0.5, 1], so |lambda_p| / sigma_1(lambda|j) <= 1/2;
+    # second half adds (1, eps, eps, eps), whose ratio at i = 1 is ~1
+    rng = np.random.default_rng(0)
+    first = -np.sort(-rng.uniform(0.5, 1.0, size=(50, 4)), axis=-1)
+    second = np.vstack([first[:49], [[1.0, 1e-3, 1e-3, 1e-3]]])
+    _feed_cone_samples(monkeypatch, np.vstack([first, second]))
+    rep = audits.audit_lemma21(4, 3, samples=50)
+    assert rep.violations == 0
+    assert rep.constants["stability_rel"] > rep.tolerances["stability_rtol"]
+    assert rep.passed is False
+
+
+def test_lemma21_counts_nonpositive_denominators_per_row(monkeypatch):
+    # (1, 1, -5, -5) lies outside Gamma_3: sigma_1(lambda|j) < 0 for every j
+    lam = np.vstack([np.ones((20, 4)), [[1.0, 1.0, -5.0, -5.0]] * 3])
+    _feed_cone_samples(monkeypatch, lam)
+    rep = audits.audit_lemma21(4, 3, samples=20)
+    # i = 1: four positions j, three subsets each, three bad spectra per row
+    assert rep.violations == 4 * 3 * 3
+    assert sum(row["denominator_violations"] for row in rep.rows) == rep.violations
+    assert rep.passed is False
+
+
 def test_basic_inequality_zero_violations():
     rep = audits.audit_basic_inequality(samples=5000)
     assert rep.passed

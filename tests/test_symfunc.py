@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 from khessian import symfunc
 from khessian.errors import ConeViolationError, DomainError
 
-from oracles import sigma_enumerated, sigma_restricted_enumerated
+from oracles import (
+    boundary_shift_bisection,
+    elementary_all_last_axis,
+    sigma_enumerated,
+    sigma_restricted_enumerated,
+)
 
 
 # ---------------------------------------------------------------- sigma_k
@@ -78,6 +83,14 @@ def test_sigma_recurrence_in_one_variable(lam, t):
     n = lam.size
     for j in range(1, n + 1):
         assert ext[j] == pytest.approx(e[j] + t * e[j - 1], rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_elementary_all_bit_identical_to_last_axis_loop(n):
+    rng = np.random.default_rng(n)
+    for shape in [(n,), (33, n), (4, 5, n)]:
+        lam = rng.normal(size=shape)
+        assert np.array_equal(symfunc.elementary_all(lam), elementary_all_last_axis(lam))
 
 
 # ---------------------------------------------------------------- restricted
@@ -234,6 +247,60 @@ def test_boundary_sampler_targets_thin_shell():
     # sigma_2 should be tiny relative to scale 1 samples
     s2 = symfunc.sigma(2, lam)
     assert np.median(s2) < 1e-5
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_boundary_shift_matches_bisection(n):
+    depth = 1e-8
+    for k in range(1, n + 1):
+        for seed in range(3):
+            lam = symfunc.sample_gamma_k(n, k, count=100, seed=seed)
+            out = symfunc.sample_gamma_k_boundary(n, k, count=100, seed=seed, depth=depth)
+            assert np.all(symfunc.in_gamma_k(out, k))
+            # only the smallest entry moves, and only down, so it stays last
+            assert np.array_equal(out[:, :-1], lam[:, :-1])
+            t = boundary_shift_bisection(lam, k)
+            np.testing.assert_allclose(
+                out[:, -1], lam[:, -1] - t * (1.0 - depth), rtol=0.0, atol=1e-12
+            )
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_last_deleted_ratio_is_the_smallest_shift_bound(n):
+    # Newton's inequalities: sigma_j(lam|n) / sigma_{j-1}(lam|n) decreases in
+    # j on Gamma_{k-1}, so the boundary sampler needs only the j = k bound
+    for k in range(2, n + 1):
+        lam = symfunc.sample_gamma_k(n, k, count=500, seed=k)
+        rest = [symfunc.sigma_restricted(j, lam, n - 1) for j in range(k + 1)]
+        bounds = np.array([rest[j] / rest[j - 1] for j in range(1, k + 1)])
+        assert np.all(bounds.argmin(axis=0) == k - 1)
+
+
+def test_samplers_give_an_empty_batch_for_count_zero():
+    assert symfunc.sample_gamma_k(3, 2, 0).shape == (0, 3)
+    assert symfunc.sample_gamma_k_boundary(3, 2, 0).shape == (0, 3)
+
+
+@pytest.mark.parametrize("count", [5.5, True, np.float64(3.0), "3"])
+def test_samplers_reject_a_non_integer_count(count):
+    with pytest.raises(DomainError):
+        symfunc.sample_gamma_k(3, 2, count)
+    with pytest.raises(DomainError):
+        symfunc.sample_gamma_k_boundary(3, 2, count)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0, "1"])
+def test_samplers_reject_a_scale_not_finite_and_positive(scale):
+    with pytest.raises(DomainError):
+        symfunc.sample_gamma_k(3, 2, 4, scale=scale)
+    with pytest.raises(DomainError):
+        symfunc.sample_gamma_k_boundary(3, 2, 4, scale=scale)
+
+
+@pytest.mark.parametrize("depth", [-1.0, 0.0, 1.0, 2.0, np.nan])
+def test_boundary_sampler_rejects_depth_outside_unit_interval(depth):
+    with pytest.raises(DomainError):
+        symfunc.sample_gamma_k_boundary(3, 2, 4, depth=depth)
 
 
 # ---------------------------------------------------------------- inequality
