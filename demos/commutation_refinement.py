@@ -10,7 +10,13 @@ control, dropping one torsion term from the fourth-order identity must
 make the residual stop converging.
 """
 
-from khessian import TorusGrid, commutation_residual, metric_preset
+from khessian import (
+    TorusGrid,
+    chern_tensors,
+    commutation_residual,
+    covariant_derivatives,
+    metric_preset,
+)
 
 terms = [
     (0.5, (1, 0, 0, 0), 0.0),
@@ -20,24 +26,29 @@ terms = [
 
 for preset in ("kahler", "torsion"):
     print(f"\nmetric preset: {preset}")
+    res = {}
+    for N in (8, 16):
+        # connection and derivatives up to fourth order, built once per grid
+        grid = TorusGrid(2, N)
+        g = metric_preset(grid, preset, epsilon=0.15)
+        u = grid.trig_field(terms)
+        tensors = chern_tensors(grid, g)
+        derivs = covariant_derivatives(grid, u, tensors, order=4)
+        for order in (3, 4):
+            res[order, N] = commutation_residual(
+                grid, u, g, order=order, tensors=tensors, derivatives=derivs
+            )
     for order in (3, 4):
-        res = {}
-        for N in (8, 16):
-            grid = TorusGrid(2, N)
-            g = metric_preset(grid, preset, epsilon=0.15)
-            u = grid.trig_field(terms)
-            res[N] = commutation_residual(grid, u, g, order=order)
-        ratio = res[8] / max(res[16], 1e-300)
-        print(f"  order {order}: residual {res[8]:.3e} -> {res[16]:.3e}"
+        ratio = res[order, 8] / max(res[order, 16], 1e-300)
+        print(f"  order {order}: residual {res[order, 8]:.3e} -> {res[order, 16]:.3e}"
               f"  (decay x{ratio:.1f})")
 
-# Mutation control: omit the torsion-product term. On a metric with
-# torsion the identity is now wrong, so the residual saturates at O(1)
-# instead of tracking grid error.
-grid = TorusGrid(2, 16)
-g = metric_preset(grid, "torsion", epsilon=0.15)
-u = grid.trig_field(terms)
-good = commutation_residual(grid, u, g, order=4)
-broken = commutation_residual(grid, u, g, order=4, omit_torsion_product=True)
+# Mutation control on the last build (torsion preset, N=16): omit the
+# torsion-product term. On a metric with torsion the identity is now wrong,
+# so the residual saturates at O(1) instead of tracking grid error.
+good = res[4, 16]
+broken = commutation_residual(
+    grid, u, g, order=4, omit_torsion_product=True, tensors=tensors, derivatives=derivs
+)
 print(f"\nfourth order at N=16: intact {good:.3e}, "
       f"torsion term dropped {broken:.3e} (x{broken / good:.1e} worse)")

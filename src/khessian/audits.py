@@ -32,11 +32,12 @@ import numpy as np
 from .errors import DomainError
 from .geometry import (
     TorusGrid,
+    chern_tensors,
     commutation_residual,
+    covariant_derivatives,
     gradient_norm_sq,
     metric_preset,
 )
-from .operator import as_tensor_first
 from .solver import SolveReport, SolverOptions, solve
 from .symfunc import (
     basic_inequality_check,
@@ -140,8 +141,10 @@ def audit_lemma21(
                     numer = np.ones(lam.shape[0])
                 violations += bad  # counted per row, as the rows report it
                 ratio = numer[good] / denom[good]
-                full_max = float(ratio.max())
-                half_max = float(ratio[: max(np.count_nonzero(good[:half]), 1)].max())
+                full_max = half_max = np.inf  # no sample has a positive denominator
+                if ratio.size:
+                    full_max = float(ratio.max())
+                    half_max = float(ratio[: max(np.count_nonzero(good[:half]), 1)].max())
                 rows.append(
                     {
                         "i": i,
@@ -156,6 +159,7 @@ def audit_lemma21(
                 by_i_half[i] = max(by_i_half.get(i, 0.0), half_max)
     stability = max(
         abs(by_i_full[i] - by_i_half[i]) / (by_i_full[i] + 1e-300)
+        if np.isfinite(by_i_full[i]) else np.inf
         for i in by_i_full
     )
     constants = {f"C_i_{i}": by_i_full[i] for i in sorted(by_i_full)}
@@ -343,7 +347,7 @@ def _lemma22_grid_constants(grid: TorusGrid, preset: str, epsilon: float,
                             amplitude: float) -> list[tuple]:
     """(C, correction integral, correction sup) for each power i < n on one
     grid, the integrals against the metric volume over the Dirichlet energy."""
-    g = as_tensor_first(metric_preset(grid, preset, epsilon=epsilon))
+    g = metric_preset(grid, preset, epsilon=epsilon)
     u = _smooth_test_potential(grid, amplitude)
     volume, energy, terms = _lemma22_terms(grid, g, u)
     out = []
@@ -677,53 +681,57 @@ def audit_commutation(
     """
     rows = []
     ok = True
-    grids: dict[int, TorusGrid] = {}
-    fields: dict[int, np.ndarray] = {}
+    mutate = "torsion" in presets and 4 in orders
+    res: dict[tuple, float] = {}  # (preset, order or "mutated", N) -> residual
     for N in (N_lo, N_hi):
-        grids[N] = TorusGrid(2, N)
-        fields[N] = grids[N].trig_field(list(COMMUTATION_TERMS))
+        grid = TorusGrid(2, N)
+        u = grid.trig_field(list(COMMUTATION_TERMS))
+        for preset in presets:
+            # one build per (preset, grid) serves every order and the control
+            g = metric_preset(grid, preset, epsilon=epsilon)
+            tensors = chern_tensors(grid, g)
+            derivs = covariant_derivatives(grid, u, tensors, order=max(orders))
+            for order in orders:
+                res[preset, order, N] = commutation_residual(
+                    grid, u, g, order=order, tensors=tensors, derivatives=derivs
+                )
+            if mutate and preset == "torsion":
+                res[preset, "mutated", N] = commutation_residual(
+                    grid, u, g, order=4, omit_torsion_product=True,
+                    tensors=tensors, derivatives=derivs)
+            del tensors, derivs  # before the next build, to keep one at a time
     for preset in presets:
         for order in orders:
-            res = {}
-            for N in (N_lo, N_hi):
-                g = metric_preset(grids[N], preset, epsilon=epsilon)
-                res[N] = commutation_residual(grids[N], fields[N], g, order=order)
-            achieved = res[N_lo] / res[N_hi] if res[N_hi] > 0 else np.inf
-            row_ok = res[N_lo] > floor and achieved >= decay
+            lo, hi = res[preset, order, N_lo], res[preset, order, N_hi]
+            achieved = lo / hi if hi > 0 else np.inf
+            row_ok = lo > floor and achieved >= decay
             ok = ok and row_ok
             rows.append(
                 {
                     "preset": preset,
                     "order": order,
                     "variant": "intact",
-                    "res_lo": res[N_lo],
-                    "res_hi": res[N_hi],
+                    "res_lo": lo,
+                    "res_hi": hi,
                     "decay": achieved,
                     "ok": row_ok,
                 }
             )
     mutation_ratio = np.inf
-    if "torsion" in presets and 4 in orders:
-        mutated = {}
-        for N in (N_lo, N_hi):
-            g = metric_preset(grids[N], "torsion", epsilon=epsilon)
-            mutated[N] = commutation_residual(
-                grids[N], fields[N], g, order=4, omit_torsion_product=True
-            )
-        intact_hi = next(
-            r["res_hi"] for r in rows if r["preset"] == "torsion" and r["order"] == 4
-        )
-        mutation_ratio = mutated[N_hi] / intact_hi
-        mut_ok = mutated[N_hi] >= mutation_factor * intact_hi
+    if mutate:
+        lo, hi = res["torsion", "mutated", N_lo], res["torsion", "mutated", N_hi]
+        intact_hi = res["torsion", 4, N_hi]
+        mutation_ratio = hi / intact_hi
+        mut_ok = hi >= mutation_factor * intact_hi
         ok = ok and mut_ok
         rows.append(
             {
                 "preset": "torsion",
                 "order": 4,
                 "variant": "torsion_product_omitted",
-                "res_lo": mutated[N_lo],
-                "res_hi": mutated[N_hi],
-                "decay": mutated[N_lo] / mutated[N_hi] if mutated[N_hi] > 0 else np.inf,
+                "res_lo": lo,
+                "res_hi": hi,
+                "decay": lo / hi if hi > 0 else np.inf,
                 "ok": mut_ok,
             }
         )

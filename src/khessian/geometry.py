@@ -7,7 +7,13 @@ period 1.  Derivatives are Fourier multipliers, exact for band-limited data:
     d/dz^j  = (d/dx^j - i d/dy^j) / 2,    d/dzbar^j = (d/dx^j + i d/dy^j) / 2.
 
 Hermitian metrics are (grid + (n, n)) complex arrays g[..., i, j] = g_{i jbar},
-not assumed Kahler.  The Chern connection of such a metric,
+not assumed Kahler.  Every metric, Hessian, Chern and covariant-derivative
+stack this module returns has such a grid-first shape but index-first
+memory: it is an ``np.moveaxis`` view of an (n,)*k + grid buffer, so each
+slot [..., i, j, ...] is one contiguous field for the transforms, and a
+plain ``np.einsum`` contracts the stacks one whole field at a time.
+
+The Chern connection of such a metric,
 
     Gamma^p_ij = g^{p qbar} d_i g_{j qbar},
     T^p_ij     = Gamma^p_ij - Gamma^p_ji,
@@ -29,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError
 from .symfunc import require_gamma_k, sigma_restricted_each
-from .operator import relative_eigenvalues, relative_eigenvalues_only
+from .operator import as_tensor_first, relative_eigenvalues, relative_eigenvalues_only
 
 
 class TorusGrid:
@@ -125,7 +131,7 @@ class TorusGrid:
     def holomorphic_gradient(self, field: np.ndarray) -> np.ndarray:
         """All first derivatives d_j field, shape grid + (n,)."""
         hat = self.fft(field)
-        out = np.empty(self.shape + (self.n,), dtype=complex)
+        out = _index_first(self, 1)
         for j in range(self.n):
             out[..., j] = self.ifft(hat * self._symbol_z(j))
         return out
@@ -259,13 +265,19 @@ class TorusGrid:
         return out
 
 
+def _index_first(grid: TorusGrid, rank: int, alloc=np.empty) -> np.ndarray:
+    """Complex grid + (n,)*rank stack whose memory is (n,)*rank + grid."""
+    buf = alloc((grid.n,) * rank + grid.shape, dtype=complex)
+    return np.moveaxis(buf, tuple(range(rank)), tuple(range(-rank, 0)))
+
+
 # ------------------------------------------------------------------ metrics
 
 PRESET_NAMES = ("euclidean", "kahler", "torsion")
 
 
 def identity_metric(grid: TorusGrid) -> np.ndarray:
-    g = np.zeros(grid.shape + (grid.n, grid.n), dtype=complex)
+    g = _index_first(grid, 2, np.zeros)
     for i in range(grid.n):
         g[..., i, i] = 1.0
     return g
@@ -299,14 +311,13 @@ def metric_preset(grid: TorusGrid, name: str, epsilon: float = 0.1,
     if name == "euclidean":
         return identity_metric(grid)
     if name == "kahler":
-        g = identity_metric(grid) + grid.complex_hessian(
-            kahler_potential(grid, amplitude)
-        )
+        g = identity_metric(grid)
+        g += grid.complex_hessian(kahler_potential(grid, amplitude))
         _require_positive(g, "kahler preset")
         return g
     if name == "torsion":
         n = grid.n
-        g = np.zeros(grid.shape + (n, n), dtype=complex)
+        g = _index_first(grid, 2, np.zeros)  # off-diagonal slots stay untouched
         for i in range(n):
             other = (i + 1) % n
             if i % 2 == 0:
@@ -335,7 +346,7 @@ def _require_positive(g: np.ndarray, label: str) -> None:
 def inverse_metric(g: np.ndarray) -> np.ndarray:
     """Matrix inverse of g_{i jbar}; the raised tensor is g^{p qbar} =
     inverse[..., q, p]."""
-    return np.linalg.inv(g)
+    return as_tensor_first(np.linalg.inv(g))
 
 
 # ------------------------------------------------------------ Chern tensors
@@ -348,6 +359,9 @@ class ChernTensors:
     torsion[..., p, i, j]    : T^p_ij = Gamma^p_ij - Gamma^p_ji
     curvature[..., i, j, k, p]: R_{i jbar k}^p = -d_jbar Gamma^p_ik, or None
                                 when built with_curvature=False
+
+    Shapes are grid-first as listed; the memory of inverse, gamma, torsion
+    and curvature is index-first, as for every stack of this module.
     """
 
     metric: np.ndarray
@@ -360,9 +374,8 @@ class ChernTensors:
         """R_{i jbar k lbar} = R_{i jbar k}^p g_{p lbar}."""
         if self.curvature is None:
             raise DomainError("tensors were built without curvature")
-        return np.einsum(
-            "...ijkp,...pl->...ijkl", self.curvature, self.metric, optimize=True
-        )
+        return np.einsum("...ijkp,...pl->...ijkl", self.curvature, self.metric,
+                         out=np.empty_like(self.curvature))
 
 
 def chern_tensors(grid: TorusGrid, g: np.ndarray, with_curvature: bool = True) -> ChernTensors:
@@ -371,16 +384,17 @@ def chern_tensors(grid: TorusGrid, g: np.ndarray, with_curvature: bool = True) -
     if g.shape != grid.shape + (n, n):
         raise DomainError(f"metric shape {g.shape} does not match grid {grid.shape}")
     ginv = inverse_metric(g)
-    dg = np.empty(grid.shape + (n, n, n), dtype=complex)  # dg[..., i, j, q] = d_i g_{j qbar}
+    dg = _index_first(grid, 3)  # dg[..., i, j, q] = d_i g_{j qbar}
     for j in range(n):
         for q in range(n):
             hat = grid.fft(g[..., j, q])
             for i in range(n):
                 dg[..., i, j, q] = grid.ifft(hat * grid._symbol_z(i))
-    gamma = np.einsum("...qp,...ijq->...pij", ginv, dg, optimize=True)
-    torsion = gamma - np.swapaxes(gamma, -1, -2)
+    gamma = np.einsum("...qp,...ijq->...pij", ginv, dg, out=_index_first(grid, 3))
+    torsion = np.subtract(gamma, np.swapaxes(gamma, -1, -2), out=_index_first(grid, 3))
+    curvature = None
     if with_curvature:
-        curvature = np.empty(grid.shape + (n, n, n, n), dtype=complex)
+        curvature = _index_first(grid, 4)
         for p in range(n):
             for i in range(n):
                 for kk in range(n):
@@ -389,8 +403,6 @@ def chern_tensors(grid: TorusGrid, g: np.ndarray, with_curvature: bool = True) -
                         curvature[..., i, j, kk, p] = -grid.ifft(
                             hat * grid._symbol_zbar(j)
                         )
-    else:
-        curvature = None
     return ChernTensors(metric=g, inverse=ginv, gamma=gamma, torsion=torsion,
                         curvature=curvature)
 
@@ -408,6 +420,8 @@ class CovariantDerivatives:
     d3_hol[..., p, i, j]  : u_{p i jbar}
     d3_anti[..., i, p, j] : u_{i pbar jbar}
     d4[..., i, j, l, m]   : u_{i jbar l mbar}
+
+    Shapes are grid-first as listed; every field's memory is index-first.
     """
 
     grad: np.ndarray
@@ -426,57 +440,51 @@ def covariant_derivatives(
         raise DomainError(f"covariant derivative order must be 3 or 4, got {order}")
     n = grid.n
     gamma = tensors.gamma
+    gamma_bar = np.conj(gamma)
     hat = grid.fft(u)
-    grad = np.empty(grid.shape + (n,), dtype=complex)
+    grad = _index_first(grid, 1)
     for i in range(n):
         grad[..., i] = grid.ifft(hat * grid._symbol_z(i))
     hess = grid.complex_hessian(u)
     # u_{p i} = d_i d_p u - Gamma^q_ip u_q
-    dz2 = np.empty(grid.shape + (n, n), dtype=complex)
+    hol2 = _index_first(grid, 2)
     for p in range(n):
         for i in range(p, n):
             ent = grid.ifft(hat * grid._symbol_z(p) * grid._symbol_z(i))
-            dz2[..., p, i] = ent
-            dz2[..., i, p] = ent
-    hol2 = dz2 - np.einsum("...qip,...q->...pi", gamma, grad, optimize=True)
-    # u_{i jbar l} = d_l u_{i jbar} - Gamma^p_li u_{p jbar}
-    d3_mixed = np.empty(grid.shape + (n, n, n), dtype=complex)
+            hol2[..., p, i] = ent
+            hol2[..., i, p] = ent
+    hol2 -= np.einsum("...qip,...q->...pi", gamma, grad)
+    # u_{i jbar l} = d_l u_{i jbar} - Gamma^p_li u_{p jbar} and
+    # u_{i pbar jbar} = d_jbar u_{i pbar} - conj(Gamma^q_jp) u_{i qbar},
+    # both from the transform of one Hessian slot
+    d3_mixed = _index_first(grid, 3)
+    d3_anti = _index_first(grid, 3)
     for i in range(n):
         for j in range(n):
             hhat = grid.fft(hess[..., i, j])
             for l in range(n):
                 d3_mixed[..., i, j, l] = grid.ifft(hhat * grid._symbol_z(l))
-    d3_mixed = d3_mixed - np.einsum("...pli,...pj->...ijl", gamma, hess, optimize=True)
+                d3_anti[..., i, j, l] = grid.ifft(hhat * grid._symbol_zbar(l))
+    d3_mixed -= np.einsum("...pli,...pj->...ijl", gamma, hess)
+    d3_anti -= np.einsum("...qjp,...iq->...ipj", gamma_bar, hess)
     # u_{p i jbar} = d_jbar u_{p i}
-    d3_hol = np.empty(grid.shape + (n, n, n), dtype=complex)
+    d3_hol = _index_first(grid, 3)
     for p in range(n):
         for i in range(n):
             hhat = grid.fft(hol2[..., p, i])
             for j in range(n):
                 d3_hol[..., p, i, j] = grid.ifft(hhat * grid._symbol_zbar(j))
-    # u_{i pbar jbar} = d_jbar u_{i pbar} - conj(Gamma^q_jp) u_{i qbar}
-    d3_anti = np.empty(grid.shape + (n, n, n), dtype=complex)
-    for i in range(n):
-        for p in range(n):
-            hhat = grid.fft(hess[..., i, p])
-            for j in range(n):
-                d3_anti[..., i, p, j] = grid.ifft(hhat * grid._symbol_zbar(j))
-    d3_anti = d3_anti - np.einsum(
-        "...qjp,...iq->...ipj", np.conj(gamma), hess, optimize=True
-    )
     d4 = None
     if order == 4:
         # u_{i jbar l mbar} = d_mbar u_{i jbar l} - conj(Gamma^q_mj) u_{i qbar l}
-        d4 = np.empty(grid.shape + (n, n, n, n), dtype=complex)
+        d4 = _index_first(grid, 4)
         for i in range(n):
             for j in range(n):
                 for l in range(n):
                     hhat = grid.fft(d3_mixed[..., i, j, l])
                     for m in range(n):
                         d4[..., i, j, l, m] = grid.ifft(hhat * grid._symbol_zbar(m))
-        d4 = d4 - np.einsum(
-            "...qmj,...iql->...ijlm", np.conj(gamma), d3_mixed, optimize=True
-        )
+        d4 -= np.einsum("...qmj,...iql->...ijlm", gamma_bar, d3_mixed)
     return CovariantDerivatives(
         grad=grad, hess=hess, hol2=hol2, d3_mixed=d3_mixed, d3_hol=d3_hol,
         d3_anti=d3_anti, d4=d4,
@@ -523,17 +531,17 @@ def commutation_residual(
         res_a = (
             d.d3_mixed
             - np.swapaxes(d.d3_mixed, -3, -1)  # u_{l jbar i} in [i, j, l] slots
-            + np.einsum("...pli,...pj->...ijl", t, d.hess, optimize=True)
+            + np.einsum("...pli,...pj->...ijl", t, d.hess)
         )
         res_b = (
             d.d3_hol
             - np.transpose(d.d3_mixed, axes=tuple(range(d.d3_mixed.ndim - 3)) + (-3, -1, -2))
-            - np.einsum("...q,...ijpq->...pij", d.grad, r, optimize=True)
+            - np.einsum("...q,...ijpq->...pij", d.grad, r)
         )
         res_c = (
             d.d3_anti
             - np.swapaxes(d.d3_anti, -2, -1)  # u_{i jbar pbar} in [i, p, j] slots
-            + np.einsum("...qjp,...iq->...ipj", np.conj(t), d.hess, optimize=True)
+            + np.einsum("...qjp,...iq->...ipj", np.conj(t), d.hess)
         )
         return max(
             float(np.abs(res_a).max()),
@@ -543,18 +551,18 @@ def commutation_residual(
     if order == 4:
         if d.d4 is None:
             raise DomainError("fourth-order residual needs order=4 derivatives")
+        t_bar = np.conj(t)
         res = (
             d.d4
             - np.transpose(d.d4, axes=tuple(range(d.d4.ndim - 4)) + (-2, -1, -4, -3))
-            - np.einsum("...lmip,...pj->...ijlm", r, d.hess, optimize=True)
-            + np.einsum("...ijlp,...pm->...ijlm", r, d.hess, optimize=True)
-            + np.einsum("...pli,...pmj->...ijlm", t, d.d3_anti, optimize=True)
-            + np.einsum("...qmj,...lqi->...ijlm", np.conj(t), d.d3_mixed, optimize=True)
+            - np.einsum("...lmip,...pj->...ijlm", r, d.hess)
+            + np.einsum("...ijlp,...pm->...ijlm", r, d.hess)
+            + np.einsum("...pli,...pmj->...ijlm", t, d.d3_anti)
+            + np.einsum("...qmj,...lqi->...ijlm", t_bar, d.d3_mixed)
         )
         if not omit_torsion_product:
-            res = res - np.einsum(
-                "...pli,...qmj,...pq->...ijlm", t, np.conj(t), d.hess, optimize=True
-            )
+            t_hess = np.einsum("...pli,...pq->...liq", t, d.hess)
+            res -= np.einsum("...liq,...qmj->...ijlm", t_hess, t_bar)
         return float(np.abs(res).max())
     raise DomainError(f"commutation residual order must be 3 or 4, got {order}")
 
@@ -566,7 +574,7 @@ def gradient_norm_sq(grid: TorusGrid, u: np.ndarray, g: np.ndarray) -> np.ndarra
     du = grid.holomorphic_gradient(u)
     ginv = inverse_metric(g)
     # raised tensor g^{i jbar} = ginv[..., j, i]
-    out = np.einsum("...ji,...i,...j->...", ginv, du, np.conj(du), optimize=True)
+    out = np.einsum("...ji,...i,...j->...", ginv, du, np.conj(du))
     return out.real
 
 

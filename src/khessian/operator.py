@@ -204,8 +204,12 @@ def _unslots(a: np.ndarray) -> np.ndarray:
 
 
 def as_tensor_first(a) -> np.ndarray:
-    """Copy of a (..., n, n) array, same shape and values, whose memory is
-    laid out (n, n, ...): each matrix slot is one contiguous batch field."""
+    """A (..., n, n) array, same shape and values, whose memory is laid out
+    (n, n, ...): each matrix slot is one contiguous batch field.  An array
+    already laid out so is returned as it is; any other is copied."""
+    a = np.asarray(a)
+    if _slots(a).flags.c_contiguous:
+        return a
     return _unslots(np.ascontiguousarray(_slots(a)))
 
 

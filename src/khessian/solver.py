@@ -435,7 +435,7 @@ def solve(
     _require_metric(grid, g)
     start = time.perf_counter()
     log_identity = log(comb(n, k))
-    ginv = as_tensor_first(inverse_metric(g))
+    ginv = inverse_metric(g)
     u = np.zeros(grid.shape)
     b = 0.0
     w = as_tensor_first(g)

@@ -12,8 +12,15 @@ import math
 
 import numpy as np
 
+from khessian.errors import DomainError
 from khessian.forms import Form, gradient_band_form, metric_form
-from khessian.geometry import TorusGrid, gradient_norm_sq
+from khessian.geometry import (
+    ChernTensors,
+    CovariantDerivatives,
+    TorusGrid,
+    gradient_norm_sq,
+    inverse_metric,
+)
 from khessian.symfunc import in_gamma_k
 
 
@@ -235,3 +242,179 @@ def _lemma22_constant(grid: TorusGrid, g: np.ndarray, u: np.ndarray, i: int):
     num = abs(grid.integrate(density, metric=g))
     den = grid.integrate(gradient_norm_sq(grid, u, g), metric=g)
     return num / den, density, correction
+
+
+# ------------------------------------------------- grid-first Chern route
+# The package's Chern and covariant-derivative route before its stacks were
+# stored index-first: grid-first (..., n, ...) buffers contracted with
+# einsum(optimize=True).  Same formulas, same slot conventions.
+
+
+def chern_tensors(grid: TorusGrid, g: np.ndarray, with_curvature: bool = True) -> ChernTensors:
+    """Assemble connection, torsion and curvature of a Hermitian metric."""
+    n = grid.n
+    if g.shape != grid.shape + (n, n):
+        raise DomainError(f"metric shape {g.shape} does not match grid {grid.shape}")
+    ginv = inverse_metric(g)
+    dg = np.empty(grid.shape + (n, n, n), dtype=complex)  # dg[..., i, j, q] = d_i g_{j qbar}
+    for j in range(n):
+        for q in range(n):
+            hat = grid.fft(g[..., j, q])
+            for i in range(n):
+                dg[..., i, j, q] = grid.ifft(hat * grid._symbol_z(i))
+    gamma = np.einsum("...qp,...ijq->...pij", ginv, dg, optimize=True)
+    torsion = gamma - np.swapaxes(gamma, -1, -2)
+    if with_curvature:
+        curvature = np.empty(grid.shape + (n, n, n, n), dtype=complex)
+        for p in range(n):
+            for i in range(n):
+                for kk in range(n):
+                    hat = grid.fft(gamma[..., p, i, kk])
+                    for j in range(n):
+                        curvature[..., i, j, kk, p] = -grid.ifft(
+                            hat * grid._symbol_zbar(j)
+                        )
+    else:
+        curvature = None
+    return ChernTensors(metric=g, inverse=ginv, gamma=gamma, torsion=torsion,
+                        curvature=curvature)
+
+
+def covariant_derivatives(
+    grid: TorusGrid, u: np.ndarray, tensors: ChernTensors, order: int = 4
+) -> CovariantDerivatives:
+    if order not in (3, 4):
+        raise DomainError(f"covariant derivative order must be 3 or 4, got {order}")
+    n = grid.n
+    gamma = tensors.gamma
+    hat = grid.fft(u)
+    grad = np.empty(grid.shape + (n,), dtype=complex)
+    for i in range(n):
+        grad[..., i] = grid.ifft(hat * grid._symbol_z(i))
+    hess = grid.complex_hessian(u)
+    # u_{p i} = d_i d_p u - Gamma^q_ip u_q
+    dz2 = np.empty(grid.shape + (n, n), dtype=complex)
+    for p in range(n):
+        for i in range(p, n):
+            ent = grid.ifft(hat * grid._symbol_z(p) * grid._symbol_z(i))
+            dz2[..., p, i] = ent
+            dz2[..., i, p] = ent
+    hol2 = dz2 - np.einsum("...qip,...q->...pi", gamma, grad, optimize=True)
+    # u_{i jbar l} = d_l u_{i jbar} - Gamma^p_li u_{p jbar}
+    d3_mixed = np.empty(grid.shape + (n, n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            hhat = grid.fft(hess[..., i, j])
+            for l in range(n):
+                d3_mixed[..., i, j, l] = grid.ifft(hhat * grid._symbol_z(l))
+    d3_mixed = d3_mixed - np.einsum("...pli,...pj->...ijl", gamma, hess, optimize=True)
+    # u_{p i jbar} = d_jbar u_{p i}
+    d3_hol = np.empty(grid.shape + (n, n, n), dtype=complex)
+    for p in range(n):
+        for i in range(n):
+            hhat = grid.fft(hol2[..., p, i])
+            for j in range(n):
+                d3_hol[..., p, i, j] = grid.ifft(hhat * grid._symbol_zbar(j))
+    # u_{i pbar jbar} = d_jbar u_{i pbar} - conj(Gamma^q_jp) u_{i qbar}
+    d3_anti = np.empty(grid.shape + (n, n, n), dtype=complex)
+    for i in range(n):
+        for p in range(n):
+            hhat = grid.fft(hess[..., i, p])
+            for j in range(n):
+                d3_anti[..., i, p, j] = grid.ifft(hhat * grid._symbol_zbar(j))
+    d3_anti = d3_anti - np.einsum(
+        "...qjp,...iq->...ipj", np.conj(gamma), hess, optimize=True
+    )
+    d4 = None
+    if order == 4:
+        # u_{i jbar l mbar} = d_mbar u_{i jbar l} - conj(Gamma^q_mj) u_{i qbar l}
+        d4 = np.empty(grid.shape + (n, n, n, n), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                for l in range(n):
+                    hhat = grid.fft(d3_mixed[..., i, j, l])
+                    for m in range(n):
+                        d4[..., i, j, l, m] = grid.ifft(hhat * grid._symbol_zbar(m))
+        d4 = d4 - np.einsum(
+            "...qmj,...iql->...ijlm", np.conj(gamma), d3_mixed, optimize=True
+        )
+    return CovariantDerivatives(
+        grad=grad, hess=hess, hol2=hol2, d3_mixed=d3_mixed, d3_hol=d3_hol,
+        d3_anti=d3_anti, d4=d4,
+    )
+
+
+def commutation_residual(
+    grid: TorusGrid,
+    u: np.ndarray,
+    g: np.ndarray,
+    order: int = 3,
+    omit_torsion_product: bool = False,
+    tensors: ChernTensors | None = None,
+    derivatives: CovariantDerivatives | None = None,
+) -> float:
+    """Max-abs defect of the third- or fourth-order commutation identities.
+
+    order=3 takes the worst case over the three index-exchange identities
+
+        u_{i jbar l} = u_{l jbar i} - T^p_li u_{p jbar}
+        u_{p i jbar} = u_{p jbar i} + u_q R_{i jbar p}^q
+        u_{i pbar jbar} = u_{i jbar pbar} - conj(T^q_jp) u_{i qbar}
+
+    and order=4 measures
+
+        u_{i jbar l mbar} = u_{l mbar i jbar}
+            + u_{p jbar} R_{l mbar i}^p - u_{p mbar} R_{i jbar l}^p
+            - T^p_li u_{p mbar jbar} - conj(T^q_mj) u_{l qbar i}
+            + T^p_li conj(T^q_mj) u_{p qbar}.
+
+    ``omit_torsion_product`` drops the final torsion-squared term, a mutation
+    hook used to confirm the audit rejects the wrong identity.
+    """
+    if tensors is None:
+        tensors = chern_tensors(grid, g, with_curvature=True)
+    if tensors.curvature is None:
+        raise DomainError("commutation residuals need tensors built with curvature")
+    if derivatives is None:
+        derivatives = covariant_derivatives(grid, u, tensors, order=order)
+    t = tensors.torsion
+    r = tensors.curvature
+    d = derivatives
+    if order == 3:
+        res_a = (
+            d.d3_mixed
+            - np.swapaxes(d.d3_mixed, -3, -1)  # u_{l jbar i} in [i, j, l] slots
+            + np.einsum("...pli,...pj->...ijl", t, d.hess, optimize=True)
+        )
+        res_b = (
+            d.d3_hol
+            - np.transpose(d.d3_mixed, axes=tuple(range(d.d3_mixed.ndim - 3)) + (-3, -1, -2))
+            - np.einsum("...q,...ijpq->...pij", d.grad, r, optimize=True)
+        )
+        res_c = (
+            d.d3_anti
+            - np.swapaxes(d.d3_anti, -2, -1)  # u_{i jbar pbar} in [i, p, j] slots
+            + np.einsum("...qjp,...iq->...ipj", np.conj(t), d.hess, optimize=True)
+        )
+        return max(
+            float(np.abs(res_a).max()),
+            float(np.abs(res_b).max()),
+            float(np.abs(res_c).max()),
+        )
+    if order == 4:
+        if d.d4 is None:
+            raise DomainError("fourth-order residual needs order=4 derivatives")
+        res = (
+            d.d4
+            - np.transpose(d.d4, axes=tuple(range(d.d4.ndim - 4)) + (-2, -1, -4, -3))
+            - np.einsum("...lmip,...pj->...ijlm", r, d.hess, optimize=True)
+            + np.einsum("...ijlp,...pm->...ijlm", r, d.hess, optimize=True)
+            + np.einsum("...pli,...pmj->...ijlm", t, d.d3_anti, optimize=True)
+            + np.einsum("...qmj,...lqi->...ijlm", np.conj(t), d.d3_mixed, optimize=True)
+        )
+        if not omit_torsion_product:
+            res = res - np.einsum(
+                "...pli,...qmj,...pq->...ijlm", t, np.conj(t), d.hess, optimize=True
+            )
+        return float(np.abs(res).max())
+    raise DomainError(f"commutation residual order must be 3 or 4, got {order}")

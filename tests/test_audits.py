@@ -1,6 +1,7 @@
 """Audit layer tests with reduced sample counts and grids; the acceptance
 suite reruns the same audits at full size."""
 
+import dataclasses
 import json
 from math import comb, log
 
@@ -96,6 +97,22 @@ def test_lemma21_counts_nonpositive_denominators_per_row(monkeypatch):
     # i = 1: four positions j, three subsets each, three bad spectra per row
     assert rep.violations == 4 * 3 * 3
     assert sum(row["denominator_violations"] for row in rep.rows) == rep.violations
+    assert rep.passed is False
+
+
+def test_lemma21_reports_a_row_without_positive_denominators(monkeypatch):
+    # sigma_1(lambda|j) < 0 for every j and every sample: the i = 1 rows
+    # have no ratio to maximize, and the audit reports that instead of raising
+    _feed_cone_samples(monkeypatch, np.array([[1.0, 1.0, -5.0, -5.0]] * 4))
+    rep = audits.audit_lemma21(4, 3, samples=4)
+    empty = [row for row in rep.rows if row["i"] == 1]
+    assert len(empty) == 4 * 3
+    for row in empty:
+        assert row["denominator_violations"] == 4
+        assert row["max_ratio"] == np.inf
+        assert row["max_ratio_half"] == np.inf
+    assert rep.violations == 4 * 3 * 4
+    assert rep.constants["C_global"] == np.inf
     assert rep.passed is False
 
 
@@ -238,3 +255,55 @@ def test_commutation_audit_without_mutation_rows():
     rep = audits.audit_commutation(N_lo=8, N_hi=16, presets=("kahler",), orders=(3,))
     assert all(r["variant"] == "intact" for r in rep.rows)
     assert rep.constants["mutation_ratio"] == np.inf
+
+
+def _count_builds(monkeypatch):
+    """Wrap the Chern and derivative builds that audit_commutation calls,
+    recording each derivative build's order and result."""
+    built = {"chern": 0, "derivatives": []}
+    chern, derivatives = audits.chern_tensors, audits.covariant_derivatives
+
+    def counted_chern(*args, **kwargs):
+        built["chern"] += 1
+        return chern(*args, **kwargs)
+
+    def counted_derivatives(*args, **kwargs):
+        out = derivatives(*args, **kwargs)
+        built["derivatives"].append((kwargs.get("order"), out))
+        return out
+
+    monkeypatch.setattr(audits, "chern_tensors", counted_chern)
+    monkeypatch.setattr(audits, "covariant_derivatives", counted_derivatives)
+    return built
+
+
+def test_commutation_audit_builds_once_per_preset_and_grid(monkeypatch):
+    built = _count_builds(monkeypatch)
+    rep = audits.audit_commutation(N_lo=8, N_hi=16)
+    assert rep.passed
+    assert len(rep.rows) == 5  # two presets x two orders, plus the control
+    # (kahler, torsion) x (8, 16); every order and the control share them
+    assert built["chern"] == 4
+    assert [order for order, _ in built["derivatives"]] == [4] * 4
+
+
+def test_commutation_audit_builds_only_the_orders_it_checks(monkeypatch):
+    built = _count_builds(monkeypatch)
+    rep = audits.audit_commutation(N_lo=8, N_hi=16, orders=(3,))
+    assert rep.passed
+    assert [order for order, _ in built["derivatives"]] == [3] * 4
+    assert all(d.d4 is None for _, d in built["derivatives"])
+
+
+def test_commutation_audit_fails_when_the_shared_build_loses_its_torsion(monkeypatch):
+    chern = audits.chern_tensors
+
+    def torsion_free(*args, **kwargs):
+        tensors = chern(*args, **kwargs)
+        return dataclasses.replace(tensors, torsion=np.zeros_like(tensors.torsion))
+
+    monkeypatch.setattr(audits, "chern_tensors", torsion_free)
+    rep = audits.audit_commutation(N_lo=8, N_hi=16)
+    assert rep.passed is False
+    assert rep.violations > 0
+    assert not all(r["ok"] for r in rep.rows if r["preset"] == "torsion")

@@ -1,9 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+import oracles
 from khessian import geometry
+from khessian.audits import COMMUTATION_TERMS
 from khessian.errors import ConeViolationError, DomainError
 from khessian.geometry import TorusGrid, chern_tensors, metric_preset
+from khessian.operator import as_tensor_first
 
 from oracles import complex_hessian_fft, solve_laplacian_fft
 
@@ -282,6 +287,66 @@ def test_commutation_mutation_control():
         grid, u, g, order=4, omit_torsion_product=True
     )
     assert broken > 100.0 * intact
+
+
+# ------------------------------------- tensor-first route against oracle
+
+def _index_first_is_contiguous(stack: np.ndarray, grid: TorusGrid) -> bool:
+    rank = stack.ndim - len(grid.shape)
+    return np.moveaxis(stack, tuple(range(-rank, 0)), tuple(range(rank))).flags.c_contiguous
+
+
+def _assert_fields_match(new, ref, grid):
+    for f in fields(new):
+        a, b = getattr(new, f.name), getattr(ref, f.name)
+        if b is None:
+            assert a is None, f.name
+            continue
+        assert a.shape == b.shape, f.name
+        assert np.abs(a - b).max() <= 1e-12 * (1.0 + np.abs(b).max()), f.name
+        assert _index_first_is_contiguous(a, grid), f.name
+
+
+@pytest.mark.parametrize(
+    "n, N, preset, order",
+    [(2, 8, "kahler", 4), (2, 8, "torsion", 4), (2, 12, "kahler", 4),
+     (2, 12, "torsion", 4), (3, 8, "torsion", 3)],
+)
+def test_tensor_first_chern_route_matches_grid_first_oracle(n, N, preset, order):
+    grid = TorusGrid(n, N)
+    g = metric_preset(grid, preset, epsilon=0.15)
+    u = grid.trig_field([(a, m + (0,) * (2 * n - 4), p) for a, m, p in COMMUTATION_TERMS])
+    tensors = chern_tensors(grid, g)
+    _assert_fields_match(tensors, oracles.chern_tensors(grid, g), grid)
+    # both derivative routes read the same tensors, so each layer is
+    # compared on its own; the residuals are taken one route at a time to
+    # keep the n=3 case's peak memory down
+    variants = [(3, False)] + ([(4, False), (4, True)] if order == 4 else [])
+    derivs = geometry.covariant_derivatives(grid, u, tensors, order=order)
+    got = [
+        geometry.commutation_residual(grid, u, g, order=o, omit_torsion_product=omit,
+                                      tensors=tensors, derivatives=derivs)
+        for o, omit in variants
+    ]
+    ref = oracles.covariant_derivatives(grid, u, tensors, order=order)
+    _assert_fields_match(derivs, ref, grid)
+    del derivs
+    want = [
+        oracles.commutation_residual(grid, u, g, order=o, omit_torsion_product=omit,
+                                     tensors=tensors, derivatives=ref)
+        for o, omit in variants
+    ]
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+def test_metric_presets_and_inverse_are_index_first(grid8):
+    for name in geometry.PRESET_NAMES:
+        g = metric_preset(grid8, name)
+        assert _index_first_is_contiguous(g, grid8), name
+        assert as_tensor_first(g) is g  # no copy
+    assert _index_first_is_contiguous(geometry.inverse_metric(g), grid8)
+    u = grid8.trig_field([(0.4, [1, 0, 0, 0], 0.0)])
+    assert _index_first_is_contiguous(grid8.holomorphic_gradient(u), grid8)
 
 
 # ------------------------------------------------------------- functionals
