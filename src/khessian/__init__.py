@@ -38,7 +38,6 @@ from .geometry import (
     TorusGrid,
     chern_tensors,
     commutation_residual,
-    cone_band_integrand,
     covariant_derivatives,
     gradient_norm_sq,
     hessian_pencil_extremes,
@@ -47,14 +46,10 @@ from .geometry import (
     metric_preset,
 )
 from .operator import (
-    concavity_form,
     coordinate_gradient,
-    garding_floor,
     relative_eigenvalues,
     relative_eigenvalues_only,
-    sigma_root,
     sigma_root_gradient,
-    sigma_root_hessian,
 )
 from .solver import (
     RejectedAttempt,
@@ -76,7 +71,6 @@ from .symfunc import (
     sigma,
     sigma_restricted,
     sigma_restricted_each,
-    sigma_restricted_pairs,
 )
 
 __version__ = "0.1.0"
@@ -110,12 +104,9 @@ __all__ = [
     "basic_inequality_check",
     "chern_tensors",
     "commutation_residual",
-    "concavity_form",
-    "cone_band_integrand",
     "coordinate_gradient",
     "covariant_derivatives",
     "elementary_all",
-    "garding_floor",
     "gradient_band_form",
     "gradient_norm_sq",
     "hessian_pencil_extremes",
@@ -138,10 +129,7 @@ __all__ = [
     "sigma",
     "sigma_restricted",
     "sigma_restricted_each",
-    "sigma_restricted_pairs",
-    "sigma_root",
     "sigma_root_gradient",
-    "sigma_root_hessian",
     "solve",
     "unit_form",
 ]

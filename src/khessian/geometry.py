@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .symfunc import require_gamma_k, sigma_restricted_each
-from .operator import as_tensor_first, relative_eigenvalues, relative_eigenvalues_only
+from .operator import as_tensor_first, relative_eigenvalues_only
 
 
 class TorusGrid:
@@ -215,12 +214,6 @@ class TorusGrid:
             self._inv_lap = inv
         return self._inv_lap
 
-    def complex_laplacian(self, field: np.ndarray) -> np.ndarray:
-        """sum_j d_j d_jbar of a real field (real)."""
-        self._require_real(field, "complex_laplacian")
-        half = self.laplace_symbol[..., : self.N // 2 + 1]
-        return np.fft.irfftn(np.fft.rfftn(field) * half, s=self.shape, axes=self._axes)
-
     def solve_laplacian(self, rhs: np.ndarray) -> np.ndarray:
         """Real mean-zero solution of the complex Laplace equation for a real
         rhs; the rhs mean is discarded (zero mode of the symbol)."""
@@ -369,13 +362,6 @@ class ChernTensors:
     gamma: np.ndarray
     torsion: np.ndarray
     curvature: np.ndarray | None
-
-    def lowered_curvature(self) -> np.ndarray:
-        """R_{i jbar k lbar} = R_{i jbar k}^p g_{p lbar}."""
-        if self.curvature is None:
-            raise DomainError("tensors were built without curvature")
-        return np.einsum("...ijkp,...pl->...ijkl", self.curvature, self.metric,
-                         out=np.empty_like(self.curvature))
 
 
 def chern_tensors(grid: TorusGrid, g: np.ndarray, with_curvature: bool = True) -> ChernTensors:
@@ -583,28 +569,3 @@ def hessian_pencil_extremes(grid: TorusGrid, u: np.ndarray, g: np.ndarray):
     i.e. the range of |ddbar u|_g in the signed sense."""
     lam = relative_eigenvalues_only(g, grid.complex_hessian(u))
     return float(lam.min()), float(lam.max())
-
-
-def cone_band_integrand(
-    grid: TorusGrid, u: np.ndarray, g: np.ndarray, i: int, k: int
-) -> np.ndarray:
-    """Eigenframe density sum_a sigma_i(lambda | a) |c_a|^2 of the gradient
-    band, where lambda are the relative eigenvalues of omega_u = g + ddbar(u)
-    against g and c are the frame components of du.
-
-    Positive wherever omega_u lies in Gamma_{i+1}; requires pointwise
-    Gamma_k membership with 0 <= i <= k - 2.  The corresponding wedge-ratio
-    density carries an extra factor i! (n-i-1)! / n!.
-    """
-    n = grid.n
-    if not (0 <= i <= k - 2):
-        raise DomainError(f"band index must satisfy 0 <= i <= k-2, got i={i}, k={k}")
-    w = g + grid.complex_hessian(u)
-    lam, vecs = relative_eigenvalues(g, w, validate=False)
-    require_gamma_k(lam, k)
-    du = grid.holomorphic_gradient(u)
-    # frame components of du: with vecs^H g vecs = id the orthonormal frame
-    # carries conj(vecs), so c = vecs^H du
-    frame = np.einsum("...i,...ia->...a", du, np.conj(vecs), optimize=True)
-    sig = sigma_restricted_each(i, lam)
-    return np.einsum("...a,...a->...", sig, np.abs(frame) ** 2, optimize=True)

@@ -12,14 +12,17 @@ matrix polynomial
 
 which is Hermitian.  The solver runs on it, and ``PencilTable.gradient`` is
 the one coordinate derivative the package offers (there is no single-pencil
-``evaluate``).  The eigen route (``relative_eigenvalues`` and the eigenframe
-functions) serves callers whose output is a spectrum or an eigenframe
-quantity: derivative formulas there are evaluated in a g-orthonormal
-eigenframe (diagonal first derivative, the (2,2)-tensor second derivative
-splits into a "diagonal" block on real perturbation diagonals and an "off"
-block on off-diagonal moduli) and conjugated back to coordinates where
-needed.  Both routes take the Gamma_k verdict from ``symfunc`` with the
-floor SIGMA_FLOOR on sigma_k.
+``evaluate``).  The eigen route reduces the pencil by Cholesky and runs
+``eigh``: ``relative_eigenvalues_only`` serves callers whose output is a
+spectrum (the solve report's Hessian extremes), and ``relative_eigenvalues``
+adds a g-orthonormal eigenframe.  ``sigma_root_gradient`` (dF/dlambda in
+that frame) and ``coordinate_gradient`` (its conjugation back to
+coordinates) are the eigenframe form of ``PencilTable.gradient``.  Nothing
+in the package calls ``relative_eigenvalues`` or these two; they stay
+because ``perfbench/tracer.py`` wraps them by name.  The eigenframe value,
+second derivative and concavity form of F are test oracles
+(``tests/oracles.py``).  Both routes take the Gamma_k verdict from
+``symfunc`` with the floor SIGMA_FLOOR on sigma_k.
 
 All routines broadcast over leading batch axes; eigenvalue order is
 descending.  The kernel loops over the n x n matrix slots with whole-batch
@@ -34,14 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .symfunc import (
-    check_k,
-    elementary_all,
-    gamma_k_verdict,
-    require_gamma_k,
-    sigma_restricted_each,
-    sigma_restricted_pairs,
-)
+from .symfunc import check_k, gamma_k_verdict, require_gamma_k, sigma_restricted_each
 
 # strict-interior guard: sigma_k below this is treated as a cone exit so the
 # k-th root and its derivatives stay well conditioned
@@ -79,7 +75,7 @@ def _reduce_pencil(g, w):
     return chol, 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
-def relative_eigenvalues(g, w, validate: bool = True):
+def relative_eigenvalues(g, w):
     """Eigenpairs of w v = lambda g v for Hermitian w and positive definite g.
 
     Returns (lam, vecs) with lam descending along the last axis and
@@ -87,9 +83,8 @@ def relative_eigenvalues(g, w, validate: bool = True):
     vecs^H g vecs = identity.  Implemented by Cholesky reduction to an
     ordinary Hermitian problem, which keeps the eigenvalues real.
     """
-    if validate:
-        require_hermitian(g, "g")
-        require_hermitian(w, "w")
+    require_hermitian(g, "g")
+    require_hermitian(w, "w")
     chol, a = _reduce_pencil(g, w)
     lam, q = np.linalg.eigh(a)
     vecs = np.linalg.solve(np.conj(np.swapaxes(chol, -1, -2)), q)
@@ -101,65 +96,10 @@ def relative_eigenvalues_only(g, w) -> np.ndarray:
     return np.linalg.eigvalsh(_reduce_pencil(g, w)[1])[..., ::-1]
 
 
-def sigma_root(values, k: int) -> float | np.ndarray:
-    """F(lambda) = sigma_k(lambda)^{1/k} on the strict Gamma_k interior."""
-    # [k, ...] keeps a 0-d array: numpy's scalar power may round differently
-    out = require_gamma_k(values, k, SIGMA_FLOOR)[k, ...] ** (1.0 / k)
-    return float(out) if out.ndim == 0 else out
-
-
 def sigma_root_gradient(values, k: int) -> np.ndarray:
     """Eigenframe gradient: dF/dlambda_i = (1/k) sigma_k^{1/k-1} sigma_{k-1}(lambda|i)."""
     sk = require_gamma_k(values, k, SIGMA_FLOOR)[k, ...]
     return (1.0 / k) * sk[..., None] ** (1.0 / k - 1.0) * sigma_restricted_each(k - 1, values)
-
-
-def sigma_root_hessian(values, k: int):
-    """Eigenframe second derivative of F, split into its two blocks.
-
-    Returns (diag_block, off_block), each shaped like values + (n,):
-
-    diag_block[i, p] couples diagonal perturbations a_i a_p,
-        (1/k) sigma_k^{1/k-1} (1 - delta_ip) sigma_{k-2}(lambda|i,p)
-        + (1/k)(1/k - 1) sigma_k^{1/k-2} sigma_{k-1}(lambda|i) sigma_{k-1}(lambda|p);
-    off_block[i, p] multiplies |b_ip|^2 for i != p,
-        -(1/k) sigma_k^{1/k-1} sigma_{k-2}(lambda|i,p),
-    with zeros on its diagonal.
-    """
-    n = np.shape(values)[-1]
-    sk = require_gamma_k(values, k, SIGMA_FLOOR)[k, ...]
-    s1 = sigma_restricted_each(k - 1, values)
-    if k >= 2:
-        s2 = sigma_restricted_pairs(k - 2, values)
-    else:
-        s2 = np.zeros(np.shape(values) + (n,))
-    root1 = sk[..., None, None] ** (1.0 / k - 1.0)
-    root2 = sk[..., None, None] ** (1.0 / k - 2.0)
-    eye = np.eye(n)
-    diag = (1.0 / k) * root1 * (1.0 - eye) * s2 + (1.0 / k) * (
-        1.0 / k - 1.0
-    ) * root2 * s1[..., :, None] * s1[..., None, :]
-    off = -(1.0 / k) * root1 * s2 * (1.0 - eye)
-    return diag, off
-
-
-def garding_floor(values, k: int, trace_cap: float | None = None) -> float | np.ndarray:
-    """min_i dF/dlambda_i, the uniform ellipticity floor of the linearization.
-
-    For spectra with sigma_1 bounded (``trace_cap``) and sigma_k bounded
-    below, the floor is bounded away from zero; passing trace_cap asserts
-    the bound as a precondition.
-    """
-    lam = np.asarray(values, dtype=float)
-    if trace_cap is not None:
-        s1 = elementary_all(lam)[..., 1]
-        if np.any(s1 > trace_cap):
-            raise DomainError(
-                f"sigma_1 exceeds the stated trace cap {trace_cap}"
-            )
-    grad = sigma_root_gradient(lam, k)
-    out = grad.min(axis=-1)
-    return float(out) if out.ndim == 0 else out
 
 
 def coordinate_gradient(vecs, grad_diag) -> np.ndarray:
@@ -168,27 +108,6 @@ def coordinate_gradient(vecs, grad_diag) -> np.ndarray:
     return np.einsum(
         "...ia,...a,...ja->...ij", vecs, grad_diag, np.conj(vecs), optimize=True
     )
-
-
-def concavity_form(values, k: int, diag_perturb, off_perturb) -> float | np.ndarray:
-    """Quadratic form of the eigenframe second derivative.
-
-    diag_perturb: real (..., n) diagonal entries a_i of the Hermitian
-    perturbation in the eigenframe; off_perturb: (..., n, n) complex
-    off-diagonal entries b_ip (diagonal ignored).  On Gamma_k the value is
-    <= 0 (F is concave); at simple pinned spectra this is exactly
-
-        sum_{i,p} diag[i,p] a_i a_p + sum_{i != p} off[i,p] |b_ip|^2.
-    """
-    diag_block, off_block = sigma_root_hessian(values, k)
-    a = np.asarray(diag_perturb, dtype=float)
-    b = np.asarray(off_perturb, dtype=complex)
-    quad = np.einsum("...ip,...i,...p->...", diag_block, a, a, optimize=True)
-    mask = 1.0 - np.eye(a.shape[-1])
-    quad = quad + np.einsum(
-        "...ip,...ip->...", off_block * mask, np.abs(b) ** 2, optimize=True
-    )
-    return float(quad) if np.ndim(quad) == 0 else quad
 
 
 # ----------------------------------------------------------- pencil kernel

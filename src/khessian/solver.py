@@ -49,14 +49,11 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConeViolationError, DomainError, LinearSolveError, SolveFailure
-from .geometry import TorusGrid, gradient_norm_sq, inverse_metric
-from .operator import (
-    PencilTable,
-    as_tensor_first,
-    pencil_table,
-    relative_eigenvalues_only,
-    require_hermitian,
-)
+from .geometry import TorusGrid, gradient_norm_sq, hessian_pencil_extremes, inverse_metric
+from .operator import PencilTable, as_tensor_first, pencil_table, require_hermitian
+# not called here: perfbench/test_perfbench.py checks that its tracer
+# restores this module's binding of the name
+from .operator import relative_eigenvalues_only  # noqa: F401
 from .symfunc import check_k
 
 # Smallest continuation step, as a fraction of the cap 1/continuation_steps.
@@ -180,9 +177,11 @@ class SolveReport:
 
 # --------------------------------------------------------------- residuals
 
-def _require_metric(grid: TorusGrid, g: np.ndarray) -> None:
-    """Reject a metric the pencil kernel cannot run on, with DomainError: the
-    kernel inverts g and would not notice an indefinite or non-Hermitian one."""
+def _require_metric(grid: TorusGrid, g) -> np.ndarray:
+    """g as an array, or DomainError for a metric the pencil kernel cannot
+    run on: the kernel inverts g and would not notice an indefinite or
+    non-Hermitian one."""
+    g = np.asarray(g)
     n = grid.n
     if g.shape != grid.shape + (n, n):
         raise DomainError(f"metric shape {g.shape} does not match grid {grid.shape}")
@@ -193,6 +192,19 @@ def _require_metric(grid: TorusGrid, g: np.ndarray) -> None:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise DomainError("g must be positive definite at every node") from exc
+    return g
+
+
+def _require_source(grid: TorusGrid, f) -> np.ndarray:
+    """f as an array, or DomainError unless it is a finite real grid field."""
+    f = np.asarray(f)
+    if np.iscomplexobj(f):
+        raise DomainError("source f must be real")
+    if f.shape != grid.shape:
+        raise DomainError(f"source shape {f.shape} does not match grid {grid.shape}")
+    if not np.all(np.isfinite(f)):
+        raise DomainError("source f has non-finite values")
+    return f
 
 
 def _residual(table: PencilTable, f: np.ndarray, b: float) -> np.ndarray:
@@ -204,8 +216,9 @@ def residual_field(
     grid: TorusGrid, u: np.ndarray, b: float, f: np.ndarray, g: np.ndarray, k: int
 ) -> np.ndarray:
     """k-th-root residual F - exp((f + b)/k); raises if omega_u exits Gamma_k."""
-    _require_metric(grid, g)
-    table = pencil_table(inverse_metric(g), g + grid.complex_hessian(u), k)
+    g = _require_metric(grid, g)
+    f = _require_source(grid, f)
+    table = pencil_table(inverse_metric(g), g + grid.complex_hessian(np.asarray(u)), k)
     if not table.inside:
         raise ConeViolationError(f"omega_u left Gamma_{k}")
     return _residual(table, f, b)
@@ -213,8 +226,8 @@ def residual_field(
 
 def manufactured_source(grid: TorusGrid, g: np.ndarray, u_star: np.ndarray, k: int) -> np.ndarray:
     """Source f with exact solution (u_star, b = 0): f = log sigma_k(lambda)."""
-    _require_metric(grid, g)
-    table = pencil_table(inverse_metric(g), g + grid.complex_hessian(u_star), k)
+    g = _require_metric(grid, g)
+    table = pencil_table(inverse_metric(g), g + grid.complex_hessian(np.asarray(u_star)), k)
     if not table.inside:
         raise ConeViolationError("manufactured potential leaves Gamma_k; reduce amplitude")
     return np.log(table.sigma[k])
@@ -428,11 +441,8 @@ def solve(
     options = (options or SolverOptions()).validated()
     n = grid.n
     check_k(k, n)
-    if f.shape != grid.shape:
-        raise DomainError(f"source shape {f.shape} does not match grid {grid.shape}")
-    if not np.all(np.isfinite(f)):
-        raise DomainError("source f has non-finite values")
-    _require_metric(grid, g)
+    f = _require_source(grid, f)
+    g = _require_metric(grid, g)
     start = time.perf_counter()
     log_identity = log(comb(n, k))
     ginv = inverse_metric(g)
@@ -486,8 +496,7 @@ def solve(
     if success:
         u = u - u.max()  # gauge: sup u = 0
     # spectrum of (g, g + ddbar u) is 1 + spectrum of (g, ddbar u)
-    lam = relative_eigenvalues_only(g, grid.complex_hessian(u))
-    lo, hi = float(lam.min()), float(lam.max())
+    lo, hi = hessian_pencil_extremes(grid, u, g)
     report = SolveReport(
         success=success,
         n=n,

@@ -94,23 +94,10 @@ def sigma_restricted_each(r: int, values) -> np.ndarray:
     return np.stack([sigma_restricted(r, lam, i) for i in range(lam.shape[-1])], axis=-1)
 
 
-def sigma_restricted_pairs(r: int, values) -> np.ndarray:
-    """sigma_r(values | i, p) for every index pair, shape values.shape + (n,).
-
-    Symmetric in (i, p); the diagonal holds the single-deletion value
-    sigma_r(values | i).
-    """
-    lam = np.asarray(values, dtype=float)
-    n = lam.shape[-1]
-    out = np.empty(lam.shape + (n,), dtype=float)
-    for i in range(n):
-        for p in range(i, n):
-            out[..., i, p] = out[..., p, i] = sigma_restricted(r, lam, {i, p})
-    return out
-
-
 def check_k(k: int, n: int) -> None:
-    """Reject a cone index outside 1 <= k <= n."""
+    """Reject a cone index that is not an integer with 1 <= k <= n."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise DomainError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
 

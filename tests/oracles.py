@@ -21,7 +21,14 @@ from khessian.geometry import (
     gradient_norm_sq,
     inverse_metric,
 )
-from khessian.symfunc import in_gamma_k
+from khessian.operator import SIGMA_FLOOR, relative_eigenvalues, sigma_root_gradient
+from khessian.symfunc import (
+    elementary_all,
+    in_gamma_k,
+    require_gamma_k,
+    sigma_restricted,
+    sigma_restricted_each,
+)
 
 
 def sigma_enumerated(lam, k: int) -> float:
@@ -144,6 +151,127 @@ def eigen_pencil(g, w, k: int):
     return lam, sig, vecs @ np.diag(grad) @ vecs.conj().T
 
 
+# ------------------------------------------------ eigenframe route (spectra)
+# F = sigma_k^{1/k} as a function of the spectrum, with its second derivative
+# split in a g-orthonormal eigenframe.  The package's solver runs the
+# eigen-free pencil kernel instead; these formulas check it from outside.
+
+
+def sigma_restricted_pairs(r: int, values) -> np.ndarray:
+    """sigma_r(values | i, p) for every index pair, shape values.shape + (n,).
+
+    Symmetric in (i, p); the diagonal holds the single-deletion value
+    sigma_r(values | i).
+    """
+    lam = np.asarray(values, dtype=float)
+    n = lam.shape[-1]
+    out = np.empty(lam.shape + (n,), dtype=float)
+    for i in range(n):
+        for p in range(i, n):
+            out[..., i, p] = out[..., p, i] = sigma_restricted(r, lam, {i, p})
+    return out
+
+
+def sigma_root(values, k: int) -> float | np.ndarray:
+    """F(lambda) = sigma_k(lambda)^{1/k} on the strict Gamma_k interior."""
+    # [k, ...] keeps a 0-d array: numpy's scalar power may round differently
+    out = require_gamma_k(values, k, SIGMA_FLOOR)[k, ...] ** (1.0 / k)
+    return float(out) if out.ndim == 0 else out
+
+
+def sigma_root_hessian(values, k: int):
+    """Eigenframe second derivative of F, split into its two blocks.
+
+    Returns (diag_block, off_block), each shaped like values + (n,):
+
+    diag_block[i, p] couples diagonal perturbations a_i a_p,
+        (1/k) sigma_k^{1/k-1} (1 - delta_ip) sigma_{k-2}(lambda|i,p)
+        + (1/k)(1/k - 1) sigma_k^{1/k-2} sigma_{k-1}(lambda|i) sigma_{k-1}(lambda|p);
+    off_block[i, p] multiplies |b_ip|^2 for i != p,
+        -(1/k) sigma_k^{1/k-1} sigma_{k-2}(lambda|i,p),
+    with zeros on its diagonal.
+    """
+    n = np.shape(values)[-1]
+    sk = require_gamma_k(values, k, SIGMA_FLOOR)[k, ...]
+    s1 = sigma_restricted_each(k - 1, values)
+    if k >= 2:
+        s2 = sigma_restricted_pairs(k - 2, values)
+    else:
+        s2 = np.zeros(np.shape(values) + (n,))
+    root1 = sk[..., None, None] ** (1.0 / k - 1.0)
+    root2 = sk[..., None, None] ** (1.0 / k - 2.0)
+    eye = np.eye(n)
+    diag = (1.0 / k) * root1 * (1.0 - eye) * s2 + (1.0 / k) * (
+        1.0 / k - 1.0
+    ) * root2 * s1[..., :, None] * s1[..., None, :]
+    off = -(1.0 / k) * root1 * s2 * (1.0 - eye)
+    return diag, off
+
+
+def garding_floor(values, k: int, trace_cap: float | None = None) -> float | np.ndarray:
+    """min_i dF/dlambda_i, the uniform ellipticity floor of the linearization.
+
+    For spectra with sigma_1 bounded (``trace_cap``) and sigma_k bounded
+    below, the floor is bounded away from zero; passing trace_cap asserts
+    the bound as a precondition.
+    """
+    lam = np.asarray(values, dtype=float)
+    if trace_cap is not None:
+        s1 = elementary_all(lam)[..., 1]
+        if np.any(s1 > trace_cap):
+            raise DomainError(
+                f"sigma_1 exceeds the stated trace cap {trace_cap}"
+            )
+    grad = sigma_root_gradient(lam, k)
+    out = grad.min(axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def concavity_form(values, k: int, diag_perturb, off_perturb) -> float | np.ndarray:
+    """Quadratic form of the eigenframe second derivative.
+
+    diag_perturb: real (..., n) diagonal entries a_i of the Hermitian
+    perturbation in the eigenframe; off_perturb: (..., n, n) complex
+    off-diagonal entries b_ip (diagonal ignored).  On Gamma_k the value is
+    <= 0 (F is concave); at simple pinned spectra this is exactly
+
+        sum_{i,p} diag[i,p] a_i a_p + sum_{i != p} off[i,p] |b_ip|^2.
+    """
+    diag_block, off_block = sigma_root_hessian(values, k)
+    a = np.asarray(diag_perturb, dtype=float)
+    b = np.asarray(off_perturb, dtype=complex)
+    quad = np.einsum("...ip,...i,...p->...", diag_block, a, a, optimize=True)
+    mask = 1.0 - np.eye(a.shape[-1])
+    quad = quad + np.einsum(
+        "...ip,...ip->...", off_block * mask, np.abs(b) ** 2, optimize=True
+    )
+    return float(quad) if np.ndim(quad) == 0 else quad
+
+
+def cone_band_integrand(
+    grid: TorusGrid, u: np.ndarray, g: np.ndarray, i: int, k: int
+) -> np.ndarray:
+    """Eigenframe density sum_a sigma_i(lambda | a) |c_a|^2 of the gradient
+    band, where lambda are the relative eigenvalues of omega_u = g + ddbar(u)
+    against g and c are the frame components of du.
+
+    Positive wherever omega_u lies in Gamma_{i+1}; requires pointwise
+    Gamma_k membership with 0 <= i <= k - 2.  The corresponding wedge-ratio
+    density carries an extra factor i! (n-i-1)! / n!.
+    """
+    if not (0 <= i <= k - 2):
+        raise DomainError(f"band index must satisfy 0 <= i <= k-2, got i={i}, k={k}")
+    w = g + grid.complex_hessian(u)
+    lam, vecs = relative_eigenvalues(g, w)
+    require_gamma_k(lam, k)
+    du = grid.holomorphic_gradient(u)
+    # frame components of du: with vecs^H g vecs = id the orthonormal frame
+    # carries conj(vecs), so c = vecs^H du
+    frame = np.einsum("...i,...ia->...a", du, np.conj(vecs), optimize=True)
+    sig = sigma_restricted_each(i, lam)
+    return np.einsum("...a,...a->...", sig, np.abs(frame) ** 2, optimize=True)
+
+
 # ------------------------------------------- complex-FFT route (torus grid)
 
 def _wavenumber_views(n: int, N: int):
@@ -188,6 +316,13 @@ def solve_laplacian_fft(rhs, n: int) -> np.ndarray:
     hat = np.fft.fftn(rhs) / sym
     hat[zero] = 0.0
     return np.fft.ifftn(hat)
+
+
+def complex_laplacian(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
+    """sum_j d_j d_jbar of a real field (real), on the real-FFT half spectrum."""
+    grid._require_real(field, "complex_laplacian")
+    half = grid.laplace_symbol[..., : grid.N // 2 + 1]
+    return np.fft.irfftn(np.fft.rfftn(field) * half, s=grid.shape, axes=grid._axes)
 
 
 # ------------------------------------------- Form route (lemma-22 integrands)
@@ -418,3 +553,11 @@ def commutation_residual(
             )
         return float(np.abs(res).max())
     raise DomainError(f"commutation residual order must be 3 or 4, got {order}")
+
+
+def lowered_curvature(tensors: ChernTensors) -> np.ndarray:
+    """R_{i jbar k lbar} = R_{i jbar k}^p g_{p lbar}."""
+    if tensors.curvature is None:
+        raise DomainError("tensors were built without curvature")
+    return np.einsum("...ijkp,...pl->...ijkl", tensors.curvature, tensors.metric,
+                     out=np.empty_like(tensors.curvature))

@@ -15,11 +15,7 @@ import pytest
 import oracles
 from khessian import audits
 from khessian.geometry import TorusGrid, metric_preset
-from khessian.operator import (
-    concavity_form,
-    relative_eigenvalues_only,
-    sigma_root_gradient,
-)
+from khessian.operator import pencil_table, relative_eigenvalues_only, sigma_root_gradient
 from khessian.solver import SolverOptions, manufactured_source, recovery_error, solve
 from khessian.symfunc import elementary_all, sample_gamma_k
 
@@ -114,12 +110,41 @@ def test_criterion_3_determinant_route_along_path():
     )
 
 
+def _pencils_with_spectra(rng, lam):
+    """Pencils (g, w) whose relative eigenvalues are the rows of lam:
+    g = L L^H with L = I + 0.1 (complex Gaussian) and
+    w = L U diag(lam) U^H L^H with U Haar-unitary."""
+    m, n = lam.shape
+    chol = np.eye(n) + 0.1 * (rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n)))
+    q, r = np.linalg.qr(rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n)))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    frame = chol @ (q * (diag / np.abs(diag))[:, None, :])
+    w = (frame * lam[:, None, :]) @ np.conj(np.swapaxes(frame, -1, -2))
+    w = 0.5 * (w + np.conj(np.swapaxes(w, -1, -2)))
+    return chol @ np.conj(np.swapaxes(chol, -1, -2)), w
+
+
+def _unit_hermitian(rng, shape):
+    """Hermitian matrices of unit Frobenius norm, shape (..., n, n)."""
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    h = x + np.conj(np.swapaxes(x, -1, -2))
+    return h / np.linalg.norm(h, axis=(-2, -1))[..., None, None]
+
+
 def test_criterion_4_derivative_identities_on_samples():
     """On sampled cone spectra: the Euler identity sum_i F^i lambda_i = F
     holds to 1e-10 relative (1e4 samples); the analytic gradient matches
     central differences at step 1e-5 to 1e-6 on interior samples; the
-    second-derivative quadratic form is nonpositive to 1e-10 (1e3 samples,
-    10 perturbations each)."""
+    second-derivative quadratic form (the eigenframe oracle) is nonpositive
+    to 1e-10 (1e3 samples, 10 perturbations each).
+
+    The same three identities on the pencil kernel the solver runs, on
+    pencils (g, w) with the sampled spectra: Re tr(Phi w) = F to 1e-10
+    relative; Re tr(Phi H) matches central differences of
+    ``PencilTable.root`` at step 1e-5 to 1e-6 along unit-Frobenius
+    Hermitian H (interior samples); second differences of F at step 1e-3,
+    divided by h^2, are at most 1e-7 F along such H and along the flat
+    ray H = w / |w|, where F is exactly linear."""
     ok = True
     details = []
     for n, k in ((3, 2), (4, 3)):
@@ -153,13 +178,45 @@ def test_criterion_4_derivative_identities_on_samples():
         off = rng.normal(size=lam_c.shape + (n,)) + 1j * rng.normal(
             size=lam_c.shape + (n,)
         )
-        quad = concavity_form(lam_c, k, diag, off)
+        quad = oracles.concavity_form(lam_c, k, diag, off)
         ok = ok and quad.max() <= 1e-10
         details.append(f"concavity({n},{k})={quad.max():.1e}")
+
+        # the pencil kernel on the same spectra
+        rng = np.random.default_rng(11)
+        g, w = _pencils_with_spectra(rng, lam)
+        ginv = np.linalg.inv(g)
+        table = pencil_table(ginv, w, k)
+        root = table.root()
+        phi = table.gradient(ginv)
+        k_euler = np.abs(np.einsum("...ij,...ji->...", phi, w).real - root) / root
+        ok = ok and k_euler.max() <= 1e-10
+        details.append(f"kernel_euler({n},{k})={k_euler.max():.1e}")
+
+        g_in, w_in, ginv_in = g[interior], w[interior], ginv[interior]
+        root_in, phi_in = root[interior], phi[interior]
+
+        def f_along(direction, step):
+            return pencil_table(ginv_in, w_in + step * direction, k).root()
+
+        pert = _unit_hermitian(rng, w_in.shape)
+        slope = np.einsum("...ij,...ji->...", phi_in, pert).real
+        k_gd = np.abs((f_along(pert, h) - f_along(pert, -h)) / (2.0 * h) - slope).max()
+        ok = ok and k_gd <= 1e-6
+        details.append(f"kernel_grad_fd({n},{k})={k_gd:.1e}")
+
+        h2 = 1e-3
+        flat = w_in / np.linalg.norm(w_in, axis=(-2, -1))[..., None, None]
+        second = max(
+            ((f_along(d, h2) - 2.0 * root_in + f_along(d, -h2)) / (h2 * h2 * root_in)).max()
+            for d in (pert, flat)
+        )
+        ok = ok and second <= 1e-7
+        details.append(f"kernel_d2({n},{k})={second:.1e}")
     verdict(
-        "criterion 4: Euler / gradient / concavity identities",
+        "criterion 4: Euler / gradient / concavity identities, eigenframe and kernel",
         ok,
-        "; ".join(details) + " (tols 1e-10, 1e-6, 1e-10)",
+        "; ".join(details) + " (tols 1e-10, 1e-6, 1e-10; kernel 1e-10, 1e-6, 1e-7 F)",
     )
 
 

@@ -3,9 +3,10 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from khessian import forms, geometry, operator
+from khessian import audits, forms, geometry, operator
 from khessian.geometry import TorusGrid, metric_preset
 
+from oracles import cone_band_integrand
 from oracles import random_hermitian_field as _random_hermitian_field
 
 
@@ -109,12 +110,14 @@ def test_gradient_band_matches_gradient_norm(grid):
 
 @pytest.mark.parametrize("n,k,i", [(2, 2, 0), (3, 2, 0), (3, 3, 0), (3, 3, 1)])
 def test_cone_band_integrand_dual_route(n, k, i, grid, grid3):
+    # the eigenframe density against the Form route, and both against the
+    # lemma-22 audit's contraction route without its sqrt-1 d dbar omega part
     g_grid = grid if n == 2 else grid3
     rng = np.random.default_rng(100 + 10 * n + k + i)
     g = _random_hermitian_field(g_grid, rng, base=1.5, scale=0.1)
     u = g_grid.trig_field([(0.03, [1, 0, 0, 0] + [0] * (2 * n - 4), 0.2),
                            (0.02, [0, 1, 1, 0] + [0] * (2 * n - 4), 1.1)])
-    band = geometry.cone_band_integrand(g_grid, u, g, i, k)
+    band = cone_band_integrand(g_grid, u, g, i, k)
     omega = forms.metric_form(g_grid, g)
     omega_u = forms.metric_form(g_grid, g + g_grid.complex_hessian(u))
     wedge = forms.gradient_band_form(g_grid, u).wedge(
@@ -124,3 +127,7 @@ def test_cone_band_integrand_dual_route(n, k, i, grid, grid3):
     factor = factorial(i) * factorial(n - i - 1) / factorial(n)
     assert np.abs(ratio.imag).max() < 1e-10
     assert np.abs(ratio.real - factor * band).max() < 1e-10
+    density, correction = audits._lemma22_terms(g_grid, g, u)[2][i]
+    if correction is not None:
+        density = density - correction
+    assert np.abs(density - factor * band).max() < 1e-10

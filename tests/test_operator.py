@@ -6,7 +6,16 @@ from hypothesis import strategies as st
 from khessian import operator, symfunc
 from khessian.errors import ConeViolationError, DomainError
 
-from oracles import central_difference, eigen_pencil, hermitian_random, random_unitary
+from oracles import (
+    central_difference,
+    concavity_form,
+    eigen_pencil,
+    garding_floor,
+    hermitian_random,
+    random_unitary,
+    sigma_root,
+    sigma_root_hessian,
+)
 
 
 # ------------------------------------------------------- eigenvalue pencil
@@ -60,22 +69,22 @@ def test_relative_eigenvalues_rejects_bad_inputs():
 # ------------------------------------------------------- operator values
 
 def test_sigma_root_pinned():
-    assert operator.sigma_root(np.array([4.0, 2.0, 1.0]), 3) == pytest.approx(2.0)
-    assert operator.sigma_root(np.array([1.0, 1.0]), 2) == pytest.approx(1.0)
+    assert sigma_root(np.array([4.0, 2.0, 1.0]), 3) == pytest.approx(2.0)
+    assert sigma_root(np.array([1.0, 1.0]), 2) == pytest.approx(1.0)
     from math import comb, sqrt
 
-    assert operator.sigma_root(np.ones(3), 2) == pytest.approx(sqrt(3.0))
+    assert sigma_root(np.ones(3), 2) == pytest.approx(sqrt(3.0))
     for n, k in [(2, 1), (3, 2), (4, 3)]:
-        assert operator.sigma_root(np.ones(n), k) == pytest.approx(comb(n, k) ** (1 / k))
+        assert sigma_root(np.ones(n), k) == pytest.approx(comb(n, k) ** (1 / k))
 
 
 def test_sigma_root_cone_guard():
     with pytest.raises(ConeViolationError):
-        operator.sigma_root(np.array([2.0, 2.0, -1.0]), 2)  # sigma_2 = 0
+        sigma_root(np.array([2.0, 2.0, -1.0]), 2)  # sigma_2 = 0
     with pytest.raises(ConeViolationError):
-        operator.sigma_root(np.array([1.0, 1e-16]), 2)  # below interior floor
+        sigma_root(np.array([1.0, 1e-16]), 2)  # below interior floor
     batch = np.array([[1.0, 1.0], [2.0, -3.0], [1.0, 1e-16], [3.0, 1.0]])
-    for fn in (operator.sigma_root, operator.sigma_root_gradient, operator.sigma_root_hessian):
+    for fn in (sigma_root, operator.sigma_root_gradient, sigma_root_hessian):
         with pytest.raises(ConeViolationError) as info:
             fn(batch, 2)
         assert info.value.count == 2
@@ -87,7 +96,7 @@ def test_gradient_pinned():
 
 
 def test_hessian_pinned_n2_k2():
-    diag, off = operator.sigma_root_hessian(np.array([1.0, 1.0]), 2)
+    diag, off = sigma_root_hessian(np.array([1.0, 1.0]), 2)
     assert diag[0, 1] == pytest.approx(0.25)
     assert diag[1, 0] == pytest.approx(0.25)
     assert diag[0, 0] == pytest.approx(-0.25)
@@ -100,7 +109,7 @@ def test_hessian_pinned_n2_k2():
 def test_k1_hessian_vanishes():
     # F = sigma_1 is linear
     lam = symfunc.sample_gamma_k(4, 1, count=20, seed=0)
-    diag, off = operator.sigma_root_hessian(lam, 1)
+    diag, off = sigma_root_hessian(lam, 1)
     assert np.abs(diag).max() < 1e-14
     assert np.abs(off).max() < 1e-14
 
@@ -111,7 +120,7 @@ def test_k1_hessian_vanishes():
 def test_euler_identity(n, k):
     lam = symfunc.sample_gamma_k(n, k, count=2000, seed=n * 10 + k)
     grad = operator.sigma_root_gradient(lam, k)
-    val = operator.sigma_root(lam, k)
+    val = sigma_root(lam, k)
     lhs = np.einsum("si,si->s", grad, lam)
     assert np.abs(lhs / val - 1.0).max() < 1e-10
 
@@ -124,7 +133,7 @@ def test_gradient_matches_finite_differences(n, k):
     h = 1e-5
     for row in lam:
         grad = operator.sigma_root_gradient(row, k)
-        fd = central_difference(lambda x: operator.sigma_root(x, k), row, h)
+        fd = central_difference(lambda x: sigma_root(x, k), row, h)
         denom = max(1.0, np.abs(grad).max())
         assert np.abs(grad - fd).max() / denom < 1e-6
 
@@ -135,16 +144,16 @@ def test_hessian_matches_finite_differences(n, k):
     lam = lam[symfunc.sigma(k, lam) >= 0.1][:10]
     h = 1e-4
     for row in lam:
-        diag, _ = operator.sigma_root_hessian(row, k)
+        diag, _ = sigma_root_hessian(row, k)
         for i in range(n):
             for p in range(n):
                 ei = np.zeros(n); ei[i] = h
                 ep = np.zeros(n); ep[p] = h
                 fd = (
-                    operator.sigma_root(row + ei + ep, k)
-                    - operator.sigma_root(row + ei - ep, k)
-                    - operator.sigma_root(row - ei + ep, k)
-                    + operator.sigma_root(row - ei - ep, k)
+                    sigma_root(row + ei + ep, k)
+                    - sigma_root(row + ei - ep, k)
+                    - sigma_root(row - ei + ep, k)
+                    + sigma_root(row - ei - ep, k)
                 ) / (4 * h * h)
                 assert diag[i, p] == pytest.approx(fd, rel=2e-4, abs=2e-4)
 
@@ -156,7 +165,7 @@ def test_concavity_of_quadratic_form(n, k):
     for row in lam:
         a = rng.normal(size=(200, n))
         b = rng.normal(size=(200, n, n)) + 1j * rng.normal(size=(200, n, n))
-        quad = operator.concavity_form(np.broadcast_to(row, (200, n)), k, a, b)
+        quad = concavity_form(np.broadcast_to(row, (200, n)), k, a, b)
         assert np.all(quad <= 1e-10 * np.maximum(1.0, np.abs(quad)))
 
 
@@ -166,7 +175,7 @@ def test_off_block_matches_eigenvalue_perturbation():
     # compare to finite differences through the full eigenvalue route.
     lam0 = np.array([2.0, 1.2, 0.7])
     k = 2
-    _, off = operator.sigma_root_hessian(lam0, k)
+    _, off = sigma_root_hessian(lam0, k)
     t = 1e-4
     for i, p in [(0, 1), (0, 2), (1, 2)]:
         pert = np.zeros((3, 3), dtype=complex)
@@ -176,7 +185,7 @@ def test_off_block_matches_eigenvalue_perturbation():
         def f(s):
             w = np.diag(lam0).astype(complex) + s * pert
             ev = np.linalg.eigvalsh(w)[::-1]
-            return operator.sigma_root(ev, k)
+            return sigma_root(ev, k)
 
         second = (f(t) - 2 * f(0.0) + f(-t)) / (t * t)
         assert second == pytest.approx(2.0 * off[i, p], rel=5e-4, abs=5e-4)
@@ -207,7 +216,7 @@ def test_pencil_gradient_is_hermitian_and_consistent():
     t = 1e-6
     lam_p = operator.relative_eigenvalues_only(g, w + t * eta)
     lam_m = operator.relative_eigenvalues_only(g, w - t * eta)
-    fd = (operator.sigma_root(lam_p, 2) - operator.sigma_root(lam_m, 2)) / (2 * t)
+    fd = (sigma_root(lam_p, 2) - sigma_root(lam_m, 2)) / (2 * t)
     analytic = np.real(np.sum(phi * eta.conj()))
     assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
@@ -218,7 +227,7 @@ def test_garding_floor_identity_spectrum():
     from math import comb
 
     n, k = 3, 2
-    floor = operator.garding_floor(np.ones(n), k)
+    floor = garding_floor(np.ones(n), k)
     expect = (1.0 / k) * comb(n, k) ** (1.0 / k - 1.0) * comb(n - 1, k - 1)
     assert floor == pytest.approx(expect)
 
@@ -230,14 +239,14 @@ def test_garding_floor_positive_as_top_eigenvalue_grows():
         c = (3.0 - t) / (1.0 + t)
         lam = symfunc.spectrum([t, 1.0, c])
         assert symfunc.sigma(2, lam) == pytest.approx(3.0)
-        floor = operator.garding_floor(lam, 2)
+        floor = garding_floor(lam, 2)
         assert 0.0 < floor <= prev + 1e-12
         prev = floor
 
 
 def test_garding_floor_trace_cap_enforced():
     with pytest.raises(DomainError):
-        operator.garding_floor(np.array([10.0, 1.0, 0.5]), 2, trace_cap=5.0)
+        garding_floor(np.array([10.0, 1.0, 0.5]), 2, trace_cap=5.0)
 
 
 @settings(max_examples=100, deadline=None)

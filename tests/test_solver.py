@@ -337,6 +337,36 @@ def test_solve_input_validation():
         solve(grid, g, np.zeros((4, 4, 4, 4)), 2)
 
 
+@pytest.mark.parametrize("bad", ["f_list", "g_list", "f_complex", "k_float"])
+def test_boundary_inputs(bad):
+    # lists raised AttributeError, a complex f failed deep in the solve
+    # after a ComplexWarning, and k=2.0 raised TypeError
+    grid = TorusGrid(2, 8)
+    g = metric_preset(grid, "euclidean")
+    f = grid.zeros()
+    k = 2
+    if bad == "f_list":
+        f = f.tolist()
+    elif bad == "g_list":
+        g = g.tolist()
+    elif bad == "f_complex":
+        f = f + 0.1j
+    else:
+        k = 2.0
+    if bad in ("f_list", "g_list"):  # accepted as arrays
+        assert solve(grid, g, f, k).success
+        assert np.abs(residual_field(grid, grid.zeros(), 0.0, f, g, k)).max() < 1e-14
+        assert np.abs(manufactured_source(grid, g, grid.zeros().tolist(), k)).max() < 1e-14
+        return
+    with pytest.raises(DomainError):
+        solve(grid, g, f, k)
+    with pytest.raises(DomainError):
+        residual_field(grid, grid.zeros(), 0.0, f, g, k)
+    if bad == "k_float":
+        with pytest.raises(DomainError, match="integer"):
+            manufactured_source(grid, g, grid.zeros(), k)
+
+
 def test_solve_rejects_nan_source():
     # without the check this ran 840 GMRES iterations and reported
     # "GMRES stopped"

