@@ -326,6 +326,7 @@ def _stage_rows(report) -> list[dict]:
             "min_step": s.min_step,
             "gmres_iterations": s.gmres_iterations,
             "forcing_terms": " ".join(f"{eta:.3e}" for eta in s.forcing_terms),
+            "gmres_per_step": " ".join(str(c) for c in s.gmres_per_step),
         }
         for s in report.stages
     ]

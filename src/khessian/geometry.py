@@ -189,20 +189,27 @@ class TorusGrid:
         (n, n) + grid buffer, which the pencil kernel reads without a copy.
         """
         self._require_real(field, "complex_hessian")
-        hat = np.fft.rfftn(field)
-        sym = self._hessian_symbols()
         n = self.n
         out = np.empty((n, n) + self.shape, dtype=complex)
-        for i in range(n):
-            out[i, i] = np.fft.irfftn(hat * sym[i][i], s=self.shape, axes=self._axes)
-            for j in range(i + 1, n):
-                re = np.fft.irfftn(hat * sym[i][j], s=self.shape, axes=self._axes)
-                im = np.fft.irfftn(hat * sym[j][i], s=self.shape, axes=self._axes)
-                out[i, j].real = re
-                out[i, j].imag = im
-                out[j, i].real = re
-                out[j, i].imag = -im
+        for i, j, part in self._hessian_fields(np.fft.rfftn(field)):
+            if i == j:
+                out[i, i] = part
+            elif i < j:
+                out[i, j].real = out[j, i].real = part
+            else:
+                out[j, i].imag = part
+                out[i, j].imag = -part
         return np.moveaxis(out, (0, 1), (-2, -1))
+
+    def _hessian_fields(self, hat: np.ndarray):
+        """The spectral core of ``complex_hessian``: yields (i, j, field) for
+        the n^2 real fields of d_i d_jbar u, laid out as ``_hessian_symbols``,
+        where u is the real field with real-to-complex spectrum ``hat``.  One
+        inverse transform each; a caller that already holds the spectrum
+        skips the forward one."""
+        for i, row in enumerate(self._hessian_symbols()):
+            for j, sym in enumerate(row):
+                yield i, j, np.fft.irfftn(hat * sym, s=self.shape, axes=self._axes)
 
     def _inverse_laplace_half(self) -> np.ndarray:
         if self._inv_lap is None:

@@ -10,7 +10,7 @@ actually drives to zero: F is concave and its linearization
 
     tr(Phi . ddbar du) - exp((f + b)/k)/k . db = -residual,   mean(du) = 0
 
-is solved matrix-free by preconditioned GMRES; Phi is the coordinate-frame
+is solved matrix-free by right-preconditioned GMRES; Phi is the coordinate-frame
 derivative of F at the current pencil.  The offset unknown b absorbs the
 solvability constraint of the closed source; u is kept mean-zero during the
 iteration and shifted to sup u = 0 on success.
@@ -103,7 +103,8 @@ class SolverOptions:
 @dataclass
 class StageRecord:
     """An accepted continuation stage; its residuals are
-    SolveReport.residual_history[residual_start:residual_stop]."""
+    SolveReport.residual_history[residual_start:residual_stop].
+    forcing_terms and gmres_per_step hold one entry per Newton step."""
 
     t: float
     newton_iterations: int
@@ -111,6 +112,7 @@ class StageRecord:
     min_step: float
     gmres_iterations: int
     forcing_terms: list[float] = field(default_factory=list)
+    gmres_per_step: list[int] = field(default_factory=list)
     residual_start: int = 0
     residual_stop: int = 0
 
@@ -235,6 +237,59 @@ def manufactured_source(grid: TorusGrid, g: np.ndarray, u_star: np.ndarray, k: i
 
 # ----------------------------------------------------------- Newton pieces
 
+def right_preconditioned_operator(grid: TorusGrid, phi: np.ndarray, source_scale: np.ndarray):
+    """The bordered linearization A composed with its preconditioner P^{-1}.
+
+    A(v, beta) = (tr(phi ddbar v) - source_scale*beta, mean v), and P^{-1} is
+    the exact inverse of its constant-coefficient model, cbar = mean(tr phi)
+    times the complex Laplacian:
+
+        P^{-1}(w, s) = (Laplacian^{-1}((w - mean w)/cbar) + s,
+                        -mean w / mean(source_scale)).
+
+    Returns (apply, recover, size).  ``apply(z)`` is A P^{-1} z: one real
+    transform of w, scaled by the inverse-Laplacian symbol over cbar, feeds
+    the n^2 inverse transforms of the Hessian, and s passes through as the
+    mean of P^{-1} z.  ``recover(z)`` is P^{-1} z = (du, db) without the
+    constant s, so du is mean-zero.  Raises LinearSolveError for a
+    non-finite phi or source_scale, or unless cbar > 0.
+    """
+    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(source_scale))):
+        raise LinearSolveError("non-finite linearization coefficients")
+    cbar = float(np.einsum("...ii->...", phi).real.mean())
+    if not cbar > 0:
+        raise LinearSolveError(f"mean ellipticity coefficient {cbar} is not > 0")
+    cb_mean = float(source_scale.mean())
+    scale = source_scale / cb_mean
+    shape = grid.shape
+    m = int(np.prod(shape))
+    kernel = grid._inverse_laplace_half() / cbar
+
+    # Re tr(phi conj(hv)) for Hermitian phi and hv, in real arithmetic over
+    # the diagonal and the upper triangle: the lower one doubles the upper.
+    # coef[i][j] pairs with the Hessian field of the same slot.
+    n = grid.n
+    coef = [[None] * n for _ in range(n)]
+    for i in range(n):
+        coef[i][i] = np.ascontiguousarray(phi[..., i, i].real)
+        for j in range(i + 1, n):
+            coef[i][j] = 2.0 * phi[..., i, j].real
+            coef[j][i] = 2.0 * phi[..., i, j].imag
+
+    def apply(z):
+        w = z[:m].reshape(shape)
+        lv = scale * w.mean()
+        for i, j, part in grid._hessian_fields(np.fft.rfftn(w) * kernel):
+            lv += coef[i][j] * part
+        return np.concatenate([lv.ravel(), z[m:]])
+
+    def recover(z):
+        w = z[:m].reshape(shape)
+        return grid.solve_laplacian(w) / cbar, float(-w.mean() / cb_mean)
+
+    return apply, recover, m + 1
+
+
 def newton_step(
     grid: TorusGrid,
     phi: np.ndarray,
@@ -251,47 +306,18 @@ def newton_step(
     residual: current k-th-root residual;
     eta: the forcing term, GMRES's relative tolerance.
 
-    The (nodes + 1) system [tr(phi ddbar du) - source_scale*db = -residual;
-    mean(du) = 0] runs through GMRES with an exact inverse of the constant-
-    coefficient model (mean(tr phi) times the complex Laplacian) as the
-    preconditioner.  Returns (du, db, iterations).
+    The (nodes + 1) system A(du, db) = [tr(phi ddbar du) - source_scale*db;
+    mean(du)] = [-residual; 0] is solved right-preconditioned: GMRES runs on
+    A P^{-1} (``right_preconditioned_operator``) and (du, db) = P^{-1} y is
+    recovered once at the end, so GMRES minimizes the true linearized
+    residual, the quantity the forcing term eta bounds.  Non-finite inputs
+    raise LinearSolveError before the first iteration.  Returns (du, db,
+    iterations).
     """
-    shape = grid.shape
-    m = int(np.prod(shape))
-    cbar = float(np.einsum("...ii->...", phi).real.mean())
-    if cbar <= 0:
-        raise LinearSolveError(f"mean ellipticity coefficient {cbar} <= 0")
-    cb_mean = float(source_scale.mean())
-
-    # Re tr(phi conj(hv)) for Hermitian phi and hv, in real arithmetic over
-    # the diagonal and the upper triangle: the lower one doubles the upper.
-    n = grid.n
-    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    coef_diag = [np.ascontiguousarray(phi[..., i, i].real) for i in range(n)]
-    coef_re = [2.0 * phi[..., i, j].real for i, j in upper]
-    coef_im = [2.0 * phi[..., i, j].imag for i, j in upper]
-
-    def matvec(z):
-        v = z[:m].reshape(shape)
-        beta = z[m]
-        hv = grid.complex_hessian(v)
-        lv = -source_scale * beta
-        for i, c in enumerate(coef_diag):
-            lv = lv + c * hv[..., i, i].real
-        for (i, j), cr, ci in zip(upper, coef_re, coef_im):
-            lv = lv + cr * hv[..., i, j].real + ci * hv[..., i, j].imag
-        return np.concatenate([lv.ravel(), [v.mean()]])
-
-    def precond(z):
-        w = z[:m].reshape(shape)
-        s = z[m]
-        wm = w.mean()
-        beta = -wm / cb_mean
-        v = grid.solve_laplacian((w - wm) / cbar) + s
-        return np.concatenate([v.ravel(), [beta]])
-
-    op = LinearOperator((m + 1, m + 1), matvec=matvec, dtype=float)
-    pre = LinearOperator((m + 1, m + 1), matvec=precond, dtype=float)
+    if not np.all(np.isfinite(residual)):
+        raise LinearSolveError("non-finite residual")
+    apply, recover, size = right_preconditioned_operator(grid, phi, source_scale)
+    op = LinearOperator((size, size), matvec=apply, dtype=float)
     rhs = np.concatenate([(-residual).ravel(), [0.0]])
     iters = 0
 
@@ -304,7 +330,6 @@ def newton_step(
     sol, info = gmres(
         op,
         rhs,
-        M=pre,
         rtol=eta,
         atol=0.0,
         restart=restart,
@@ -316,9 +341,8 @@ def newton_step(
         raise LinearSolveError(
             f"GMRES stopped with info={info} after {iters} iterations"
         )
-    du = sol[:m].reshape(shape)
-    du = du - du.mean()
-    return du, float(sol[m]), iters
+    du, db = recover(sol)
+    return du, db, iters
 
 
 def line_search(
@@ -383,8 +407,8 @@ def _newton_solve(grid, ginv, f, k, u, b, w, options, history, path, t):
     sup_res = float(np.abs(residual).max())
     history.append(sup_res)
     min_step = 1.0
-    total_gmres = 0
     forcing: list[float] = []
+    gmres_counts: list[int] = []
     eta = sup_prev = None
     for iteration in range(options.max_newton + 1):
         if sup_res <= options.newton_tol:
@@ -395,8 +419,9 @@ def _newton_solve(grid, ginv, f, k, u, b, w, options, history, path, t):
                 newton_iterations=iteration,
                 final_residual=sup_res,
                 min_step=min_step,
-                gmres_iterations=total_gmres,
+                gmres_iterations=sum(gmres_counts),
                 forcing_terms=forcing,
+                gmres_per_step=gmres_counts,
             )
         if iteration == options.max_newton:
             break
@@ -405,7 +430,7 @@ def _newton_solve(grid, ginv, f, k, u, b, w, options, history, path, t):
         eta = _forcing_term(eta, sup_prev, sup_res, options)
         forcing.append(eta)
         du, db, iters = newton_step(grid, phi, source_scale, residual, options, eta)
-        total_gmres += iters
+        gmres_counts.append(iters)
         hess_du = grid.complex_hessian(du)
         s, w, residual, table = line_search(
             grid, ginv, w, hess_du, b, db, f, k, sup_res, options

@@ -325,6 +325,47 @@ def complex_laplacian(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
     return np.fft.irfftn(np.fft.rfftn(field) * half, s=grid.shape, axes=grid._axes)
 
 
+# --------------------------------- left-preconditioned Newton linearization
+
+def bordered_pair(grid: TorusGrid, phi: np.ndarray, source_scale: np.ndarray):
+    """(matvec, precond) of the bordered Newton system as two separate
+    operators on (nodes + 1) vectors: matvec is A(v, beta) =
+    (tr(phi ddbar v) - source_scale*beta, mean v) through ``complex_hessian``,
+    precond the exact inverse of its constant-coefficient model through
+    ``solve_laplacian``.  The solver once ran GMRES on A with precond as a
+    left preconditioner; its fused A P^{-1} must match matvec(precond(z))."""
+    shape = grid.shape
+    m = int(np.prod(shape))
+    cbar = float(np.einsum("...ii->...", phi).real.mean())
+    cb_mean = float(source_scale.mean())
+    n = grid.n
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    coef_diag = [np.ascontiguousarray(phi[..., i, i].real) for i in range(n)]
+    coef_re = [2.0 * phi[..., i, j].real for i, j in upper]
+    coef_im = [2.0 * phi[..., i, j].imag for i, j in upper]
+
+    def matvec(z):
+        v = z[:m].reshape(shape)
+        beta = z[m]
+        hv = grid.complex_hessian(v)
+        lv = -source_scale * beta
+        for i, c in enumerate(coef_diag):
+            lv = lv + c * hv[..., i, i].real
+        for (i, j), cr, ci in zip(upper, coef_re, coef_im):
+            lv = lv + cr * hv[..., i, j].real + ci * hv[..., i, j].imag
+        return np.concatenate([lv.ravel(), [v.mean()]])
+
+    def precond(z):
+        w = z[:m].reshape(shape)
+        s = z[m]
+        wm = w.mean()
+        beta = -wm / cb_mean
+        v = grid.solve_laplacian((w - wm) / cbar) + s
+        return np.concatenate([v.ravel(), [beta]])
+
+    return matvec, precond
+
+
 # ------------------------------------------- Form route (lemma-22 integrands)
 
 def _correction_block(grid: TorusGrid, g: np.ndarray, degree: int) -> Form:

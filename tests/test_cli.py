@@ -1,6 +1,7 @@
 """CLI tests: config merging and rejection, overrides, command outputs,
 exit codes, and the output directory resolution order."""
 
+import csv
 import json
 import os
 import re
@@ -199,6 +200,13 @@ def test_mms_roundtrip(tmp_path, monkeypatch):
     assert rc == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["recovery_error"] <= 1e-8
+    with open(tmp_path / "out" / "rows.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["newton_iterations"]) for r in rows] == report["newton_iterations"]
+    for row in rows:
+        per_step = [int(c) for c in row["gmres_per_step"].split()]
+        assert len(per_step) == int(row["newton_iterations"])
+        assert sum(per_step) == int(row["gmres_iterations"])
 
 
 def test_audit_command_outputs(tmp_path, monkeypatch):
