@@ -13,11 +13,11 @@ scalar offset making the source compatible.
 
 The lemma-22 audit runs on the top-coefficient route: each integrand
 band ^ omega_u^i ^ T_i is evaluated as a pointwise contraction of the rank-
-one band with mixed cofactors of g and omega_u and with the Fourier-built
-coefficients of sqrt-1 d dbar omega, never as a form.  It covers n <= 3,
-where sqrt-1 d dbar omega (in T_0 at n = 3) is the only torsion
-correction.  The Form algebra of ``forms`` is the slow reference route the
-tests compare it against.
+one band with mixed cofactors of g and omega_u and with the coefficients
+of sqrt-1 d dbar omega, built from one-axis spectral derivatives, never as
+a form.  It covers n <= 3, where sqrt-1 d dbar omega (in T_0 at n = 3) is
+the only torsion correction.  The Form algebra of ``forms`` is the slow
+reference route the tests compare it against.
 """
 
 from __future__ import annotations
@@ -254,37 +254,29 @@ def _ddbar_omega_contraction(grid: TorusGrid, g: np.ndarray,
     + d_i dbar_j g_ab (a < i, b < j) are the coefficients of
     sqrt-1 d dbar omega on dz^a dz^i dzbar^b dzbar^j, and p^c is the sorted
     complement of p.  Q is Hermitian in its index pairs, so only q >= p is
-    assembled: in Fourier space, one transform per g entry, then one inverse
-    transform per coefficient.
+    assembled, one row p at a time: d_x first, summed over the orderings
+    (r, x) of p^c for each column c of g, then one d_ybar per (q, c).
     """
     n = grid.n
     comp = [tuple(r for r in range(n) if r != p) for p in range(n)]
-    pairs = [(p, q) for p in range(n) for q in range(p, n)]
-    hats: dict = {}
-    for r in range(n):
-        for c in range(n):
-            if not g[..., r, c].any():  # e.g. off the diagonal of a diagonal g
-                continue
-            hat = grid.fft(g[..., r, c])
-            for p, q in pairs:
-                if r not in comp[p] or c not in comp[q]:
-                    continue
-                # g_rc enters with its rows' partner index differentiated,
-                # signed by the antisymmetrisation
-                (x,) = set(comp[p]) - {r}
-                (y,) = set(comp[q]) - {c}
-                sign = (1 if r > x else -1) * (1 if c > y else -1)
-                sym = sign * grid._symbol_z(x) * grid._symbol_zbar(y)
-                if (p, q) in hats:
-                    hats[p, q] += hat * sym
-                else:
-                    hats[p, q] = hat * sym
     out = np.zeros(grid.shape)
-    while hats:
-        (p, q), hat = hats.popitem()
-        coef = grid.ifft(hat)
-        term = (du[..., p] * np.conj(du[..., q]) * coef).real
-        out += term if p == q else (-1) ** (p + q) * 2.0 * term
+    for p in range(n):
+        # rows[c] = sum_r +-d_x g_rc, (r, x) running over the orderings of p^c,
+        # signed by the antisymmetrisation
+        rows: dict = {}
+        for c in range(n):
+            for r in comp[p]:
+                if not g[..., r, c].any():  # e.g. off the diagonal of a diagonal g
+                    continue
+                (x,) = set(comp[p]) - {r}
+                rows[c] = rows.get(c, 0) + (1 if r > x else -1) * grid.dz(g[..., r, c], x)
+        for q in range(p, n):
+            coef = 0
+            for c in set(comp[q]) & rows.keys():
+                (y,) = set(comp[q]) - {c}
+                coef = coef + (1 if c > y else -1) * grid.dzbar(rows[c], y)
+            term = (du[..., p] * np.conj(du[..., q]) * coef).real
+            out += term if p == q else (-1) ** (p + q) * 2.0 * term
     return out
 
 

@@ -11,7 +11,7 @@ audit evaluates its integrands as top-coefficient contractions (see
 ``audits``), and the tests check those, the eigenframe formulas and the
 cone-band density against wedge products built here.  Every intermediate
 form holds one full-grid coefficient array per index pair, so at n = 3 a
-wedge chain costs hundreds of transforms and copies per integrand; at n = 4
+wedge chain costs hundreds of derivatives and copies per integrand; at n = 4
 one (1,1) form on an N = 8 grid is already 4.3 GB.
 """
 

@@ -6,11 +6,19 @@ period 1.  Derivatives are Fourier multipliers, exact for band-limited data:
 
     d/dz^j  = (d/dx^j - i d/dy^j) / 2,    d/dzbar^j = (d/dx^j + i d/dy^j) / 2.
 
+First derivatives act on the two axes of block j only, so they are applied
+one axis at a time: E = F^-1 diag(pi i m) F, an N x N matrix over one axis,
+gives d/dz^j = E_x - i E_y and d/dzbar^j = E_x + i E_y.  E keeps the Nyquist
+wavenumber m = -N/2 of the transforms, which makes it complex: d_z of a
+real field has a Nyquist part that is not conjugate-symmetric, and keeping
+it matches the full complex-transform multiplier.  Complex Hessians and the
+inverse Laplacian use real-to-complex FFTs.
+
 Hermitian metrics are (grid + (n, n)) complex arrays g[..., i, j] = g_{i jbar},
 not assumed Kahler.  Every metric, Hessian, Chern and covariant-derivative
 stack this module returns has such a grid-first shape but index-first
 memory: it is an ``np.moveaxis`` view of an (n,)*k + grid buffer, so each
-slot [..., i, j, ...] is one contiguous field for the transforms, and a
+slot [..., i, j, ...] is one contiguous field for the derivatives, and a
 plain ``np.einsum`` contracts the stacks one whole field at a time.
 
 The Chern connection of such a metric,
@@ -38,7 +46,8 @@ from .operator import as_tensor_first, relative_eigenvalues_only
 
 
 class TorusGrid:
-    """Uniform periodic grid with cached Fourier multiplier symbols."""
+    """Uniform periodic grid with cached Fourier multiplier symbols and
+    one-axis differentiation matrices."""
 
     def __init__(self, n: int, N: int):
         if n < 2:
@@ -50,8 +59,7 @@ class TorusGrid:
         self.shape = (self.N,) * (2 * self.n)
         self._freq = np.fft.fftfreq(self.N) * self.N  # integer wavenumbers
         self._ticks = np.arange(self.N) / self.N
-        self._symz: dict[int, np.ndarray] = {}
-        self._symzbar: dict[int, np.ndarray] = {}
+        self._dmat = None
         self._lap = None
         self._axes = tuple(range(2 * self.n))
         self._hess_sym = None
@@ -79,20 +87,6 @@ class TorusGrid:
 
     # ---------------------------------------------------------- derivatives
 
-    def _symbol_z(self, j: int) -> np.ndarray:
-        if j not in self._symz:
-            mx = self._axis_view(self._freq, 2 * j)
-            my = self._axis_view(self._freq, 2 * j + 1)
-            self._symz[j] = np.pi * (1j * mx + my)
-        return self._symz[j]
-
-    def _symbol_zbar(self, j: int) -> np.ndarray:
-        if j not in self._symzbar:
-            mx = self._axis_view(self._freq, 2 * j)
-            my = self._axis_view(self._freq, 2 * j + 1)
-            self._symzbar[j] = np.pi * (1j * mx - my)
-        return self._symzbar[j]
-
     @property
     def laplace_symbol(self) -> np.ndarray:
         """Fourier symbol of the complex Laplacian sum_j d_j d_jbar."""
@@ -105,8 +99,9 @@ class TorusGrid:
         return self._lap
 
     def _check_shape(self, field: np.ndarray) -> None:
-        # reject broadcastable coordinate views: Fourier symbols would
-        # silently attach their content to the wrong axes
+        # reject broadcastable coordinate views: Fourier symbols and
+        # one-axis products would silently attach their content to the
+        # wrong axes
         if field.shape != self.shape:
             raise DomainError(
                 f"field shape {field.shape} does not match grid {self.shape}; "
@@ -121,18 +116,61 @@ class TorusGrid:
         self._check_shape(hat)
         return np.fft.ifftn(hat, axes=range(2 * self.n))
 
+    def _diff_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """E = F^-1 diag(pi i m) F on one axis of N nodes, with the integer
+        wavenumbers m of the transforms, Nyquist m = -N/2 included, so E is
+        complex.  Returns (E, [Re E; Im E]): the second, (2N, N) real, takes
+        a real field through one real product per axis."""
+        if self._dmat is None:
+            eye_hat = np.fft.fft(np.eye(self.N), axis=0)
+            e = np.fft.ifft(1j * np.pi * self._freq[:, None] * eye_hat, axis=0)
+            self._dmat = (e, np.concatenate([e.real, e.imag]))
+        return self._dmat
+
+    def _along_axis(self, mat: np.ndarray, field: np.ndarray, axis: int) -> np.ndarray:
+        """mat (r, N) applied along one grid axis, as an (N^axis, r, rest)
+        array; the last axis, whose rest is 1, takes one product from the
+        right instead of N^(2n-1) matrix-vector ones."""
+        pre = self.N ** axis
+        if axis == 2 * self.n - 1:
+            return (field.reshape(pre, self.N) @ mat.T)[..., None]
+        return np.matmul(mat, field.reshape(pre, self.N, -1))
+
+    def _first_derivative(self, field: np.ndarray, j: int, bar: bool) -> np.ndarray:
+        """d_j field = E_x field - i E_y field, or d_jbar field with + i,
+        for E along the axes x = 2j and y = 2j + 1 of block j."""
+        self._check_shape(field)
+        N = self.N
+        pre = N ** (2 * j)
+        e, e_parts = self._diff_matrices()
+        if np.iscomplexobj(field):
+            dy = self._along_axis(e, field, 2 * j + 1).reshape(self.shape)
+            dy *= 1j if bar else -1j
+            dy += self._along_axis(e, field, 2 * j).reshape(self.shape)
+            return dy
+        # with E = A + iB, d_j f = (A_x f + B_y f) + i (B_x f - A_y f), and
+        # d_jbar f flips the sign of both y terms; the [A; B] products of
+        # both axes are viewed as (pre, x, y, rest) fields
+        dx = self._along_axis(e_parts, field, 2 * j).reshape(pre, 2, N, N, -1)
+        dy = self._along_axis(e_parts, field, 2 * j + 1).reshape(pre, N, 2, N, -1)
+        out = np.empty(self.shape, dtype=complex)
+        view = out.reshape(pre, N, N, -1)
+        re_op, im_op = (np.subtract, np.add) if bar else (np.add, np.subtract)
+        re_op(dx[:, 0], dy[:, :, 1], out=view.real)
+        im_op(dx[:, 1], dy[:, :, 0], out=view.imag)
+        return out
+
     def dz(self, field: np.ndarray, j: int) -> np.ndarray:
-        return self.ifft(self.fft(field) * self._symbol_z(j))
+        return self._first_derivative(field, j, bar=False)
 
     def dzbar(self, field: np.ndarray, j: int) -> np.ndarray:
-        return self.ifft(self.fft(field) * self._symbol_zbar(j))
+        return self._first_derivative(field, j, bar=True)
 
     def holomorphic_gradient(self, field: np.ndarray) -> np.ndarray:
         """All first derivatives d_j field, shape grid + (n,)."""
-        hat = self.fft(field)
         out = _index_first(self, 1)
         for j in range(self.n):
-            out[..., j] = self.ifft(hat * self._symbol_z(j))
+            out[..., j] = self.dz(field, j)
         return out
 
     # Real fields take real-to-complex transforms over the half spectrum
@@ -380,9 +418,8 @@ def chern_tensors(grid: TorusGrid, g: np.ndarray, with_curvature: bool = True) -
     dg = _index_first(grid, 3)  # dg[..., i, j, q] = d_i g_{j qbar}
     for j in range(n):
         for q in range(n):
-            hat = grid.fft(g[..., j, q])
             for i in range(n):
-                dg[..., i, j, q] = grid.ifft(hat * grid._symbol_z(i))
+                dg[..., i, j, q] = grid.dz(g[..., j, q], i)
     gamma = np.einsum("...qp,...ijq->...pij", ginv, dg, out=_index_first(grid, 3))
     torsion = np.subtract(gamma, np.swapaxes(gamma, -1, -2), out=_index_first(grid, 3))
     curvature = None
@@ -391,11 +428,8 @@ def chern_tensors(grid: TorusGrid, g: np.ndarray, with_curvature: bool = True) -
         for p in range(n):
             for i in range(n):
                 for kk in range(n):
-                    hat = grid.fft(gamma[..., p, i, kk])
                     for j in range(n):
-                        curvature[..., i, j, kk, p] = -grid.ifft(
-                            hat * grid._symbol_zbar(j)
-                        )
+                        curvature[..., i, j, kk, p] = -grid.dzbar(gamma[..., p, i, kk], j)
     return ChernTensors(metric=g, inverse=ginv, gamma=gamma, torsion=torsion,
                         curvature=curvature)
 
@@ -434,39 +468,33 @@ def covariant_derivatives(
     n = grid.n
     gamma = tensors.gamma
     gamma_bar = np.conj(gamma)
-    hat = grid.fft(u)
-    grad = _index_first(grid, 1)
-    for i in range(n):
-        grad[..., i] = grid.ifft(hat * grid._symbol_z(i))
+    grad = grid.holomorphic_gradient(u)
     hess = grid.complex_hessian(u)
     # u_{p i} = d_i d_p u - Gamma^q_ip u_q
     hol2 = _index_first(grid, 2)
     for p in range(n):
         for i in range(p, n):
-            ent = grid.ifft(hat * grid._symbol_z(p) * grid._symbol_z(i))
+            ent = grid.dz(grad[..., p], i)
             hol2[..., p, i] = ent
             hol2[..., i, p] = ent
     hol2 -= np.einsum("...qip,...q->...pi", gamma, grad)
     # u_{i jbar l} = d_l u_{i jbar} - Gamma^p_li u_{p jbar} and
     # u_{i pbar jbar} = d_jbar u_{i pbar} - conj(Gamma^q_jp) u_{i qbar},
-    # both from the transform of one Hessian slot
     d3_mixed = _index_first(grid, 3)
     d3_anti = _index_first(grid, 3)
     for i in range(n):
         for j in range(n):
-            hhat = grid.fft(hess[..., i, j])
             for l in range(n):
-                d3_mixed[..., i, j, l] = grid.ifft(hhat * grid._symbol_z(l))
-                d3_anti[..., i, j, l] = grid.ifft(hhat * grid._symbol_zbar(l))
+                d3_mixed[..., i, j, l] = grid.dz(hess[..., i, j], l)
+                d3_anti[..., i, j, l] = grid.dzbar(hess[..., i, j], l)
     d3_mixed -= np.einsum("...pli,...pj->...ijl", gamma, hess)
     d3_anti -= np.einsum("...qjp,...iq->...ipj", gamma_bar, hess)
     # u_{p i jbar} = d_jbar u_{p i}
     d3_hol = _index_first(grid, 3)
     for p in range(n):
         for i in range(n):
-            hhat = grid.fft(hol2[..., p, i])
             for j in range(n):
-                d3_hol[..., p, i, j] = grid.ifft(hhat * grid._symbol_zbar(j))
+                d3_hol[..., p, i, j] = grid.dzbar(hol2[..., p, i], j)
     d4 = None
     if order == 4:
         # u_{i jbar l mbar} = d_mbar u_{i jbar l} - conj(Gamma^q_mj) u_{i qbar l}
@@ -474,9 +502,8 @@ def covariant_derivatives(
         for i in range(n):
             for j in range(n):
                 for l in range(n):
-                    hhat = grid.fft(d3_mixed[..., i, j, l])
                     for m in range(n):
-                        d4[..., i, j, l, m] = grid.ifft(hhat * grid._symbol_zbar(m))
+                        d4[..., i, j, l, m] = grid.dzbar(d3_mixed[..., i, j, l], m)
         d4 -= np.einsum("...qmj,...iql->...ijlm", gamma_bar, d3_mixed)
     return CovariantDerivatives(
         grad=grad, hess=hess, hol2=hol2, d3_mixed=d3_mixed, d3_hol=d3_hol,

@@ -284,6 +284,37 @@ def _wavenumber_views(n: int, N: int):
     return views
 
 
+def symbol_z(grid: TorusGrid, j: int) -> np.ndarray:
+    """Full-spectrum symbol pi (i m_x + m_y) of d/dz^j, broadcastable over
+    the axes (2j, 2j + 1) of block j, with m = -N/2 on the Nyquist planes."""
+    m = _wavenumber_views(grid.n, grid.N)
+    return np.pi * (1j * m[2 * j] + m[2 * j + 1])
+
+
+def symbol_zbar(grid: TorusGrid, j: int) -> np.ndarray:
+    """Full-spectrum symbol pi (i m_x - m_y) of d/dzbar^j."""
+    m = _wavenumber_views(grid.n, grid.N)
+    return np.pi * (1j * m[2 * j] - m[2 * j + 1])
+
+
+def dz_fft(grid: TorusGrid, field: np.ndarray, j: int) -> np.ndarray:
+    """d/dz^j by a full complex transform: ifftn(fftn(field) symbol)."""
+    return grid.ifft(grid.fft(field) * symbol_z(grid, j))
+
+
+def dzbar_fft(grid: TorusGrid, field: np.ndarray, j: int) -> np.ndarray:
+    return grid.ifft(grid.fft(field) * symbol_zbar(grid, j))
+
+
+def holomorphic_gradient_fft(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
+    """All d_j field from one forward transform, shape grid + (n,)."""
+    hat = grid.fft(field)
+    out = np.empty(grid.shape + (grid.n,), dtype=complex)
+    for j in range(grid.n):
+        out[..., j] = grid.ifft(hat * symbol_z(grid, j))
+    return out
+
+
 def complex_hessian_fft(u, n: int) -> np.ndarray:
     """d_i d_jbar u by full complex FFTs: the upper triangle from
     ifftn(fftn(u) S_ij), the real part on the diagonal, the lower triangle
@@ -422,8 +453,10 @@ def _lemma22_constant(grid: TorusGrid, g: np.ndarray, u: np.ndarray, i: int):
 
 # ------------------------------------------------- grid-first Chern route
 # The package's Chern and covariant-derivative route before its stacks were
-# stored index-first: grid-first (..., n, ...) buffers contracted with
-# einsum(optimize=True).  Same formulas, same slot conventions.
+# stored index-first and before first derivatives ran one axis at a time:
+# grid-first (..., n, ...) buffers, every d_j and d_jbar by full complex
+# transforms, contracted with einsum(optimize=True).  Same formulas, same
+# slot conventions.
 
 
 def chern_tensors(grid: TorusGrid, g: np.ndarray, with_curvature: bool = True) -> ChernTensors:
@@ -437,7 +470,7 @@ def chern_tensors(grid: TorusGrid, g: np.ndarray, with_curvature: bool = True) -
         for q in range(n):
             hat = grid.fft(g[..., j, q])
             for i in range(n):
-                dg[..., i, j, q] = grid.ifft(hat * grid._symbol_z(i))
+                dg[..., i, j, q] = grid.ifft(hat * symbol_z(grid, i))
     gamma = np.einsum("...qp,...ijq->...pij", ginv, dg, optimize=True)
     torsion = gamma - np.swapaxes(gamma, -1, -2)
     if with_curvature:
@@ -448,7 +481,7 @@ def chern_tensors(grid: TorusGrid, g: np.ndarray, with_curvature: bool = True) -
                     hat = grid.fft(gamma[..., p, i, kk])
                     for j in range(n):
                         curvature[..., i, j, kk, p] = -grid.ifft(
-                            hat * grid._symbol_zbar(j)
+                            hat * symbol_zbar(grid, j)
                         )
     else:
         curvature = None
@@ -466,13 +499,13 @@ def covariant_derivatives(
     hat = grid.fft(u)
     grad = np.empty(grid.shape + (n,), dtype=complex)
     for i in range(n):
-        grad[..., i] = grid.ifft(hat * grid._symbol_z(i))
+        grad[..., i] = grid.ifft(hat * symbol_z(grid, i))
     hess = grid.complex_hessian(u)
     # u_{p i} = d_i d_p u - Gamma^q_ip u_q
     dz2 = np.empty(grid.shape + (n, n), dtype=complex)
     for p in range(n):
         for i in range(p, n):
-            ent = grid.ifft(hat * grid._symbol_z(p) * grid._symbol_z(i))
+            ent = grid.ifft(hat * symbol_z(grid, p) * symbol_z(grid, i))
             dz2[..., p, i] = ent
             dz2[..., i, p] = ent
     hol2 = dz2 - np.einsum("...qip,...q->...pi", gamma, grad, optimize=True)
@@ -482,7 +515,7 @@ def covariant_derivatives(
         for j in range(n):
             hhat = grid.fft(hess[..., i, j])
             for l in range(n):
-                d3_mixed[..., i, j, l] = grid.ifft(hhat * grid._symbol_z(l))
+                d3_mixed[..., i, j, l] = grid.ifft(hhat * symbol_z(grid, l))
     d3_mixed = d3_mixed - np.einsum("...pli,...pj->...ijl", gamma, hess, optimize=True)
     # u_{p i jbar} = d_jbar u_{p i}
     d3_hol = np.empty(grid.shape + (n, n, n), dtype=complex)
@@ -490,14 +523,14 @@ def covariant_derivatives(
         for i in range(n):
             hhat = grid.fft(hol2[..., p, i])
             for j in range(n):
-                d3_hol[..., p, i, j] = grid.ifft(hhat * grid._symbol_zbar(j))
+                d3_hol[..., p, i, j] = grid.ifft(hhat * symbol_zbar(grid, j))
     # u_{i pbar jbar} = d_jbar u_{i pbar} - conj(Gamma^q_jp) u_{i qbar}
     d3_anti = np.empty(grid.shape + (n, n, n), dtype=complex)
     for i in range(n):
         for p in range(n):
             hhat = grid.fft(hess[..., i, p])
             for j in range(n):
-                d3_anti[..., i, p, j] = grid.ifft(hhat * grid._symbol_zbar(j))
+                d3_anti[..., i, p, j] = grid.ifft(hhat * symbol_zbar(grid, j))
     d3_anti = d3_anti - np.einsum(
         "...qjp,...iq->...ipj", np.conj(gamma), hess, optimize=True
     )
@@ -510,7 +543,7 @@ def covariant_derivatives(
                 for l in range(n):
                     hhat = grid.fft(d3_mixed[..., i, j, l])
                     for m in range(n):
-                        d4[..., i, j, l, m] = grid.ifft(hhat * grid._symbol_zbar(m))
+                        d4[..., i, j, l, m] = grid.ifft(hhat * symbol_zbar(grid, m))
         d4 = d4 - np.einsum(
             "...qmj,...iql->...ijlm", np.conj(gamma), d3_mixed, optimize=True
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from khessian import geometry
+from khessian import audits, geometry
 from khessian.audits import COMMUTATION_TERMS
 from khessian.errors import ConeViolationError, DomainError
 from khessian.geometry import TorusGrid, chern_tensors, metric_preset
@@ -72,6 +72,40 @@ def test_dz_dzbar_plane_wave(grid16):
     assert np.abs(grid16.dzbar(f, 0) - np.conj(expect)).max() < 1e-12
 
 
+def test_first_derivatives_reject_broadcast_views(grid8):
+    # a broadcastable coordinate view would reshape onto the wrong axes
+    for view in (grid8.x(0), 1j * grid8.y(1)):
+        for call in (lambda f: grid8.dz(f, 0), lambda f: grid8.dzbar(f, 1),
+                     grid8.holomorphic_gradient):
+            with pytest.raises(DomainError, match="broadcast"):
+                call(view)
+
+
+@pytest.mark.parametrize("n, order", [(2, 4), (3, 3)])
+def test_first_order_calculus_takes_no_full_transform(n, order, monkeypatch):
+    """d_j and d_jbar act on the two axes of block j only; every first-order
+    derivative route runs without an n-D transform (the Hessian's real ones
+    aside).  n=3 stops at order 3: its order-4 stacks need about 1.8 GB, and
+    the d4 loop is the one n=2 runs."""
+    grid = TorusGrid(n, 8)
+    grid._diff_matrices()  # built once per grid, from 1-D transforms
+    g = metric_preset(grid, "torsion", epsilon=0.15)
+    u = grid.trig_field([(0.3, (1, 0, 0, 1) + (1, 0) * (n - 2), 0.2),
+                         (0.2, (0, 1, 1, 0) + (0, 1) * (n - 2), 0.5)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full complex transform on a first-order derivative route")
+
+    for owner, name in ((TorusGrid, "fft"), (TorusGrid, "ifft"),
+                        (np.fft, "fftn"), (np.fft, "ifftn")):
+        monkeypatch.setattr(owner, name, refuse)
+    grid.holomorphic_gradient(u)
+    tensors = chern_tensors(grid, g)
+    geometry.covariant_derivatives(grid, u, tensors, order=order)
+    del tensors
+    audits._lemma22_terms(grid, g, u)
+
+
 def test_complex_hessian_pinned(grid16):
     u = np.cos(2 * np.pi * grid16.x(0)) + grid16.zeros()
     h = grid16.complex_hessian(u)
@@ -136,6 +170,20 @@ def test_real_fft_routes_match_complex_fft_route(n, N):
         v = grid.solve_laplacian(u)
         assert np.isrealobj(v)
         assert np.abs(v - ref_v).max() <= 1e-12 * np.abs(ref_v).max()
+
+
+@pytest.mark.parametrize("n,N", [(2, 12), (2, 16), (3, 8)])
+def test_one_axis_derivatives_match_complex_fft_route(n, N):
+    grid = TorusGrid(n, N)
+    rng = np.random.default_rng(10 * n + N)
+    for real in _fft_route_fields(grid, rng):
+        for f in (real, (0.6 - 0.8j) * real + 1j * rng.normal(size=grid.shape)):
+            pairs = [(grid.holomorphic_gradient(f), oracles.holomorphic_gradient_fft(grid, f))]
+            for j in range(n):
+                pairs.append((grid.dz(f, j), oracles.dz_fft(grid, f, j)))
+                pairs.append((grid.dzbar(f, j), oracles.dzbar_fft(grid, f, j)))
+            for got, ref in pairs:
+                assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
 
 
 def test_solve_laplacian_rejects_complex_input(grid8):
@@ -325,24 +373,28 @@ def test_tensor_first_chern_route_matches_grid_first_oracle(n, N, preset, order)
     tensors = chern_tensors(grid, g)
     _assert_fields_match(tensors, oracles.chern_tensors(grid, g), grid)
     # both derivative routes read the same tensors, so each layer is
-    # compared on its own; the residuals are taken one route at a time to
-    # keep the n=3 case's peak memory down
+    # compared on its own: the residual formulas on the same derivatives,
+    # then the derivative fields; across routes the residuals may differ by
+    # the fields' own rounding bound.  The residuals are taken one route at
+    # a time to keep the n=3 case's peak memory down
     variants = [(3, False)] + ([(4, False), (4, True)] if order == 4 else [])
+
+    def residuals(module, derivatives):
+        return np.array([
+            module.commutation_residual(grid, u, g, order=o, omit_torsion_product=omit,
+                                        tensors=tensors, derivatives=derivatives)
+            for o, omit in variants
+        ])
+
     derivs = geometry.covariant_derivatives(grid, u, tensors, order=order)
-    got = [
-        geometry.commutation_residual(grid, u, g, order=o, omit_torsion_product=omit,
-                                      tensors=tensors, derivatives=derivs)
-        for o, omit in variants
-    ]
+    got = residuals(geometry, derivs)
+    np.testing.assert_allclose(got, residuals(oracles, derivs), rtol=1e-9, atol=0.0)
     ref = oracles.covariant_derivatives(grid, u, tensors, order=order)
     _assert_fields_match(derivs, ref, grid)
     del derivs
-    want = [
-        oracles.commutation_residual(grid, u, g, order=o, omit_torsion_product=omit,
-                                     tensors=tensors, derivatives=ref)
-        for o, omit in variants
-    ]
-    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+    field_max = max(np.abs(getattr(ref, f.name)).max()
+                    for f in fields(ref) if getattr(ref, f.name) is not None)
+    assert np.abs(got - residuals(oracles, ref)).max() <= 1e-12 * (1.0 + field_max)
 
 
 def test_metric_presets_and_inverse_are_index_first(grid8):
