@@ -272,7 +272,9 @@ def _ddbar_omega_contraction(grid: TorusGrid, g: np.ndarray,
                 rows[c] = rows.get(c, 0) + (1 if r > x else -1) * grid.dz(g[..., r, c], x)
         for q in range(p, n):
             coef = 0
-            for c in set(comp[q]) & rows.keys():
+            for c in comp[q]:
+                if c not in rows:
+                    continue
                 (y,) = set(comp[q]) - {c}
                 coef = coef + (1 if c > y else -1) * grid.dzbar(rows[c], y)
             term = (du[..., p] * np.conj(du[..., q]) * coef).real
