@@ -8,11 +8,12 @@ period 1.  Derivatives are Fourier multipliers, exact for band-limited data:
 
 First derivatives act on the two axes of block j only, so they are applied
 one axis at a time: E = F^-1 diag(pi i m) F, an N x N matrix over one axis,
-gives d/dz^j = E_x - i E_y and d/dzbar^j = E_x + i E_y.  E keeps the Nyquist
-wavenumber m = -N/2 of the transforms, which makes it complex: d_z of a
-real field has a Nyquist part that is not conjugate-symmetric, and keeping
-it matches the full complex-transform multiplier.  Complex Hessians and the
-inverse Laplacian use real-to-complex FFTs.
+gives d/dz^j = E_x - i E_y and d/dzbar^j = E_x + i E_y, on the field cast
+to complex.  E keeps the Nyquist wavenumber m = -N/2 of the transforms,
+which makes it complex: d_z of a real field has a Nyquist part that is not
+conjugate-symmetric, and keeping it matches the full complex-transform
+multiplier.  Complex Hessians and the inverse Laplacian use real-to-complex
+FFTs.
 
 Hermitian metrics are (grid + (n, n)) complex arrays g[..., i, j] = g_{i jbar},
 not assumed Kahler.  Every metric, Hessian, Chern and covariant-derivative
@@ -46,8 +47,8 @@ from .operator import as_tensor_first, relative_eigenvalues_only
 
 
 class TorusGrid:
-    """Uniform periodic grid with cached Fourier multiplier symbols and
-    one-axis differentiation matrices."""
+    """Uniform periodic grid with cached Fourier multiplier symbols and a
+    one-axis differentiation matrix."""
 
     def __init__(self, n: int, N: int):
         if n < 2:
@@ -116,49 +117,35 @@ class TorusGrid:
         self._check_shape(hat)
         return np.fft.ifftn(hat, axes=range(2 * self.n))
 
-    def _diff_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+    def _diff_matrix(self) -> np.ndarray:
         """E = F^-1 diag(pi i m) F on one axis of N nodes, with the integer
         wavenumbers m of the transforms, Nyquist m = -N/2 included, so E is
-        complex.  Returns (E, [Re E; Im E]): the second, (2N, N) real, takes
-        a real field through one real product per axis."""
+        complex."""
         if self._dmat is None:
             eye_hat = np.fft.fft(np.eye(self.N), axis=0)
-            e = np.fft.ifft(1j * np.pi * self._freq[:, None] * eye_hat, axis=0)
-            self._dmat = (e, np.concatenate([e.real, e.imag]))
+            self._dmat = np.fft.ifft(1j * np.pi * self._freq[:, None] * eye_hat, axis=0)
         return self._dmat
 
-    def _along_axis(self, mat: np.ndarray, field: np.ndarray, axis: int) -> np.ndarray:
-        """mat (r, N) applied along one grid axis, as an (N^axis, r, rest)
-        array; the last axis, whose rest is 1, takes one product from the
-        right instead of N^(2n-1) matrix-vector ones."""
+    def _along_axis(self, field: np.ndarray, axis: int) -> np.ndarray:
+        """E applied along one grid axis of a complex field, as an
+        (N^axis, N, rest) array; the last axis, whose rest is 1, takes one
+        product from the right instead of N^(2n-1) matrix-vector ones."""
+        e = self._diff_matrix()
         pre = self.N ** axis
         if axis == 2 * self.n - 1:
-            return (field.reshape(pre, self.N) @ mat.T)[..., None]
-        return np.matmul(mat, field.reshape(pre, self.N, -1))
+            return (field.reshape(pre, self.N) @ e.T)[..., None]
+        return np.matmul(e, field.reshape(pre, self.N, -1))
 
     def _first_derivative(self, field: np.ndarray, j: int, bar: bool) -> np.ndarray:
         """d_j field = E_x field - i E_y field, or d_jbar field with + i,
-        for E along the axes x = 2j and y = 2j + 1 of block j."""
+        for E along the axes x = 2j and y = 2j + 1 of block j.  A real
+        field is cast to complex first."""
         self._check_shape(field)
-        N = self.N
-        pre = N ** (2 * j)
-        e, e_parts = self._diff_matrices()
-        if np.iscomplexobj(field):
-            dy = self._along_axis(e, field, 2 * j + 1).reshape(self.shape)
-            dy *= 1j if bar else -1j
-            dy += self._along_axis(e, field, 2 * j).reshape(self.shape)
-            return dy
-        # with E = A + iB, d_j f = (A_x f + B_y f) + i (B_x f - A_y f), and
-        # d_jbar f flips the sign of both y terms; the [A; B] products of
-        # both axes are viewed as (pre, x, y, rest) fields
-        dx = self._along_axis(e_parts, field, 2 * j).reshape(pre, 2, N, N, -1)
-        dy = self._along_axis(e_parts, field, 2 * j + 1).reshape(pre, N, 2, N, -1)
-        out = np.empty(self.shape, dtype=complex)
-        view = out.reshape(pre, N, N, -1)
-        re_op, im_op = (np.subtract, np.add) if bar else (np.add, np.subtract)
-        re_op(dx[:, 0], dy[:, :, 1], out=view.real)
-        im_op(dx[:, 1], dy[:, :, 0], out=view.imag)
-        return out
+        field = np.asarray(field, dtype=complex)
+        dy = self._along_axis(field, 2 * j + 1).reshape(self.shape)
+        dy *= 1j if bar else -1j
+        dy += self._along_axis(field, 2 * j).reshape(self.shape)
+        return dy
 
     def dz(self, field: np.ndarray, j: int) -> np.ndarray:
         return self._first_derivative(field, j, bar=False)
@@ -169,6 +156,7 @@ class TorusGrid:
     def holomorphic_gradient(self, field: np.ndarray) -> np.ndarray:
         """All first derivatives d_j field, shape grid + (n,)."""
         out = _index_first(self, 1)
+        field = np.asarray(field, dtype=complex)  # cast a real field once
         for j in range(self.n):
             out[..., j] = self.dz(field, j)
         return out

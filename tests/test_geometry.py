@@ -88,7 +88,7 @@ def test_first_order_calculus_takes_no_full_transform(n, order, monkeypatch):
     aside).  n=3 stops at order 3: its order-4 stacks need about 1.8 GB, and
     the d4 loop is the one n=2 runs."""
     grid = TorusGrid(n, 8)
-    grid._diff_matrices()  # built once per grid, from 1-D transforms
+    grid._diff_matrix()  # built once per grid, from 1-D transforms
     g = metric_preset(grid, "torsion", epsilon=0.15)
     u = grid.trig_field([(0.3, (1, 0, 0, 1) + (1, 0) * (n - 2), 0.2),
                          (0.2, (0, 1, 1, 0) + (0, 1) * (n - 2), 0.5)])
