@@ -43,7 +43,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .operator import as_tensor_first, relative_eigenvalues_only
+from .operator import (
+    inverse_cholesky_factor,
+    inverse_metric,
+    pencil_table,
+    relative_eigenvalues_only,
+)
 
 
 class TorusGrid:
@@ -215,9 +220,14 @@ class TorusGrid:
         (n, n) + grid buffer, which the pencil kernel reads without a copy.
         """
         self._require_real(field, "complex_hessian")
+        return self._hessian_from_spectrum(np.fft.rfftn(field))
+
+    def _hessian_from_spectrum(self, hat: np.ndarray) -> np.ndarray:
+        """``complex_hessian`` of the real field whose real-to-complex
+        spectrum is ``hat``, laid out the same way."""
         n = self.n
         out = np.empty((n, n) + self.shape, dtype=complex)
-        for i, j, part in self._hessian_fields(np.fft.rfftn(field)):
+        for i, j, part in self._hessian_fields(hat):
             if i == j:
                 out[i, i] = part
             elif i < j:
@@ -339,7 +349,7 @@ def metric_preset(grid: TorusGrid, name: str, epsilon: float = 0.1,
     if name == "kahler":
         g = identity_metric(grid)
         g += grid.complex_hessian(kahler_potential(grid, amplitude))
-        _require_positive(g, "kahler preset")
+        inverse_cholesky_factor(g, "kahler preset")
         return g
     if name == "torsion":
         n = grid.n
@@ -361,18 +371,6 @@ def check_preset(name: str, epsilon: float) -> None:
         raise DomainError(f"unknown metric preset {name!r}; choose from {PRESET_NAMES}")
     if name == "torsion" and not 0.0 < epsilon <= 0.2:
         raise DomainError(f"torsion preset needs 0 < epsilon <= 0.2, got {epsilon}")
-
-
-def _require_positive(g: np.ndarray, label: str) -> None:
-    lam_min = np.linalg.eigvalsh(g)[..., 0].min()
-    if lam_min <= 0:
-        raise DomainError(f"{label} is not positive definite (min eig {lam_min:.3e})")
-
-
-def inverse_metric(g: np.ndarray) -> np.ndarray:
-    """Matrix inverse of g_{i jbar}; the raised tensor is g^{p qbar} =
-    inverse[..., q, p]."""
-    return as_tensor_first(np.linalg.inv(g))
 
 
 # ------------------------------------------------------------ Chern tensors
@@ -586,8 +584,38 @@ def gradient_norm_sq(grid: TorusGrid, u: np.ndarray, g: np.ndarray) -> np.ndarra
     return out.real
 
 
+# hessian_pencil_extremes' screening margin, relative to the largest
+# sqrt(sum lambda^2) over the nodes
+SCREEN_MARGIN = 1e-6
+
+
 def hessian_pencil_extremes(grid: TorusGrid, u: np.ndarray, g: np.ndarray):
     """(min, max) relative eigenvalue of ddbar(u) against g over all nodes,
-    i.e. the range of |ddbar u|_g in the signed sense."""
-    lam = relative_eigenvalues_only(g, grid.complex_hessian(u))
+    i.e. the range of |ddbar u|_g in the signed sense.
+
+    Eigenvalues are computed only where an extreme can sit.  From the mean
+    mu and the population deviation s of a node's n eigenvalues, which
+    sigma_1 and sigma_2 of g^{-1} ddbar u give without eigenvalues,
+    Laguerre-Samuelson places them all in mu +- s sqrt(n - 1), and
+    Wolkowicz-Styan puts the largest at or above mu + s / sqrt(n - 1) and
+    the smallest at or below mu - s / sqrt(n - 1).  A node whose upper bound
+    lies below the largest of the lower bounds on the largest eigenvalue
+    cannot hold the maximum, and likewise for the minimum.  SCREEN_MARGIN
+    stands far above the rounding of s (about sqrt(eps) near a repeated
+    eigenvalue), so the extremes equal those of all nodes.  Raises
+    DomainError unless g is positive definite.
+    """
+    g = np.asarray(g)
+    h = grid.complex_hessian(u)
+    n = grid.n
+    sigma = pencil_table(inverse_metric(g), h, 2).sigma
+    mu = sigma[1] / n
+    sum_sq = sigma[1] ** 2 - 2.0 * sigma[2]
+    s = np.sqrt(np.maximum(sum_sq / n - mu**2, 0.0))
+    margin = SCREEN_MARGIN * np.sqrt(max(float(sum_sq.max()), 0.0))
+    wide, narrow = s * np.sqrt(n - 1), s / np.sqrt(n - 1)
+    candidates = (mu + wide >= (mu + narrow).max() - margin) | (
+        mu - wide <= (mu - narrow).min() + margin
+    )
+    lam = relative_eigenvalues_only(g[candidates], h[candidates])
     return float(lam.min()), float(lam.max())

@@ -12,22 +12,27 @@ matrix polynomial
 
 which is Hermitian.  The solver runs on it, and ``PencilTable.gradient`` is
 the one coordinate derivative the package offers (there is no single-pencil
-``evaluate``).  The eigen route reduces the pencil by Cholesky and runs
-``eigh``: ``relative_eigenvalues_only`` serves callers whose output is a
-spectrum (the solve report's Hessian extremes), and ``relative_eigenvalues``
-adds a g-orthonormal eigenframe.  ``sigma_root_gradient`` (dF/dlambda in
-that frame) and ``coordinate_gradient`` (its conjugation back to
-coordinates) are the eigenframe form of ``PencilTable.gradient``.  Nothing
-in the package calls ``relative_eigenvalues`` or these two; they stay
-because ``perfbench/tracer.py`` wraps them by name.  The eigenframe value,
+``evaluate``).  Its g^{-1} comes from ``inverse_metric``, built on the
+slot-wise Cholesky factor ``inverse_cholesky_factor``, which is also the
+package's one positive-definiteness test.  The eigen route reduces the
+pencil with the same factor and runs ``eigh``: ``relative_eigenvalues_only``
+serves callers whose output is a spectrum (the solve report's Hessian
+extremes, at the nodes ``geometry.hessian_pencil_extremes`` screens in),
+and ``relative_eigenvalues`` adds a g-orthonormal eigenframe.
+``sigma_root_gradient`` (dF/dlambda in that frame) and
+``coordinate_gradient`` (its conjugation back to coordinates) are the
+eigenframe form of ``PencilTable.gradient``.  Nothing in the package calls
+``relative_eigenvalues`` or these two; they stay because
+``perfbench/tracer.py`` wraps them by name.  The eigenframe value,
 second derivative and concavity form of F are test oracles
 (``tests/oracles.py``).  Both routes take the Gamma_k verdict from
 ``symfunc`` with the floor SIGMA_FLOOR on sigma_k.
 
 All routines broadcast over leading batch axes; eigenvalue order is
-descending.  The kernel loops over the n x n matrix slots with whole-batch
-array operations, which is fastest when the batch is the contiguous axis:
-``as_tensor_first`` lays a pencil out that way without changing its shape.
+descending.  The kernel and the Cholesky factor loop over the n x n matrix
+slots with whole-batch array operations, which is fastest when the batch is
+the contiguous axis: ``as_tensor_first`` lays a pencil out that way without
+changing its shape.
 """
 
 from __future__ import annotations
@@ -61,18 +66,14 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
 
 
 def _reduce_pencil(g, w):
-    """Cholesky reduction of the pencil: returns (L, a) with g = L L^H and
-    a the Hermitian part of L^{-1} w L^{-H}, which has the relative
-    eigenvalues of (g, w).  Raises DomainError unless g is positive definite."""
-    g = np.asarray(g, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("g must be positive definite") from exc
-    y = np.linalg.solve(chol, w)
-    a = np.linalg.solve(chol, np.conj(np.swapaxes(y, -1, -2)))  # L^{-1} w^H L^{-H}
-    return chol, 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+    """Cholesky reduction of the pencil: returns (m, a) as (n, n, ...) slot
+    arrays, with m = L^{-1} for g = L L^H and a the Hermitian part of
+    m w m^H, which has the relative eigenvalues of (g, w).  Raises
+    DomainError unless g is positive definite."""
+    g, w = np.broadcast_arrays(g, w)
+    m = _slots(inverse_cholesky_factor(g))
+    a = _matmul(_matmul(m, _slots(w)), np.conj(np.swapaxes(m, 0, 1)))
+    return m, 0.5 * (a + np.conj(np.swapaxes(a, 0, 1)))
 
 
 def relative_eigenvalues(g, w):
@@ -85,15 +86,15 @@ def relative_eigenvalues(g, w):
     """
     require_hermitian(g, "g")
     require_hermitian(w, "w")
-    chol, a = _reduce_pencil(g, w)
-    lam, q = np.linalg.eigh(a)
-    vecs = np.linalg.solve(np.conj(np.swapaxes(chol, -1, -2)), q)
+    m, a = _reduce_pencil(g, w)
+    lam, q = np.linalg.eigh(_unslots(a))
+    vecs = _unslots(_matmul(np.conj(np.swapaxes(m, 0, 1)), _slots(q)))  # L^{-H} q
     return lam[..., ::-1], vecs[..., :, ::-1]
 
 
 def relative_eigenvalues_only(g, w) -> np.ndarray:
     """Descending eigenvalues of the pencil without eigenvectors (cheaper)."""
-    return np.linalg.eigvalsh(_reduce_pencil(g, w)[1])[..., ::-1]
+    return np.linalg.eigvalsh(_unslots(_reduce_pencil(g, w)[1]))[..., ::-1]
 
 
 def sigma_root_gradient(values, k: int) -> np.ndarray:
@@ -143,6 +144,50 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 acc += a[i, m] * b[m, j]
             out[i, j] = acc
     return out
+
+
+def inverse_cholesky_factor(g, name: str = "g") -> np.ndarray:
+    """L^{-1} for the Cholesky factor of a Hermitian (..., n, n) field,
+    g = L L^H with L lower triangular and its diagonal positive.
+
+    The factorization runs over the n x n slots with whole-batch array
+    operations and reads only the lower triangle of g.  Raises DomainError
+    unless every pivot is > 0 at every node, which also rejects a NaN.
+    Returns a lower-triangular (..., n, n) array with index-first memory;
+    its upper triangle is zero.
+    """
+    s = _slots(as_tensor_first(g))
+    n = s.shape[0]
+    chol = [[None] * n for _ in range(n)]
+    for j in range(n):
+        pivot = s[j, j].real - sum(c.real**2 + c.imag**2 for c in chol[j][:j])
+        bad = ~(pivot > 0)
+        if np.any(bad):
+            raise DomainError(
+                f"{name} must be positive definite at every node: "
+                f"{np.count_nonzero(bad)} of {bad.size} fail"
+            )
+        chol[j][j] = np.sqrt(pivot)
+        for i in range(j + 1, n):
+            acc = s[i, j] - sum(chol[i][m] * np.conj(chol[j][m]) for m in range(j))
+            chol[i][j] = acc / chol[j][j]
+    # forward substitution L M = I, column by column
+    inv = np.zeros(s.shape, dtype=np.result_type(s.dtype, complex))
+    for j in range(n):
+        inv[j, j] = 1.0 / chol[j][j]
+        for i in range(j + 1, n):
+            acc = sum(chol[i][m] * inv[m, j] for m in range(j, i))
+            inv[i, j] = -acc / chol[i][i]
+    return _unslots(inv)
+
+
+def inverse_metric(g) -> np.ndarray:
+    """Matrix inverse of g_{i jbar} as g^{-1} = L^{-H} L^{-1}, exactly
+    Hermitian, with index-first memory; the raised tensor is
+    g^{p qbar} = inverse[..., q, p].  Raises DomainError unless g is
+    positive definite at every node."""
+    m = _slots(inverse_cholesky_factor(g))
+    return _unslots(_matmul(np.conj(np.swapaxes(m, 0, 1)), m))
 
 
 @dataclass

@@ -16,11 +16,15 @@ solvability constraint of the closed source; u is kept mean-zero during the
 iteration and shifted to sup u = 0 on success.
 
 Every pencil evaluation goes through the eigen-free kernel
-``operator.pencil_table`` with g^{-1} formed once per solve: the cone test,
-the residual and Phi all come from the sigma table of A = g^{-1} w, and the
-table of the accepted line-search trial serves the next Newton step.
-Eigenvalues are computed only for the report: one call on (g, ddbar u)
-gives the Hessian extremes, and 1 plus them ``eig_min``/``eig_max``.
+``operator.pencil_table`` with g^{-1} formed once per solve, from the
+slot-wise Cholesky factor that also checks g: the cone test, the residual
+and Phi all come from the sigma table of A = g^{-1} w, and the table of the
+accepted line-search trial serves the next Newton step.  Each Newton step
+transforms its correction once: du and ddbar du come from the same half
+spectrum.  The report's Hessian extremes (``hessian_pencil_extremes``, and
+1 plus them ``eig_min``/``eig_max``) screen the nodes by bounds from
+sigma_1 and sigma_2 of g^{-1} ddbar u, and compute eigenvalues only at the
+few nodes where an extreme can sit.
 
 Continuation runs along f_t = (1 - t) log C(n, k) + t f with step control
 (Deuflhard, Newton Methods for Nonlinear Problems, 2004).  The step starts
@@ -49,8 +53,14 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConeViolationError, DomainError, LinearSolveError, SolveFailure
-from .geometry import TorusGrid, gradient_norm_sq, hessian_pencil_extremes, inverse_metric
-from .operator import PencilTable, as_tensor_first, pencil_table, require_hermitian
+from .geometry import TorusGrid, gradient_norm_sq, hessian_pencil_extremes
+from .operator import (
+    PencilTable,
+    as_tensor_first,
+    inverse_metric,
+    pencil_table,
+    require_hermitian,
+)
 # not called here: perfbench/test_perfbench.py checks that its tracer
 # restores this module's binding of the name
 from .operator import relative_eigenvalues_only  # noqa: F401
@@ -179,22 +189,20 @@ class SolveReport:
 
 # --------------------------------------------------------------- residuals
 
-def _require_metric(grid: TorusGrid, g) -> np.ndarray:
-    """g as an array, or DomainError for a metric the pencil kernel cannot
-    run on: the kernel inverts g and would not notice an indefinite or
-    non-Hermitian one."""
+def _require_metric(grid: TorusGrid, g) -> tuple[np.ndarray, np.ndarray]:
+    """(g, g^{-1}) as arrays, or DomainError for a metric the pencil kernel
+    cannot run on: the kernel takes g^{-1} and would not notice an
+    indefinite or non-Hermitian g."""
     g = np.asarray(g)
     n = grid.n
     if g.shape != grid.shape + (n, n):
         raise DomainError(f"metric shape {g.shape} does not match grid {grid.shape}")
+    require_hermitian(g, "g")
+    ginv = inverse_metric(g)
+    # the Cholesky pivots reject a NaN but not an inf
     if not np.all(np.isfinite(g)):
         raise DomainError("metric g has non-finite entries")
-    require_hermitian(g, "g")
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("g must be positive definite at every node") from exc
-    return g
+    return g, ginv
 
 
 def _require_source(grid: TorusGrid, f) -> np.ndarray:
@@ -218,9 +226,9 @@ def residual_field(
     grid: TorusGrid, u: np.ndarray, b: float, f: np.ndarray, g: np.ndarray, k: int
 ) -> np.ndarray:
     """k-th-root residual F - exp((f + b)/k); raises if omega_u exits Gamma_k."""
-    g = _require_metric(grid, g)
+    g, ginv = _require_metric(grid, g)
     f = _require_source(grid, f)
-    table = pencil_table(inverse_metric(g), g + grid.complex_hessian(np.asarray(u)), k)
+    table = pencil_table(ginv, g + grid.complex_hessian(np.asarray(u)), k)
     if not table.inside:
         raise ConeViolationError(f"omega_u left Gamma_{k}")
     return _residual(table, f, b)
@@ -228,8 +236,8 @@ def residual_field(
 
 def manufactured_source(grid: TorusGrid, g: np.ndarray, u_star: np.ndarray, k: int) -> np.ndarray:
     """Source f with exact solution (u_star, b = 0): f = log sigma_k(lambda)."""
-    g = _require_metric(grid, g)
-    table = pencil_table(inverse_metric(g), g + grid.complex_hessian(np.asarray(u_star)), k)
+    g, ginv = _require_metric(grid, g)
+    table = pencil_table(ginv, g + grid.complex_hessian(np.asarray(u_star)), k)
     if not table.inside:
         raise ConeViolationError("manufactured potential leaves Gamma_k; reduce amplitude")
     return np.log(table.sigma[k])
@@ -251,7 +259,9 @@ def right_preconditioned_operator(grid: TorusGrid, phi: np.ndarray, source_scale
     transform of w, scaled by the inverse-Laplacian symbol over cbar, feeds
     the n^2 inverse transforms of the Hessian, and s passes through as the
     mean of P^{-1} z.  ``recover(z)`` is P^{-1} z = (du, db) without the
-    constant s, so du is mean-zero.  Raises LinearSolveError for a
+    constant s, so du is mean-zero, and ddbar du from du's spectrum as
+    ``complex_hessian`` lays it out: (du, db, ddbar du).  Raises
+    LinearSolveError for a
     non-finite phi or source_scale, or unless cbar > 0.
     """
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(source_scale))):
@@ -285,7 +295,9 @@ def right_preconditioned_operator(grid: TorusGrid, phi: np.ndarray, source_scale
 
     def recover(z):
         w = z[:m].reshape(shape)
-        return grid.solve_laplacian(w) / cbar, float(-w.mean() / cb_mean)
+        hat = np.fft.rfftn(w) * kernel
+        du = np.fft.irfftn(hat, s=shape, axes=grid._axes)
+        return du, float(-w.mean() / cb_mean), grid._hessian_from_spectrum(hat)
 
     return apply, recover, m + 1
 
@@ -312,7 +324,7 @@ def newton_step(
     recovered once at the end, so GMRES minimizes the true linearized
     residual, the quantity the forcing term eta bounds.  Non-finite inputs
     raise LinearSolveError before the first iteration.  Returns (du, db,
-    iterations).
+    iterations, ddbar du).
     """
     if not np.all(np.isfinite(residual)):
         raise LinearSolveError("non-finite residual")
@@ -341,8 +353,8 @@ def newton_step(
         raise LinearSolveError(
             f"GMRES stopped with info={info} after {iters} iterations"
         )
-    du, db = recover(sol)
-    return du, db, iters
+    du, db, hess_du = recover(sol)
+    return du, db, iters, hess_du
 
 
 def line_search(
@@ -429,9 +441,8 @@ def _newton_solve(grid, ginv, f, k, u, b, w, options, history, path, t):
         source_scale = np.exp((f + b) / k) / k
         eta = _forcing_term(eta, sup_prev, sup_res, options)
         forcing.append(eta)
-        du, db, iters = newton_step(grid, phi, source_scale, residual, options, eta)
+        du, db, iters, hess_du = newton_step(grid, phi, source_scale, residual, options, eta)
         gmres_counts.append(iters)
-        hess_du = grid.complex_hessian(du)
         s, w, residual, table = line_search(
             grid, ginv, w, hess_du, b, db, f, k, sup_res, options
         )
@@ -467,10 +478,9 @@ def solve(
     n = grid.n
     check_k(k, n)
     f = _require_source(grid, f)
-    g = _require_metric(grid, g)
+    g, ginv = _require_metric(grid, g)
     start = time.perf_counter()
     log_identity = log(comb(n, k))
-    ginv = inverse_metric(g)
     u = np.zeros(grid.shape)
     b = 0.0
     w = as_tensor_first(g)

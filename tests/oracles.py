@@ -19,7 +19,6 @@ from khessian.geometry import (
     CovariantDerivatives,
     TorusGrid,
     gradient_norm_sq,
-    inverse_metric,
 )
 from khessian.operator import SIGMA_FLOOR, relative_eigenvalues, sigma_root_gradient
 from khessian.symfunc import (
@@ -117,6 +116,12 @@ def random_hermitian_field(grid, rng, base=2.0, scale=0.3):
     for i in range(n):
         out[..., i, i] += base
     return out
+
+
+def reference_inverse(g) -> np.ndarray:
+    """Batched LAPACK inverse of (..., n, n) matrices, the reference for the
+    package's slot-wise Cholesky inverse ``inverse_metric``."""
+    return np.linalg.inv(g)
 
 
 def random_unitary(rng, n: int) -> np.ndarray:
@@ -464,7 +469,7 @@ def chern_tensors(grid: TorusGrid, g: np.ndarray, with_curvature: bool = True) -
     n = grid.n
     if g.shape != grid.shape + (n, n):
         raise DomainError(f"metric shape {g.shape} does not match grid {grid.shape}")
-    ginv = inverse_metric(g)
+    ginv = reference_inverse(g)
     dg = np.empty(grid.shape + (n, n, n), dtype=complex)  # dg[..., i, j, q] = d_i g_{j qbar}
     for j in range(n):
         for q in range(n):

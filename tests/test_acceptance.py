@@ -185,7 +185,7 @@ def test_criterion_4_derivative_identities_on_samples():
         # the pencil kernel on the same spectra
         rng = np.random.default_rng(11)
         g, w = _pencils_with_spectra(rng, lam)
-        ginv = np.linalg.inv(g)
+        ginv = oracles.reference_inverse(g)
         table = pencil_table(ginv, w, k)
         root = table.root()
         phi = table.gradient(ginv)

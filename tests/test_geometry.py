@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from khessian import audits, geometry
+from khessian import audits, geometry, operator
 from khessian.audits import COMMUTATION_TERMS
 from khessian.errors import ConeViolationError, DomainError
 from khessian.geometry import TorusGrid, chern_tensors, metric_preset
@@ -221,6 +221,30 @@ def test_presets_positive_definite_and_hermitian(grid8):
         assert np.linalg.eigvalsh(g)[..., 0].min() > 0.0
 
 
+def _coarse_grid(n: int, N: int) -> TorusGrid:
+    """A TorusGrid below the floor N >= 8, for pointwise checks at n = 4,
+    where one metric on 8^8 nodes would take gigabytes."""
+    grid = TorusGrid(n, 8)
+    grid.N = N
+    grid.shape = (N,) * (2 * n)
+    grid._freq = np.fft.fftfreq(N) * N
+    grid._ticks = np.arange(N) / N
+    return grid
+
+
+@pytest.mark.parametrize("n,N", [(2, 8), (3, 8), (4, 4)])
+def test_inverse_metric_matches_reference_inverse(n, N):
+    grid = TorusGrid(n, N) if N >= 8 else _coarse_grid(n, N)
+    rng = np.random.default_rng(5 + n)
+    metrics = {name: metric_preset(grid, name) for name in ("torsion", "kahler")}
+    metrics["random"] = oracles.random_hermitian_field(grid, rng)
+    for name, g in metrics.items():
+        ref = oracles.reference_inverse(g)
+        got = geometry.inverse_metric(g)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+        assert _index_first_is_contiguous(got, grid), name
+
+
 def test_torsion_preset_diagonal_floor(grid8):
     g = metric_preset(grid8, "torsion", epsilon=0.15)
     diag = np.stack([g[..., i, i].real for i in range(2)], axis=-1)
@@ -422,6 +446,37 @@ def test_hessian_pencil_extremes_rejects_indefinite_metric(grid8):
     u = grid8.trig_field([(0.05, [1, 0, 0, 0], 0.0)])
     with pytest.raises(DomainError, match="positive definite"):
         geometry.hessian_pencil_extremes(grid8, u, -geometry.identity_metric(grid8))
+
+
+@pytest.mark.parametrize("case", ["zero", "crossing", "random-3"])
+def test_hessian_pencil_extremes_screen_is_exact(case, eigvalsh_rows):
+    # oracle: eigenvalues at every node.  u = 0 makes every node a
+    # candidate; the single mode's eigenvalues cross where cos(2 pi x1) = 0,
+    # so s is all rounding there; at n = 3 on a random metric the bounds
+    # are not tight.
+    if case == "random-3":
+        grid = TorusGrid(3, 8)
+        g = oracles.random_hermitian_field(grid, np.random.default_rng(23))
+        # neither extreme sits at the node with the widest bounds
+        u = grid.trig_field([(0.0131, (1, 1, -1, 1, 0, -1), 4.97),
+                             (0.0088, (-1, 0, 0, 1, -1, 1), 5.64),
+                             (0.0145, (-1, 1, 1, 0, -1, -1), 0.96),
+                             (0.0125, (1, 1, 1, 0, 0, 1), 0.75)])
+    else:
+        grid = TorusGrid(2, 12)
+        g = metric_preset(grid, "torsion", epsilon=0.1)
+        u = grid.zeros() if case == "zero" else grid.trig_field([(0.05, (1, 0, 0, 0), 0.0)])
+    lam = operator.relative_eigenvalues_only(g, grid.complex_hessian(u))
+    ref = (lam.min(), lam.max())
+    eigvalsh_rows.clear()
+    got = geometry.hessian_pencil_extremes(grid, u, g)
+    scale = np.abs(ref).max()
+    assert np.abs(np.subtract(got, ref)).max() <= 1e-12 * scale, (got, ref)
+    nodes = np.prod(grid.shape)
+    if case == "zero":
+        assert got == (0.0, 0.0) and eigvalsh_rows == [nodes]
+    else:
+        assert sum(eigvalsh_rows) < nodes
 
 
 def test_cone_band_integrand_requires_band(grid8):

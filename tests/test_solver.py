@@ -8,7 +8,13 @@ from math import comb, log
 
 import khessian.solver as solver_module
 from khessian.errors import ConeViolationError, DomainError, LinearSolveError, SolveFailure
-from khessian.geometry import TorusGrid, inverse_metric, metric_preset
+from khessian.geometry import (
+    TorusGrid,
+    chern_tensors,
+    gradient_norm_sq,
+    inverse_metric,
+    metric_preset,
+)
 from khessian.operator import as_tensor_first, pencil_table
 from khessian.solver import (
     SolverOptions,
@@ -21,7 +27,7 @@ from khessian.solver import (
     residual_field,
     solve,
 )
-from oracles import bordered_pair, random_hermitian_field
+from oracles import bordered_pair, random_hermitian_field, reference_inverse
 
 # acceptance-style manufactured potential 0.05(cos 2pi x1 cos 2pi y1 + cos 2pi x2)
 MMS_TERMS = [
@@ -95,7 +101,7 @@ def test_newton_step_single_mode():
     phi[..., 0, 0] = 0.5
     phi[..., 1, 1] = 0.5
     scale = np.full(grid.shape, 0.5)
-    du, db, iters = newton_step(grid, phi, scale, residual, SolverOptions(), 1e-10)
+    du, db, iters, _ = newton_step(grid, phi, scale, residual, SolverOptions(), 1e-10)
     assert abs(du.mean()) < 1e-14
     assert abs(db) < 1e-5
     assert iters <= 8
@@ -141,17 +147,27 @@ def test_fused_operator_matches_left_preconditioned_pair(case):
         z = rng.normal(size=size)
         ref = matvec(precond(z))
         assert np.linalg.norm(apply(z) - ref) <= 1e-12 * np.linalg.norm(ref)
-        du, db = recover(z)
+        du, db, _ = recover(z)
         v = precond(z)
         assert abs(db - v[m]) <= 1e-14 * abs(v[m])
         assert np.abs(du - (v[:m] - v[:m].mean()).reshape(grid.shape)).max() <= 1e-14
     # the recovered step meets the forcing term on the true residual
     rhs = np.concatenate([-residual.ravel(), [0.0]])
     for eta in (0.1, 1e-6):
-        du, db, iters = newton_step(grid, phi, scale, residual, SolverOptions(), eta)
+        du, db, iters, _ = newton_step(grid, phi, scale, residual, SolverOptions(), eta)
         assert iters >= 1
         true_res = matvec(np.concatenate([du.ravel(), [db]])) - rhs
         assert np.linalg.norm(true_res) <= eta * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("case", ["torsion-2", "torsion-3"])
+def test_newton_step_hessian_is_complex_hessian_of_du(case):
+    # ddbar du comes from the half spectrum that also gives du, with no
+    # second transform of du
+    grid, phi, scale, residual = _linearization(case)
+    du, _, _, hess_du = newton_step(grid, phi, scale, residual, SolverOptions(), 1e-6)
+    ref = grid.complex_hessian(du)
+    assert np.abs(hess_du - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
 
 
 @pytest.mark.parametrize("where", ["phi", "source_scale", "residual", "cbar"])
@@ -184,7 +200,7 @@ def test_line_search_backtracks_on_cone_exit():
     hess = grid.complex_hessian(du)
     # full step pushes w_11 to 1 - 0.15 pi^2 < 0; half step stays inside
     s, w_new, r_new, table = line_search(
-        grid, np.linalg.inv(g), g.copy(), hess, 0.0, 0.0, grid.zeros(), 2, 1e9,
+        grid, reference_inverse(g), g.copy(), hess, 0.0, 0.0, grid.zeros(), 2, 1e9,
         SolverOptions(),
     )
     assert s == 0.5
@@ -201,7 +217,7 @@ def test_line_search_exhaustion_raises():
     opts = SolverOptions(linesearch_min_step=0.6)  # only s = 1 is tried
     with pytest.raises(SolveFailure):
         line_search(
-            grid, np.linalg.inv(g), g.copy(), hess, 0.0, 0.0, grid.zeros(), 2, 1e9, opts
+            grid, reference_inverse(g), g.copy(), hess, 0.0, 0.0, grid.zeros(), 2, 1e9, opts
         )
 
 
@@ -474,6 +490,65 @@ def test_solve_rejects_indefinite_metric():
         solve(grid, g, grid.zeros(), 2)
     with pytest.raises(DomainError, match="positive definite"):
         manufactured_source(grid, g, grid.zeros(), 2)
+
+
+@pytest.mark.parametrize("bad", ["indefinite", "singular-node", "nan-node"])
+def test_bad_metric_raises_positive_definite_on_every_route(bad, monkeypatch):
+    # inverse_metric, chern_tensors and gradient_norm_sq used to invert an
+    # indefinite g without a word
+    grid = TorusGrid(2, 8)
+    g = metric_preset(grid, "torsion", epsilon=0.1)
+    node = (3,) * (2 * grid.n)
+    if bad == "indefinite":
+        g[..., 1, 1] *= -1.0
+    elif bad == "singular-node":
+        g[node] = [[1.0, 1j], [-1j, 1.0]]
+    else:
+        g[node] = np.nan
+    u = grid.trig_field(MMS_TERMS)
+    routes = {
+        "solve": lambda: solve(grid, g, grid.zeros(), 2),
+        "manufactured_source": lambda: manufactured_source(grid, g, u, 2),
+        "inverse_metric": lambda: inverse_metric(g),
+        "gradient_norm_sq": lambda: gradient_norm_sq(grid, u, g),
+        "chern_tensors": lambda: chern_tensors(grid, g, with_curvature=False),
+    }
+    for name, route in routes.items():
+        with pytest.raises(DomainError, match="positive definite"):
+            route()
+            pytest.fail(f"{name} accepted the metric")
+    # the kahler preset is id + ddbar(phi); make that sum the bad metric
+    identity = metric_preset(grid, "euclidean")
+    monkeypatch.setattr(grid, "complex_hessian", lambda phi: g - identity)
+    with pytest.raises(DomainError, match="kahler preset must be positive definite"):
+        metric_preset(grid, "kahler")
+
+
+def test_solve_rejects_infinite_metric():
+    # an inf passes every Cholesky pivot test; the finite check catches it
+    grid = TorusGrid(2, 8)
+    g = metric_preset(grid, "torsion", epsilon=0.1)
+    g[(3,) * (2 * grid.n) + (0, 0)] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="non-finite"):
+        solve(grid, g, grid.zeros(), 2)
+
+
+def test_solve_keeps_off_batched_lapack(monkeypatch, eigvalsh_rows):
+    # g^{-1} and the metric check come from the slot-wise Cholesky, and the
+    # report's Hessian extremes take eigenvalues at a few screened nodes
+    grid = TorusGrid(2, 8)
+    g = metric_preset(grid, "torsion", epsilon=0.1)
+    u_star = grid.trig_field(MMS_TERMS)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("batched LAPACK inverse or factorization in a solve")
+
+    for name in ("inv", "cholesky", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rep = solve(grid, g, manufactured_source(grid, g, u_star, 2), 2)
+    assert rep.success
+    rows = eigvalsh_rows
+    assert len(rows) == 1 and rows[0] < 0.05 * np.prod(grid.shape), rows
 
 
 def test_mesh_convergence_against_analytic_source():
