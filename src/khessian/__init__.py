@@ -30,7 +30,7 @@ from .errors import (
     SolveFailure,
 )
 from .fieldio import load_field, save_field
-from .forms import Form, gradient_band_form, metric_form, unit_form
+from .forms import Form, gradient_band_form, metric_form
 from .geometry import (
     PRESET_NAMES,
     ChernTensors,
@@ -131,5 +131,4 @@ __all__ = [
     "sigma_restricted_each",
     "sigma_root_gradient",
     "solve",
-    "unit_form",
 ]

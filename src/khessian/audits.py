@@ -30,6 +30,7 @@ from statistics import median
 import numpy as np
 
 from .errors import DomainError
+from .fieldio import plain
 from .geometry import (
     TorusGrid,
     chern_tensors,
@@ -47,19 +48,6 @@ from .symfunc import (
 )
 
 
-def _plain(value):
-    """Recursively convert numpy scalars/arrays for JSON output."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return value
-
-
 @dataclass
 class AuditReport:
     """Outcome of one audit: rows of measurements, derived constants, the
@@ -67,26 +55,15 @@ class AuditReport:
 
     name: str
     params: dict
-    rows: list[dict] = field(default_factory=list)
     constants: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     violations: int = 0
     passed: bool = False
     message: str = ""
+    rows: list[dict] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return _plain(
-            {
-                "name": self.name,
-                "params": self.params,
-                "constants": self.constants,
-                "tolerances": self.tolerances,
-                "violations": self.violations,
-                "passed": self.passed,
-                "message": self.message,
-                "rows": self.rows,
-            }
-        )
+        return plain(self)
 
 
 # ------------------------------------------------------------- cone audits

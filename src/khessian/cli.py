@@ -5,13 +5,18 @@
     khessian audit NAME   --config cfg.yaml ...
     khessian sample-cone  --config cfg.yaml ...
 
-Configuration is YAML merged over built-in defaults; --set overrides use
-dotted paths (--set problem.N=16).  Unknown keys are rejected with their
-full path, and every value is type-checked against its default; the solver
-section is SolverOptions, checked by SolverOptions.validated().  Every run
-writes report.json (with the effective configuration embedded) and rows.csv
-into the output directory, which resolves from the config, then the
-KHESSIAN_OUTDIR environment variable, then ./khessian-out.
+Configuration is YAML merged over built-in defaults; a --set override
+names a dotted path (--set problem.N=16) and goes through the same merge.
+Unknown keys are rejected with their full path, and every value is
+type-checked against its default; the solver section is SolverOptions,
+checked by SolverOptions.validated().  Every run writes report.json (with
+the effective configuration embedded) and rows.csv into the output
+directory, which resolves from the config, then the KHESSIAN_OUTDIR
+environment variable, then ./khessian-out.  Both files come from the
+report dataclasses' fields: for solve and mms, report.json holds every
+SolveReport field but the grid arrays (the stages and the residual history
+included) and rows.csv one column per StageRecord field; an audit writes
+its AuditReport and one row per measurement.
 
 Exit status: 0 on success, 1 when the run completed but failed (solver
 divergence, audit violation), 2 for configuration errors.
@@ -54,7 +59,7 @@ _ConfigLoader.add_implicit_resolver(
 
 from . import audits
 from .errors import ConfigError, DomainError, SamplingBudgetError
-from .fieldio import save_field
+from .fieldio import plain, save_field
 from .geometry import PRESET_NAMES, TorusGrid, check_preset, metric_preset
 from .solver import SolverOptions, manufactured_source, recovery_error, solve
 from .symfunc import elementary_all, sample_gamma_k
@@ -136,7 +141,8 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-def _apply_set(cfg: dict, assignment: str) -> None:
+def _apply_set(cfg: dict, assignment: str) -> dict:
+    """Merge --set a.b.c=v into cfg as the override {"a": {"b": {"c": v}}}."""
     if "=" not in assignment:
         raise ConfigError(f"--set needs key=value, got {assignment!r}")
     key, _, raw = assignment.partition("=")
@@ -144,20 +150,9 @@ def _apply_set(cfg: dict, assignment: str) -> None:
         value = yaml.load(raw, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"--set {key}: unparseable value {raw!r}: {exc}") from exc
-    node = cfg
-    parts = key.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"--set: unknown configuration key {key!r}")
-        node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        hint = difflib.get_close_matches(leaf, list(node) if isinstance(node, dict) else [], n=1)
-        extra = f" (did you mean {hint[0]!r}?)" if hint else ""
-        raise ConfigError(f"--set: unknown configuration key {key!r}{extra}")
-    if isinstance(node[leaf], dict):
-        raise ConfigError(f"--set: {key!r} is a mapping, set its leaves instead")
-    node[leaf] = value
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return _merge(cfg, value)
 
 
 def _check_types(value, default, path: str) -> None:
@@ -278,7 +273,7 @@ def load_config(path: str | None, sets, seed: int | None) -> dict:
             raise ConfigError(f"{path}: top level must be a mapping")
         cfg = _merge(cfg, user)
     for assignment in sets or ():
-        _apply_set(cfg, assignment)
+        cfg = _apply_set(cfg, assignment)
     if seed is not None:
         cfg["seed"] = seed
     return _validate(cfg)
@@ -288,21 +283,22 @@ def _resolve_outdir(cfg: dict) -> Path:
     return Path(cfg["output_dir"] or os.environ.get("KHESSIAN_OUTDIR") or "khessian-out")
 
 
-def _write_outputs(outdir: Path, report: dict, rows: list[dict]) -> None:
+def _write_outputs(outdir: Path, report: dict, rows: list) -> None:
+    """report.json, and rows.csv with one column per key or field seen in
+    any row (a dict or a dataclass); a list cell is written space-joined."""
     outdir.mkdir(parents=True, exist_ok=True)  # only here: a failed run leaves none
     with open(outdir / "report.json", "w") as fh:
-        json.dump(audits._plain(report), fh, indent=2)
+        json.dump(plain(report), fh, indent=2)
         fh.write("\n")
-    header: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in header:
-                header.append(key)
+    rows = [plain(row) for row in rows]
+    header = list(dict.fromkeys(key for row in rows for key in row))
     with open(outdir / "rows.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=header, restval="")
         writer.writeheader()
         for row in rows:
-            writer.writerow(audits._plain(row))
+            writer.writerow(
+                {k: " ".join(map(str, v)) if isinstance(v, list) else v for k, v in row.items()}
+            )
 
 
 def _problem_pieces(cfg: dict):
@@ -317,21 +313,6 @@ def _problem_pieces(cfg: dict):
     return grid, g, p["k"]
 
 
-def _stage_rows(report) -> list[dict]:
-    return [
-        {
-            "t": s.t,
-            "newton_iterations": s.newton_iterations,
-            "final_residual": s.final_residual,
-            "min_step": s.min_step,
-            "gmres_iterations": s.gmres_iterations,
-            "forcing_terms": " ".join(f"{eta:.3e}" for eta in s.forcing_terms),
-            "gmres_per_step": " ".join(str(c) for c in s.gmres_per_step),
-        }
-        for s in report.stages
-    ]
-
-
 def _cmd_solve(cfg: dict, outdir: Path) -> int:
     grid, g, k = _problem_pieces(cfg)
     f = grid.trig_field(
@@ -341,7 +322,7 @@ def _cmd_solve(cfg: dict, outdir: Path) -> int:
     _write_outputs(
         outdir,
         {"command": "solve", "passed": rep.success, **rep.summary_dict(), "config": cfg},
-        _stage_rows(rep),
+        rep.stages,
     )
     if cfg["save_fields"]:
         save_field(outdir / "u.khf", rep.u, grid.n, grid.N, kind="potential")
@@ -366,7 +347,7 @@ def _cmd_mms(cfg: dict, outdir: Path) -> int:
             **rep.summary_dict(),
             "config": cfg,
         },
-        _stage_rows(rep),
+        rep.stages,
     )
     if cfg["save_fields"]:
         save_field(outdir / "u.khf", rep.u, grid.n, grid.N, kind="potential")

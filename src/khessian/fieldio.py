@@ -1,7 +1,7 @@
-"""Flat binary serialization for grid fields.
+"""Serialization: flat binary grid fields, and reports as plain JSON values.
 
-Layout: the magic line b"KHFLD1\n", one JSON header line terminated by a
-newline, then the raw C-order array bytes.  The header records n, N, a
+Field layout: the magic line b"KHFLD1\n", one JSON header line terminated
+by a newline, then the raw C-order array bytes.  The header records n, N, a
 caller-chosen kind label, the numpy dtype name, and the full array shape
 (grid axes plus any trailing tensor axes), which is enough to reconstruct
 the array without guessing.
@@ -10,6 +10,7 @@ the array without guessing.
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,22 @@ from .errors import DomainError
 
 MAGIC = b"KHFLD1\n"
 _ALLOWED_DTYPES = ("float64", "complex128")
+
+
+def plain(value):
+    """A JSON-ready copy of value: dataclasses become dicts of their fields,
+    tuples become lists, numpy scalars and arrays become Python values."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {str(k): plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
 
 
 def save_field(path, field: np.ndarray, n: int, N: int, kind: str = "field") -> None:

@@ -99,7 +99,7 @@ class Form:
     def wedge_power(self, power: int) -> "Form":
         if power < 0:
             raise DomainError("wedge power must be nonnegative")
-        out = unit_form(self.grid)
+        out = Form(self.grid, {((), ()): np.ones(self.grid.shape)})
         for _ in range(power):
             out = out.wedge(self)
         return out
@@ -145,12 +145,6 @@ class Form:
 
 
 # ------------------------------------------------------------- constructors
-
-def unit_form(grid: TorusGrid) -> Form:
-    out = Form(grid)
-    out.terms[((), ())] = np.ones(grid.shape, dtype=complex)
-    return out
-
 
 def metric_form(grid: TorusGrid, g: np.ndarray) -> Form:
     """The Hermitian form sqrt(-1) g_{i jbar} dz^i wedge dzbar^j."""

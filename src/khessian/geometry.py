@@ -48,6 +48,7 @@ from .operator import (
     inverse_metric,
     pencil_table,
     relative_eigenvalues_only,
+    require_hermitian,
 )
 
 
@@ -381,8 +382,7 @@ class ChernTensors:
 
     gamma[..., p, i, j]      : Gamma^p_ij
     torsion[..., p, i, j]    : T^p_ij = Gamma^p_ij - Gamma^p_ji
-    curvature[..., i, j, k, p]: R_{i jbar k}^p = -d_jbar Gamma^p_ik, or None
-                                when built with_curvature=False
+    curvature[..., i, j, k, p]: R_{i jbar k}^p = -d_jbar Gamma^p_ik
 
     Shapes are grid-first as listed; the memory of inverse, gamma, torsion
     and curvature is index-first, as for every stack of this module.
@@ -392,15 +392,17 @@ class ChernTensors:
     inverse: np.ndarray
     gamma: np.ndarray
     torsion: np.ndarray
-    curvature: np.ndarray | None
+    curvature: np.ndarray
 
 
-def chern_tensors(grid: TorusGrid, g: np.ndarray, with_curvature: bool = True) -> ChernTensors:
+def chern_tensors(grid: TorusGrid, g: np.ndarray) -> ChernTensors:
     """Assemble connection, torsion and curvature of a Hermitian metric."""
     n = grid.n
     if g.shape != grid.shape + (n, n):
         raise DomainError(f"metric shape {g.shape} does not match grid {grid.shape}")
     ginv = inverse_metric(g)
+    # the Cholesky reads only the lower triangle and passes an inf
+    require_hermitian(g, "g")
     dg = _index_first(grid, 3)  # dg[..., i, j, q] = d_i g_{j qbar}
     for j in range(n):
         for q in range(n):
@@ -408,14 +410,12 @@ def chern_tensors(grid: TorusGrid, g: np.ndarray, with_curvature: bool = True) -
                 dg[..., i, j, q] = grid.dz(g[..., j, q], i)
     gamma = np.einsum("...qp,...ijq->...pij", ginv, dg, out=_index_first(grid, 3))
     torsion = np.subtract(gamma, np.swapaxes(gamma, -1, -2), out=_index_first(grid, 3))
-    curvature = None
-    if with_curvature:
-        curvature = _index_first(grid, 4)
-        for p in range(n):
-            for i in range(n):
-                for kk in range(n):
-                    for j in range(n):
-                        curvature[..., i, j, kk, p] = -grid.dzbar(gamma[..., p, i, kk], j)
+    curvature = _index_first(grid, 4)
+    for p in range(n):
+        for i in range(n):
+            for kk in range(n):
+                for j in range(n):
+                    curvature[..., i, j, kk, p] = -grid.dzbar(gamma[..., p, i, kk], j)
     return ChernTensors(metric=g, inverse=ginv, gamma=gamma, torsion=torsion,
                         curvature=curvature)
 
@@ -525,9 +525,7 @@ def commutation_residual(
     hook used to confirm the audit rejects the wrong identity.
     """
     if tensors is None:
-        tensors = chern_tensors(grid, g, with_curvature=True)
-    if tensors.curvature is None:
-        raise DomainError("commutation residuals need tensors built with curvature")
+        tensors = chern_tensors(grid, g)
     if derivatives is None:
         derivatives = covariant_derivatives(grid, u, tensors, order=order)
     t = tensors.torsion

@@ -52,13 +52,16 @@ HERMITIAN_RTOL = 1e-12
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
-    """Validate relative Hermitian symmetry of the trailing 2 axes."""
+    """Validate finite entries and relative Hermitian symmetry of the
+    trailing 2 axes."""
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DomainError(f"{name} must have square trailing axes, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError(f"{name} has non-finite entries")
     skew = np.abs(a - np.conj(np.swapaxes(a, -1, -2))).max()
     scale = max(np.abs(a).max(), 1.0)
-    if skew > HERMITIAN_RTOL * scale:
+    if not skew <= HERMITIAN_RTOL * scale:
         raise DomainError(
             f"{name} is not Hermitian: relative asymmetry {skew / scale:.3e}"
         )

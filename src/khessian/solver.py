@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import comb, log
 
@@ -53,6 +53,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConeViolationError, DomainError, LinearSolveError, SolveFailure
+from .fieldio import plain
 from .geometry import TorusGrid, gradient_norm_sq, hessian_pencil_extremes
 from .operator import (
     PencilTable,
@@ -166,25 +167,13 @@ class SolveReport:
     path: list[dict] | None = None
 
     def summary_dict(self) -> dict:
-        return {
-            "success": self.success,
-            "n": self.n,
-            "N": self.N,
-            "k": self.k,
-            "b": self.b,
-            "t_reached": self.t_reached,
-            "newton_iterations": [s.newton_iterations for s in self.stages],
-            "final_residual": self.stages[-1].final_residual if self.stages else 0.0,
-            "sup_abs_f": self.sup_abs_f,
-            "sup_abs_u": self.sup_abs_u,
-            "max_abs_hessian": self.max_abs_hessian,
-            "max_grad_sq": self.max_grad_sq,
-            "eig_min": self.eig_min,
-            "eig_max": self.eig_max,
-            "wall_seconds": self.wall_seconds,
-            "rejected": [asdict(r) for r in self.rejected],
-            "message": self.message,
-        }
+        """Every field but the grid arrays u and path, as plain JSON values,
+        plus each stage's Newton count and the last stage's residual."""
+        out = {f.name: plain(getattr(self, f.name)) for f in fields(self)
+               if f.name not in ("u", "path")}
+        out["newton_iterations"] = [s.newton_iterations for s in self.stages]
+        out["final_residual"] = self.stages[-1].final_residual if self.stages else 0.0
+        return out
 
 
 # --------------------------------------------------------------- residuals
@@ -197,11 +186,9 @@ def _require_metric(grid: TorusGrid, g) -> tuple[np.ndarray, np.ndarray]:
     n = grid.n
     if g.shape != grid.shape + (n, n):
         raise DomainError(f"metric shape {g.shape} does not match grid {grid.shape}")
-    require_hermitian(g, "g")
     ginv = inverse_metric(g)
-    # the Cholesky pivots reject a NaN but not an inf
-    if not np.all(np.isfinite(g)):
-        raise DomainError("metric g has non-finite entries")
+    # the Cholesky reads only the lower triangle and passes an inf
+    require_hermitian(g, "g")
     return g, ginv
 
 

@@ -43,6 +43,30 @@ def test_report_serialization(tmp_path):
     assert len(lines) == 1 + len(rep.rows)
 
 
+def test_as_dict_round_trips_numpy_values_through_json():
+    rep = audits.AuditReport(
+        name="numpy",
+        params={"shape": (2, 3)},
+        constants={"c": np.float64(0.25)},
+        violations=np.int64(0),
+        passed=np.bool_(True),
+        rows=[{"x": np.float32(0.5), "v": np.arange(3), "m": np.eye(2)}],
+    )
+    plain = rep.as_dict()
+    assert json.loads(json.dumps(plain)) == plain
+    assert plain == {
+        "name": "numpy",
+        "params": {"shape": [2, 3]},
+        "constants": {"c": 0.25},
+        "tolerances": {},
+        "violations": 0,
+        "passed": True,
+        "message": "",
+        "rows": [{"x": 0.5, "v": [0, 1, 2], "m": [[1.0, 0.0], [0.0, 1.0]]}],
+    }
+    assert list(plain) == [f.name for f in dataclasses.fields(audits.AuditReport)]
+
+
 def test_lemma21_enumeration_and_pass():
     rep = audits.audit_lemma21(4, 3, samples=3000)
     assert rep.passed

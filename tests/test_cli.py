@@ -2,6 +2,7 @@
 exit codes, and the output directory resolution order."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -18,6 +19,7 @@ import khessian
 from khessian.cli import AUDIT_NAMES, DEFAULTS, load_config, main
 from khessian.errors import ConfigError
 from khessian.fieldio import load_field
+from khessian.solver import StageRecord
 
 
 def run_cli(args, tmp_path, monkeypatch, env_out=None):
@@ -146,6 +148,27 @@ def test_readme_defaults_match():
     assert yaml.safe_load(block.group(1)) == DEFAULTS
 
 
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        (
+            "problem.metrc.preset=x",
+            "unknown configuration key 'problem.metrc' (did you mean 'metric'?)",
+        ),
+        ("problem=3", "problem: expected a mapping, got 3"),
+        ("problem.N.x=3", "problem.N: expected an integer, got {'x': 3}"),
+    ],
+)
+def test_bad_set_path_is_exit_2_and_writes_nothing(
+    assignment, message, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("KHESSIAN_OUTDIR", raising=False)
+    assert main(["solve", "--set", assignment]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "khessian-out").exists()
+
+
 def test_seed_flag_wins():
     cfg = load_config(None, ["seed=3"], 11)
     assert cfg["seed"] == 11
@@ -177,9 +200,19 @@ def test_solve_writes_report_and_rows(tmp_path, monkeypatch):
     assert report["passed"] is True
     assert report["config"]["problem"]["N"] == 8  # effective config embedded
     assert abs(report["b"]) < 1.0
-    rows = (out / "rows.csv").read_text().strip().splitlines()
-    assert rows[0].startswith("t,newton_iterations,final_residual")
-    assert len(rows) == 1 + 3  # header + stages (t = 0, 0.5, 1)
+    with open(out / "rows.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == [f.name for f in dataclasses.fields(StageRecord)]
+    assert len(rows) == 3  # stages t = 0, 0.5, 1
+    # the stages in report.json slice the residual history as SolveReport does
+    history = report["residual_history"]
+    assert [s["t"] for s in report["stages"]] == [float(r["t"]) for r in rows]
+    for stage, row in zip(report["stages"], rows):
+        residuals = history[stage["residual_start"]:stage["residual_stop"]]
+        assert len(residuals) == stage["newton_iterations"] + 1
+        assert residuals[-1] == stage["final_residual"]
+        assert int(row["residual_stop"]) == stage["residual_stop"]
     u, header = load_field(out / "u.khf")
     assert header["kind"] == "potential"
     assert u.shape == (8, 8, 8, 8)

@@ -511,7 +511,7 @@ def test_bad_metric_raises_positive_definite_on_every_route(bad, monkeypatch):
         "manufactured_source": lambda: manufactured_source(grid, g, u, 2),
         "inverse_metric": lambda: inverse_metric(g),
         "gradient_norm_sq": lambda: gradient_norm_sq(grid, u, g),
-        "chern_tensors": lambda: chern_tensors(grid, g, with_curvature=False),
+        "chern_tensors": lambda: chern_tensors(grid, g),
     }
     for name, route in routes.items():
         with pytest.raises(DomainError, match="positive definite"):
@@ -531,6 +531,17 @@ def test_solve_rejects_infinite_metric():
     g[(3,) * (2 * grid.n) + (0, 0)] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="non-finite"):
         solve(grid, g, grid.zeros(), 2)
+
+
+def test_nan_in_upper_triangle_of_metric_raises():
+    # the Cholesky reads only the lower triangle; this gave NaN Christoffel
+    # symbols without an error
+    grid = TorusGrid(2, 8)
+    g = metric_preset(grid, "torsion", epsilon=0.1)
+    g[(3,) * (2 * grid.n) + (0, 1)] = np.nan
+    for route in (lambda: solve(grid, g, grid.zeros(), 2), lambda: chern_tensors(grid, g)):
+        with pytest.raises(DomainError, match="non-finite"):
+            route()
 
 
 def test_solve_keeps_off_batched_lapack(monkeypatch, eigvalsh_rows):
