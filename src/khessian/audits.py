@@ -285,16 +285,18 @@ def _lemma22_terms(grid: TorusGrid, g: np.ndarray, u: np.ndarray):
     w += g
     contracted = [np.zeros(grid.shape) for _ in range(n)]  # sum_ab c_ab K^i_ab
     volume = np.zeros(grid.shape)
-    for a in range(n):
-        for b in range(a, n):
-            band = du[..., a] * np.conj(du[..., b])
-            minors = _signed_minors((g, w), a, b)
-            for i in range(n):
-                # c and K^i are Hermitian: the (b, a) term conjugates (a, b)
-                term = (band * minors[i]).real
-                contracted[i] += term if a == b else 2.0 * term
-            if a == 0:  # cofactor expansion of det g along row 0
-                volume += (g[..., 0, b] * minors[0]).real
+    for x in range(grid.N):  # one slab of grid axis 0 at a time: slab-sized minors
+        gx, wx, dux = g[x], w[x], du[x]
+        for a in range(n):
+            for b in range(a, n):
+                band = dux[..., a] * np.conj(dux[..., b])
+                minors = _signed_minors((gx, wx), a, b)
+                for i in range(n):
+                    # c and K^i are Hermitian: the (b, a) term conjugates (a, b)
+                    term = (band * minors[i]).real
+                    contracted[i][x] += term if a == b else 2.0 * term
+                if a == 0:  # cofactor expansion of det g along row 0
+                    volume[x] += (gx[..., 0, b] * minors[0]).real
     energy = grid.mean(contracted[0])
     scale = 1.0 / (factorial(n) * volume)
     terms = [(factorial(i) * factorial(n - 1 - i) * contracted[i] * scale, None)

@@ -12,8 +12,9 @@ gives d/dz^j = E_x - i E_y and d/dzbar^j = E_x + i E_y, on the field cast
 to complex.  E keeps the Nyquist wavenumber m = -N/2 of the transforms,
 which makes it complex: d_z of a real field has a Nyquist part that is not
 conjugate-symmetric, and keeping it matches the full complex-transform
-multiplier.  Complex Hessians and the inverse Laplacian use real-to-complex
-FFTs.
+multiplier.  ``complex_hessian`` composes them, d_i (d_jbar u).  The
+inverse Laplacian, and the Hessians that the solver recovers from a
+spectrum it already holds, use real-to-complex FFTs.
 
 Hermitian metrics are (grid + (n, n)) complex arrays g[..., i, j] = g_{i jbar},
 not assumed Kahler.  Every metric, Hessian, Chern and covariant-derivative
@@ -215,17 +216,27 @@ class TorusGrid:
     def complex_hessian(self, field: np.ndarray) -> np.ndarray:
         """d_i d_jbar field for a real field, shape grid + (n, n).
 
-        Hermitian by construction: the lower triangle mirrors the upper and
-        the diagonal is real.  One real forward transform and n^2 real
-        inverse ones build it.  The result is a view of a tensor-first
-        (n, n) + grid buffer, which the pencil kernel reads without a copy.
+        Built from one-axis products, d_i (d_jbar field) for i <= j, with no
+        n-D transform.  Hermitian by construction: the diagonal takes the
+        real part and the lower triangle is the conjugate of the upper one.
+        The result is a view of a tensor-first (n, n) + grid buffer, which
+        the pencil kernel reads without a copy.
         """
         self._require_real(field, "complex_hessian")
-        return self._hessian_from_spectrum(np.fft.rfftn(field))
+        field = field.astype(complex)  # cast once for all n blocks
+        out = np.empty((self.n, self.n) + self.shape, dtype=complex)
+        for j in range(self.n):
+            dbar = self.dzbar(field, j)
+            out[j, j] = self.dz(dbar, j).real
+            for i in range(j):
+                out[i, j] = self.dz(dbar, i)
+                np.conj(out[i, j], out=out[j, i])
+        return np.moveaxis(out, (0, 1), (-2, -1))
 
     def _hessian_from_spectrum(self, hat: np.ndarray) -> np.ndarray:
         """``complex_hessian`` of the real field whose real-to-complex
-        spectrum is ``hat``, laid out the same way."""
+        spectrum is ``hat``, laid out the same way, from n^2 real inverse
+        transforms; for callers that already hold the spectrum."""
         n = self.n
         out = np.empty((n, n) + self.shape, dtype=complex)
         for i, j, part in self._hessian_fields(hat):

@@ -50,7 +50,6 @@ from fractions import Fraction
 from math import comb, log
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConeViolationError, DomainError, LinearSolveError, SolveFailure
 from .fieldio import plain
@@ -313,6 +312,9 @@ def newton_step(
     raise LinearSolveError before the first iteration.  Returns (du, db,
     iterations, ddbar du).
     """
+    # imported here: scipy.sparse.linalg is most of `import khessian`'s time
+    from scipy.sparse.linalg import LinearOperator, gmres
+
     if not np.all(np.isfinite(residual)):
         raise LinearSolveError("non-finite residual")
     apply, recover, size = right_preconditioned_operator(grid, phi, source_scale)

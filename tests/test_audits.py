@@ -3,6 +3,7 @@ suite reruns the same audits at full size."""
 
 import dataclasses
 import json
+import tracemalloc
 from math import comb, log
 
 import numpy as np
@@ -199,6 +200,21 @@ def test_lemma22_contraction_matches_form_route(n, name):
             assert np.abs(correction - correction_ref).max() <= 1e-12 * scale
     if n == 3 and name in ("torsion", "random"):
         assert np.abs(terms[0][1]).max() > 1e-3 * np.abs(terms[0][0]).max()
+
+
+def test_lemma22_terms_peak_stays_below_40_grid_fields():
+    # du, omega_u and the outputs are whole-grid; the band and the minors
+    # are only one slab of grid axis 0 at a time
+    grid = TorusGrid(3, 8)
+    g = metric_preset(grid, "torsion", epsilon=0.1)
+    u = audits._smooth_test_potential(grid, 0.005)
+    tracemalloc.start()
+    try:
+        audits._lemma22_terms(grid, g, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / u.nbytes <= 40.0
 
 
 def test_lemma22_reports_the_torsion_correction(monkeypatch):

@@ -84,9 +84,9 @@ def test_first_derivatives_reject_broadcast_views(grid8):
 @pytest.mark.parametrize("n, order", [(2, 4), (3, 3)])
 def test_first_order_calculus_takes_no_full_transform(n, order, monkeypatch):
     """d_j and d_jbar act on the two axes of block j only; every first-order
-    derivative route runs without an n-D transform (the Hessian's real ones
-    aside).  n=3 stops at order 3: its order-4 stacks need about 1.8 GB, and
-    the d4 loop is the one n=2 runs."""
+    derivative route runs without an n-D transform.  n=3 stops at order 3:
+    its order-4 stacks need about 1.8 GB, and the d4 loop is the one n=2
+    runs."""
     grid = TorusGrid(n, 8)
     grid._diff_matrix()  # built once per grid, from 1-D transforms
     g = metric_preset(grid, "torsion", epsilon=0.15)
@@ -94,10 +94,10 @@ def test_first_order_calculus_takes_no_full_transform(n, order, monkeypatch):
                          (0.2, (0, 1, 1, 0) + (0, 1) * (n - 2), 0.5)])
 
     def refuse(*args, **kwargs):
-        raise AssertionError("full complex transform on a first-order derivative route")
+        raise AssertionError("n-D transform on a first-order derivative route")
 
-    for owner, name in ((TorusGrid, "fft"), (TorusGrid, "ifft"),
-                        (np.fft, "fftn"), (np.fft, "ifftn")):
+    for owner, name in ((TorusGrid, "fft"), (TorusGrid, "ifft"), (np.fft, "fftn"),
+                        (np.fft, "ifftn"), (np.fft, "rfftn"), (np.fft, "irfftn")):
         monkeypatch.setattr(owner, name, refuse)
     grid.holomorphic_gradient(u)
     tensors = chern_tensors(grid, g)
@@ -158,7 +158,7 @@ def _fft_route_fields(grid, rng):
            * np.cos(nyq * grid.x(grid.n - 1)) + 0.5 * rng.normal(size=grid.shape))
 
 
-@pytest.mark.parametrize("n,N", [(2, 8), (2, 12), (3, 8)])
+@pytest.mark.parametrize("n,N", [(2, 8), (2, 12), (2, 16), (3, 8)])
 def test_real_fft_routes_match_complex_fft_route(n, N):
     grid = TorusGrid(n, N)
     rng = np.random.default_rng(10 * n + N)

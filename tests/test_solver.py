@@ -2,11 +2,16 @@
 guards, continuation solves, and mesh convergence against an analytic
 source that no finite grid resolves exactly."""
 
+import os
+import subprocess
+import sys
+from math import comb, log
+from pathlib import Path
+
 import numpy as np
 import pytest
-from math import comb, log
+import scipy.sparse.linalg
 
-import khessian.solver as solver_module
 from khessian.errors import ConeViolationError, DomainError, LinearSolveError, SolveFailure
 from khessian.geometry import (
     TorusGrid,
@@ -177,7 +182,8 @@ def test_newton_step_rejects_a_bad_linearization_before_gmres(where, monkeypatch
     def no_gmres(*args, **kwargs):
         raise AssertionError("GMRES ran on a bad linearization")
 
-    monkeypatch.setattr(solver_module, "gmres", no_gmres)
+    # newton_step imports gmres from scipy at call time
+    monkeypatch.setattr(scipy.sparse.linalg, "gmres", no_gmres)
     grid, phi, scale, residual = _linearization("random")
     phi, scale, residual = phi.copy(), scale.copy(), residual.copy()
     node = (3,) * (2 * grid.n)
@@ -191,6 +197,26 @@ def test_newton_step_rejects_a_bad_linearization_before_gmres(where, monkeypatch
         phi = -phi  # mean tr phi < 0: no elliptic model to precondition with
     with pytest.raises(LinearSolveError):
         newton_step(grid, phi, scale, residual, SolverOptions(), 0.1)
+
+
+def test_import_loads_no_scipy_until_a_solve():
+    # scipy.sparse.linalg is most of the import time, and only a solve needs it
+    script = (
+        "import sys, khessian\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'\n"
+        "grid = khessian.TorusGrid(2, 8)\n"
+        "g = khessian.metric_preset(grid, 'torsion', epsilon=0.1)\n"
+        "u = grid.trig_field([(0.05, (1, 0, 0, 0), 0.0)])\n"
+        "f = khessian.manufactured_source(grid, g, u, 2)\n"
+        "assert khessian.solve(grid, g, f, 2).success\n"
+        "assert 'scipy.sparse.linalg' in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_line_search_backtracks_on_cone_exit():
