@@ -6,7 +6,18 @@ the potential u and offset b by Newton continuation on a spectral grid; the
 audit layer measures the structural inequalities the solve relies on
 (cone bounds, integral constants, commutation identities) on sampled data
 and computed solutions.
+
+Importing the package before numpy pins BLAS to one thread unless the
+caller set the thread variables: its BLAS work is many small batched
+products, which gain nothing from threads and stall when cores are shared.
 """
+
+import os
+
+# before any submodule imports numpy
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .audits import (
     AuditReport,

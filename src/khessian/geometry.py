@@ -13,8 +13,8 @@ to complex.  E keeps the Nyquist wavenumber m = -N/2 of the transforms,
 which makes it complex: d_z of a real field has a Nyquist part that is not
 conjugate-symmetric, and keeping it matches the full complex-transform
 multiplier.  ``complex_hessian`` composes them, d_i (d_jbar u).  The
-inverse Laplacian, and the Hessians that the solver recovers from a
-spectrum it already holds, use real-to-complex FFTs.
+inverse Laplacian, and the Hessian fields of the solver's fused GMRES
+operator, use real-to-complex FFTs.
 
 Hermitian metrics are (grid + (n, n)) complex arrays g[..., i, j] = g_{i jbar},
 not assumed Kahler.  Every metric, Hessian, Chern and covariant-derivative
@@ -233,28 +233,12 @@ class TorusGrid:
                 np.conj(out[i, j], out=out[j, i])
         return np.moveaxis(out, (0, 1), (-2, -1))
 
-    def _hessian_from_spectrum(self, hat: np.ndarray) -> np.ndarray:
-        """``complex_hessian`` of the real field whose real-to-complex
-        spectrum is ``hat``, laid out the same way, from n^2 real inverse
-        transforms; for callers that already hold the spectrum."""
-        n = self.n
-        out = np.empty((n, n) + self.shape, dtype=complex)
-        for i, j, part in self._hessian_fields(hat):
-            if i == j:
-                out[i, i] = part
-            elif i < j:
-                out[i, j].real = out[j, i].real = part
-            else:
-                out[j, i].imag = part
-                out[i, j].imag = -part
-        return np.moveaxis(out, (0, 1), (-2, -1))
-
     def _hessian_fields(self, hat: np.ndarray):
-        """The spectral core of ``complex_hessian``: yields (i, j, field) for
-        the n^2 real fields of d_i d_jbar u, laid out as ``_hessian_symbols``,
-        where u is the real field with real-to-complex spectrum ``hat``.  One
-        inverse transform each; a caller that already holds the spectrum
-        skips the forward one."""
+        """Yields (i, j, field) for the n^2 real fields of d_i d_jbar u, laid
+        out as ``_hessian_symbols``, where u is the real field with
+        real-to-complex spectrum ``hat``: one inverse transform each, for the
+        solver's fused operator, which holds the spectrum and never needs
+        the assembled Hessian."""
         for i, row in enumerate(self._hessian_symbols()):
             for j, sym in enumerate(row):
                 yield i, j, np.fft.irfftn(hat * sym, s=self.shape, axes=self._axes)

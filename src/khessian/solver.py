@@ -245,10 +245,9 @@ def right_preconditioned_operator(grid: TorusGrid, phi: np.ndarray, source_scale
     transform of w, scaled by the inverse-Laplacian symbol over cbar, feeds
     the n^2 inverse transforms of the Hessian, and s passes through as the
     mean of P^{-1} z.  ``recover(z)`` is P^{-1} z = (du, db) without the
-    constant s, so du is mean-zero, and ddbar du from du's spectrum as
-    ``complex_hessian`` lays it out: (du, db, ddbar du).  Raises
-    LinearSolveError for a
-    non-finite phi or source_scale, or unless cbar > 0.
+    constant s, so du is mean-zero, with ``complex_hessian(du)``:
+    (du, db, ddbar du).  Raises LinearSolveError for a non-finite phi or
+    source_scale, or unless cbar > 0.
     """
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(source_scale))):
         raise LinearSolveError("non-finite linearization coefficients")
@@ -281,9 +280,8 @@ def right_preconditioned_operator(grid: TorusGrid, phi: np.ndarray, source_scale
 
     def recover(z):
         w = z[:m].reshape(shape)
-        hat = np.fft.rfftn(w) * kernel
-        du = np.fft.irfftn(hat, s=shape, axes=grid._axes)
-        return du, float(-w.mean() / cb_mean), grid._hessian_from_spectrum(hat)
+        du = np.fft.irfftn(np.fft.rfftn(w) * kernel, s=shape, axes=grid._axes)
+        return du, float(-w.mean() / cb_mean), grid.complex_hessian(du)
 
     return apply, recover, m + 1
 

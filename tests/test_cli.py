@@ -369,6 +369,28 @@ def test_console_script_help():
     )
 
 
+def test_console_entry_pins_blas_to_one_thread_unless_set():
+    # the console script imports the package, which pins BLAS before numpy
+    # loads; a thread count the caller set is kept
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {key: value for key, value in os.environ.items() if key not in names}
+    env["MKL_NUM_THREADS"] = "3"
+    package_root = str(Path(khessian.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    script = (
+        "import os\n"
+        "from khessian.cli import main\n"
+        f"print(*(os.environ.get(name) for name in {names!r}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1", "3"]
+
+
 def test_audit_names_frozen():
     assert set(AUDIT_NAMES) == {
         "lemma21",
