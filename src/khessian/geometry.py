@@ -14,7 +14,9 @@ which makes it complex: d_z of a real field has a Nyquist part that is not
 conjugate-symmetric, and keeping it matches the full complex-transform
 multiplier.  ``complex_hessian`` composes them, d_i (d_jbar u).  The
 inverse Laplacian, and the Hessian fields of the solver's fused GMRES
-operator, use real-to-complex FFTs.
+operator, use real-to-complex FFTs from ``scipy.fft`` (faster than numpy's),
+imported when first called, since it loads ``scipy.special`` and only a solve
+needs it, and on one worker, since at solver grid sizes two gain nothing.
 
 Hermitian metrics are (grid + (n, n)) complex arrays g[..., i, j] = g_{i jbar},
 not assumed Kahler.  Every metric, Hessian, Chern and covariant-derivative
@@ -69,7 +71,6 @@ class TorusGrid:
         self._ticks = np.arange(self.N) / self.N
         self._dmat = None
         self._lap = None
-        self._axes = tuple(range(2 * self.n))
         self._hess_sym = None
         self._inv_lap = None
 
@@ -233,15 +234,16 @@ class TorusGrid:
                 np.conj(out[i, j], out=out[j, i])
         return np.moveaxis(out, (0, 1), (-2, -1))
 
-    def _hessian_fields(self, hat: np.ndarray):
-        """Yields (i, j, field) for the n^2 real fields of d_i d_jbar u, laid
-        out as ``_hessian_symbols``, where u is the real field with
-        real-to-complex spectrum ``hat``: one inverse transform each, for the
-        solver's fused operator, which holds the spectrum and never needs
-        the assembled Hessian."""
+    def _preconditioned_hessian_fields(self, w: np.ndarray, cbar: float):
+        """Yields (i, j, field) for the n^2 real fields of d_i d_jbar v, laid
+        out as ``_hessian_symbols``, for v = Laplacian^{-1} w / cbar of a real
+        w: one forward transform, then one inverse transform each, for the
+        solver's fused operator, which never needs the assembled Hessian."""
+        from scipy.fft import irfftn, rfftn
+        hat = rfftn(w, workers=1) * (self._inverse_laplace_half() / cbar)
         for i, row in enumerate(self._hessian_symbols()):
             for j, sym in enumerate(row):
-                yield i, j, np.fft.irfftn(hat * sym, s=self.shape, axes=self._axes)
+                yield i, j, irfftn(hat * sym, s=self.shape, workers=1)
 
     def _inverse_laplace_half(self) -> np.ndarray:
         if self._inv_lap is None:
@@ -257,8 +259,9 @@ class TorusGrid:
         """Real mean-zero solution of the complex Laplace equation for a real
         rhs; the rhs mean is discarded (zero mode of the symbol)."""
         self._require_real(rhs, "solve_laplacian")
-        hat = np.fft.rfftn(rhs) * self._inverse_laplace_half()
-        return np.fft.irfftn(hat, s=self.shape, axes=self._axes)
+        from scipy.fft import irfftn, rfftn
+        hat = rfftn(rhs, workers=1) * self._inverse_laplace_half()
+        return irfftn(hat, s=self.shape, workers=1)
 
     # ---------------------------------------------------------- integration
 

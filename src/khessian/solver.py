@@ -20,9 +20,10 @@ Every pencil evaluation goes through the eigen-free kernel
 slot-wise Cholesky factor that also checks g: the cone test, the residual
 and Phi all come from the sigma table of A = g^{-1} w, and the table of the
 accepted line-search trial serves the next Newton step.  Each Newton step
-transforms its correction once: du and ddbar du come from the same half
-spectrum.  The report's Hessian extremes (``hessian_pencil_extremes``, and
-1 plus them ``eig_min``/``eig_max``) screen the nodes by bounds from
+recovers its correction once, du by the grid's inverse Laplacian and ddbar
+du by ``complex_hessian``; every transform is the grid's.  The report's
+Hessian extremes (``hessian_pencil_extremes``, and 1 plus them
+``eig_min``/``eig_max``) screen the nodes by bounds from
 sigma_1 and sigma_2 of g^{-1} ddbar u, and compute eigenvalues only at the
 few nodes where an extreme can sit.
 
@@ -241,13 +242,11 @@ def right_preconditioned_operator(grid: TorusGrid, phi: np.ndarray, source_scale
         P^{-1}(w, s) = (Laplacian^{-1}((w - mean w)/cbar) + s,
                         -mean w / mean(source_scale)).
 
-    Returns (apply, recover, size).  ``apply(z)`` is A P^{-1} z: one real
-    transform of w, scaled by the inverse-Laplacian symbol over cbar, feeds
-    the n^2 inverse transforms of the Hessian, and s passes through as the
-    mean of P^{-1} z.  ``recover(z)`` is P^{-1} z = (du, db) without the
-    constant s, so du is mean-zero, with ``complex_hessian(du)``:
-    (du, db, ddbar du).  Raises LinearSolveError for a non-finite phi or
-    source_scale, or unless cbar > 0.
+    Returns (apply, recover, size).  ``apply(z)`` is A P^{-1} z, with s
+    passing through as the mean of P^{-1} z.  ``recover(z)`` is P^{-1} z =
+    (du, db) without the constant s, so du is mean-zero, with
+    ``complex_hessian(du)``: (du, db, ddbar du).  Raises LinearSolveError
+    for a non-finite phi or source_scale, or unless cbar > 0.
     """
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(source_scale))):
         raise LinearSolveError("non-finite linearization coefficients")
@@ -258,7 +257,6 @@ def right_preconditioned_operator(grid: TorusGrid, phi: np.ndarray, source_scale
     scale = source_scale / cb_mean
     shape = grid.shape
     m = int(np.prod(shape))
-    kernel = grid._inverse_laplace_half() / cbar
 
     # Re tr(phi conj(hv)) for Hermitian phi and hv, in real arithmetic over
     # the diagonal and the upper triangle: the lower one doubles the upper.
@@ -274,14 +272,13 @@ def right_preconditioned_operator(grid: TorusGrid, phi: np.ndarray, source_scale
     def apply(z):
         w = z[:m].reshape(shape)
         lv = scale * w.mean()
-        for i, j, part in grid._hessian_fields(np.fft.rfftn(w) * kernel):
+        for i, j, part in grid._preconditioned_hessian_fields(w, cbar):
             lv += coef[i][j] * part
         return np.concatenate([lv.ravel(), z[m:]])
 
     def recover(z):
-        w = z[:m].reshape(shape)
-        du = np.fft.irfftn(np.fft.rfftn(w) * kernel, s=shape, axes=grid._axes)
-        return du, float(-w.mean() / cb_mean), grid.complex_hessian(du)
+        du = grid.solve_laplacian(z[:m].reshape(shape)) / cbar
+        return du, float(-z[:m].mean() / cb_mean), grid.complex_hessian(du)
 
     return apply, recover, m + 1
 
@@ -310,7 +307,7 @@ def newton_step(
     raise LinearSolveError before the first iteration.  Returns (du, db,
     iterations, ddbar du).
     """
-    # imported here: scipy.sparse.linalg is most of `import khessian`'s time
+    # imported here, as scipy.fft in geometry.py, to keep `import khessian` fast
     from scipy.sparse.linalg import LinearOperator, gmres
 
     if not np.all(np.isfinite(residual)):

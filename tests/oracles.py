@@ -358,7 +358,7 @@ def complex_laplacian(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
     """sum_j d_j d_jbar of a real field (real), on the real-FFT half spectrum."""
     grid._require_real(field, "complex_laplacian")
     half = grid.laplace_symbol[..., : grid.N // 2 + 1]
-    return np.fft.irfftn(np.fft.rfftn(field) * half, s=grid.shape, axes=grid._axes)
+    return np.fft.irfftn(np.fft.rfftn(field) * half, s=grid.shape, axes=range(2 * grid.n))
 
 
 # --------------------------------- left-preconditioned Newton linearization
@@ -368,7 +368,8 @@ def bordered_pair(grid: TorusGrid, phi: np.ndarray, source_scale: np.ndarray):
     operators on (nodes + 1) vectors: matvec is A(v, beta) =
     (tr(phi ddbar v) - source_scale*beta, mean v) through ``complex_hessian``,
     precond the exact inverse of its constant-coefficient model through
-    ``solve_laplacian``.  The solver once ran GMRES on A with precond as a
+    ``solve_laplacian_fft``, numpy's complex transforms, not the solver's
+    ``scipy.fft`` route.  The solver once ran GMRES on A with precond as a
     left preconditioner; its fused A P^{-1} must match matvec(precond(z))."""
     shape = grid.shape
     m = int(np.prod(shape))
@@ -396,7 +397,7 @@ def bordered_pair(grid: TorusGrid, phi: np.ndarray, source_scale: np.ndarray):
         s = z[m]
         wm = w.mean()
         beta = -wm / cb_mean
-        v = grid.solve_laplacian((w - wm) / cbar) + s
+        v = solve_laplacian_fft((w - wm) / cbar, grid.n).real + s
         return np.concatenate([v.ravel(), [beta]])
 
     return matvec, precond

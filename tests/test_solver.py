@@ -198,16 +198,21 @@ def test_newton_step_rejects_a_bad_linearization_before_gmres(where, monkeypatch
 
 
 def test_import_loads_no_scipy_until_a_solve():
-    # scipy.sparse.linalg is most of the import time, and only a solve needs it
+    # scipy.sparse.linalg is most of the import time, and scipy.fft loads
+    # scipy.special; only a solve needs either, so audits must not load them
     script = (
         "import sys, khessian\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'\n"
+        "assert khessian.audit_lemma21(4, 3, samples=200, seed=1).passed\n"
         "grid = khessian.TorusGrid(2, 8)\n"
         "g = khessian.metric_preset(grid, 'torsion', epsilon=0.1)\n"
+        "khessian.chern_tensors(grid, g)\n"
         "u = grid.trig_field([(0.05, (1, 0, 0, 0), 0.0)])\n"
         "f = khessian.manufactured_source(grid, g, u, 2)\n"
+        "assert 'scipy.fft' not in sys.modules, 'scipy.fft loaded before a solve'\n"
         "assert khessian.solve(grid, g, f, 2).success\n"
         "assert 'scipy.sparse.linalg' in sys.modules\n"
+        "assert 'scipy.fft' in sys.modules\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
