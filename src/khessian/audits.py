@@ -6,6 +6,9 @@ empirical constants, and a pass/fail verdict against explicit tolerances.
 The audits are deliberately redundant with the analytic facts they probe; a
 regression anywhere in the symmetric-function, operator, or geometry layers
 shows up here as a constant drifting or a violation count going positive.
+The verdicts are fixed: their tolerances are the module constants below
+(c0 and basic-inequality need none: finiteness, zero violations), no
+caller can loosen them, and each report's ``tolerances`` records them.
 
 Conventions shared with the solver: spectra are relative eigenvalues of the
 metric pencil, descending; potentials carry the sup u = 0 gauge; b is the
@@ -47,6 +50,39 @@ from .symfunc import (
     sigma_restricted,
 )
 
+# Verdict tolerances, each under the key its reports record it by.
+# lemma21 "stability_rtol": a sampled per-i maximum may move by at most 20 %
+# when the sample count halves; more, and the sup is not yet sampled.
+LEMMA21_STABILITY_RTOL = 0.2
+# lemma22 "stability_rtol", "stability_atol": a constant may drift by 20 %
+# of its size between the two grids, plus an absolute allowance for
+# constants that are zero up to rounding.  A torsion correction counts as
+# tested only if it exceeds this allowance.
+LEMMA22_STABILITY_RTOL = 0.2
+LEMMA22_STABILITY_ATOL = 1e-8
+# commutation "decay": spectral accuracy on band-limited data makes each
+# residual fall by orders of magnitude from N_lo to N_hi; a wrong identity
+# or derivative stalls instead.
+COMMUTATION_DECAY = 10.0
+# commutation "mutation_factor": without its torsion-product term the
+# fourth-order identity must miss by 10x the intact residual at N_hi, so the
+# control is told apart from discretization error.
+COMMUTATION_MUTATION_FACTOR = 10.0
+# commutation "floor": each residual must start above rounding at N_lo, or
+# its decay ratio measures noise.
+COMMUTATION_FLOOR = 1e-12
+# b-bound "slack": room for the solver's residual in b, 1000x the default
+# newton_tol; a constant source attains the sharp two-sided bound, so its
+# sharp margin is the slack alone.
+B_BOUND_SLACK = 1e-6
+# c2 "spread": the ratio Lambda / (1 + K) may peak at 10x its family median;
+# a uniform constant in the Hou-Ma-Wu bound keeps the peak near the median.
+C2_SPREAD = 10.0
+# cherrier "factor": no C(p) may exceed 3x the last one, C(p_max), so an
+# early spike fails.  A C(p) still growing at p_max peaks there and passes;
+# its tail growth is reported, not judged.
+CHERRIER_FACTOR = 3.0
+
 
 @dataclass
 class AuditReport:
@@ -85,14 +121,13 @@ def audit_lemma21(
     k: int = 3,
     samples: int = 20000,
     seed: int = 0,
-    stability_rtol: float = 0.2,
 ) -> AuditReport:
     """Ratio bound |lambda_{j_1}..lambda_{j_i}| / sigma_i(lambda|j) on Gamma_k.
 
     Enumerates every admissible (i, j, subset) for n <= 6 and maximizes the
     ratio over sampled spectra (interior plus boundary shell).  The verdict
     requires positive denominators throughout and per-i maxima that move by
-    less than stability_rtol when the sample count is halved, i.e. the
+    at most LEMMA21_STABILITY_RTOL when the sample count is halved, i.e. the
     empirical constants have saturated.
     """
     if not 3 <= k <= n <= 6:
@@ -142,13 +177,13 @@ def audit_lemma21(
     constants = {f"C_i_{i}": by_i_full[i] for i in sorted(by_i_full)}
     constants["C_global"] = max(by_i_full.values())
     constants["stability_rel"] = stability
-    passed = violations == 0 and stability <= stability_rtol
+    passed = violations == 0 and stability <= LEMMA21_STABILITY_RTOL
     return AuditReport(
         name="lemma21_ratio_bound",
         params={"n": n, "k": k, "samples": samples, "seed": seed},
         rows=rows,
         constants=constants,
-        tolerances={"stability_rtol": stability_rtol},
+        tolerances={"stability_rtol": LEMMA21_STABILITY_RTOL},
         violations=violations,
         passed=passed,
         message="denominators positive and constants saturated"
@@ -338,17 +373,16 @@ def audit_lemma22(
     preset: str = "torsion",
     epsilon: float = 0.1,
     amplitude: float = 0.005,
-    stability_rtol: float = 0.2,
-    stability_atol: float = 1e-8,
 ) -> AuditReport:
     """Stability of the torsion-corrected integral constants under grid
     refinement.
 
     For each (n, N_lo, N_hi) case and each power i < n the constant
     C = |int band ^ omega_u^i ^ T_i| / int |du|^2 dV is computed on both
-    grids; the verdict requires |C_hi - C_lo| <= rtol * max + atol.  The
-    test potential has full spectrum, so agreement is evidence the integral
-    converged rather than both grids resolving the data exactly.
+    grids; the verdict requires |C_hi - C_lo| <= LEMMA22_STABILITY_RTOL *
+    max + LEMMA22_STABILITY_ATOL.  The test potential has full spectrum, so
+    agreement is evidence the integral converged rather than both grids
+    resolving the data exactly.
 
     Each row also carries, on the N_hi grid, the integral of the
     sqrt-1 d dbar omega part of the integrand over the same energy
@@ -374,7 +408,7 @@ def audit_lemma22(
         for i in range(n):
             (c_lo, _, _), (c_hi, corr_int, corr_sup) = consts[n_lo][i], consts[n_hi][i]
             drift = abs(c_hi - c_lo)
-            bound = stability_rtol * max(c_lo, c_hi) + stability_atol
+            bound = LEMMA22_STABILITY_RTOL * max(c_lo, c_hi) + LEMMA22_STABILITY_ATOL
             worst = max(worst, drift / bound if bound > 0 else np.inf)
             rows.append(
                 {
@@ -417,8 +451,8 @@ def audit_lemma22(
             "torsion_correction_tested": tested,
         },
         tolerances={
-            "stability_rtol": stability_rtol,
-            "stability_atol": stability_atol,
+            "stability_rtol": LEMMA22_STABILITY_RTOL,
+            "stability_atol": LEMMA22_STABILITY_ATOL,
         },
         violations=sum(1 for r in rows if r["drift"] > r["allowed"]),
         passed=passed,
@@ -433,7 +467,6 @@ def audit_cherrier(
     g: np.ndarray,
     u: np.ndarray,
     p_list=(4, 8, 16, 32, 64),
-    factor: float = 3.0,
 ) -> AuditReport:
     """Exponential-weight gradient bounds \n
     C(p) = (p/4) int e^{-pu} |du|^2 dV / int e^{-pu} dV stay bounded in p.
@@ -441,7 +474,7 @@ def audit_cherrier(
     The exponent is shifted by min u before exponentiating (the ratio is
     shift-invariant) so large p stays well conditioned.  Blow-up as p grows
     would sink the iteration-to-C0 argument; the verdict requires
-    max_p C(p) <= factor * C(p_max).
+    max_p C(p) <= CHERRIER_FACTOR * C(p_max).
     """
     v = u - u.min()
     grad = gradient_norm_sq(grid, u, g)
@@ -458,18 +491,18 @@ def audit_cherrier(
     c_max = max(values)
     # tail growth rate is informational: a bounded sequence tends to 1
     growth = values[-1] / values[-2] if len(values) > 1 and values[-2] > 0 else 1.0
-    passed = bool(np.isfinite(values).all()) and c_max <= factor * c_tail
+    passed = bool(np.isfinite(values).all()) and c_max <= CHERRIER_FACTOR * c_tail
     return AuditReport(
         name="cherrier_exponential_gradient",
         params={"p_list": list(map(int, p_list)), "N": grid.N, "n": grid.n},
         rows=rows,
         constants={"C_max": c_max, "C_tail": c_tail, "tail_growth": growth},
-        tolerances={"factor": factor},
+        tolerances={"factor": CHERRIER_FACTOR},
         violations=0 if passed else 1,
         passed=passed,
         message="weighted gradient constants bounded in p"
         if passed
-        else f"C_max {c_max:.3e} exceeds {factor} * C({rows[-1]['p']})",
+        else f"C_max {c_max:.3e} exceeds {CHERRIER_FACTOR} * C({rows[-1]['p']})",
     )
 
 
@@ -542,8 +575,8 @@ def audit_c0(family: FamilyResult) -> AuditReport:
     )
 
 
-def audit_b_bound(family: FamilyResult, slack: float = 1e-6) -> AuditReport:
-    """Offset bound |b| <= sup|f| + log C(n, k) + slack.
+def audit_b_bound(family: FamilyResult) -> AuditReport:
+    """Offset bound |b| <= sup|f| + log C(n, k) + B_BOUND_SLACK.
 
     The normalization pins sigma_k to C(n, k) at u = 0, so evaluating the
     equation at the extrema of u bounds b by sup|f| around log C(n, k)
@@ -555,7 +588,7 @@ def audit_b_bound(family: FamilyResult, slack: float = 1e-6) -> AuditReport:
     rows = []
     violations = 0
     for s, rep in zip(family.amplitudes, family.reports):
-        threshold = rep.sup_abs_f + log_c + slack
+        threshold = rep.sup_abs_f + log_c + B_BOUND_SLACK
         ok = rep.success and abs(rep.b) <= threshold
         violations += 0 if ok else 1
         rows.append(
@@ -563,7 +596,7 @@ def audit_b_bound(family: FamilyResult, slack: float = 1e-6) -> AuditReport:
                 "amplitude": s,
                 "abs_b": abs(rep.b),
                 "threshold": threshold,
-                "sharp_margin": rep.sup_abs_f + slack - abs(rep.b - log_c),
+                "sharp_margin": rep.sup_abs_f + B_BOUND_SLACK - abs(rep.b - log_c),
                 "success": rep.success,
             }
         )
@@ -576,7 +609,7 @@ def audit_b_bound(family: FamilyResult, slack: float = 1e-6) -> AuditReport:
             "max_abs_b": max(r["abs_b"] for r in rows),
             "min_sharp_margin": min(r["sharp_margin"] for r in rows),
         },
-        tolerances={"slack": slack},
+        tolerances={"slack": B_BOUND_SLACK},
         violations=violations,
         passed=passed,
         message="offset inside the a priori window"
@@ -585,12 +618,12 @@ def audit_b_bound(family: FamilyResult, slack: float = 1e-6) -> AuditReport:
     )
 
 
-def audit_c2(family: FamilyResult, spread: float = 10.0) -> AuditReport:
+def audit_c2(family: FamilyResult) -> AuditReport:
     """Second-order bound: R = Lambda / (1 + K) with Lambda = max |ddbar u|
     and K = max |du|^2 must not spike across the family.
 
     A uniform constant in the estimate Lambda <= C (1 + K) means max R stays
-    within `spread` times the family median.
+    within C2_SPREAD times the family median.
     """
     rows = []
     ok = True
@@ -609,13 +642,13 @@ def audit_c2(family: FamilyResult, spread: float = 10.0) -> AuditReport:
     ratios = [r["ratio"] for r in rows]
     med = median(ratios)
     peak = max(ratios)
-    passed = bool(ok) and peak <= spread * med
+    passed = bool(ok) and peak <= C2_SPREAD * med
     return AuditReport(
         name="c2_ratio_spread",
         params={"preset": family.preset, "k": family.k, "N": family.grid.N},
         rows=rows,
         constants={"max_ratio": peak, "median_ratio": med},
-        tolerances={"spread": spread},
+        tolerances={"spread": C2_SPREAD},
         violations=0 if passed else 1,
         passed=passed,
         message="second-order ratio uniform across the family"
@@ -639,18 +672,16 @@ def audit_commutation(
     presets=("kahler", "torsion"),
     orders=(3, 4),
     epsilon: float = 0.15,
-    decay: float = 10.0,
-    mutation_factor: float = 10.0,
-    floor: float = 1e-12,
 ) -> AuditReport:
     """Covariant-derivative commutation identities close under refinement.
 
     For each non-flat preset and derivative order the residual must drop by
-    at least `decay` from N_lo to N_hi while starting above `floor` (so the
-    check measures something).  A mutation control drops the torsion-product
-    term from the fourth-order identity on the torsion preset; the mutated
-    residual must exceed the intact one by `mutation_factor` at N_hi,
-    guarding the audit against a vacuous pass.
+    at least COMMUTATION_DECAY from N_lo to N_hi while starting above
+    COMMUTATION_FLOOR (so the check measures something).  A mutation control
+    drops the torsion-product term from the fourth-order identity on the
+    torsion preset; the mutated residual must exceed the intact one by
+    COMMUTATION_MUTATION_FACTOR at N_hi, guarding the audit against a
+    vacuous pass.
     """
     rows = []
     ok = True
@@ -677,7 +708,7 @@ def audit_commutation(
         for order in orders:
             lo, hi = res[preset, order, N_lo], res[preset, order, N_hi]
             achieved = lo / hi if hi > 0 else np.inf
-            row_ok = lo > floor and achieved >= decay
+            row_ok = lo > COMMUTATION_FLOOR and achieved >= COMMUTATION_DECAY
             ok = ok and row_ok
             rows.append(
                 {
@@ -695,7 +726,7 @@ def audit_commutation(
         lo, hi = res["torsion", "mutated", N_lo], res["torsion", "mutated", N_hi]
         intact_hi = res["torsion", 4, N_hi]
         mutation_ratio = hi / intact_hi
-        mut_ok = hi >= mutation_factor * intact_hi
+        mut_ok = hi >= COMMUTATION_MUTATION_FACTOR * intact_hi
         ok = ok and mut_ok
         rows.append(
             {
@@ -723,9 +754,9 @@ def audit_commutation(
             "mutation_ratio": mutation_ratio,
         },
         tolerances={
-            "decay": decay,
-            "mutation_factor": mutation_factor,
-            "floor": floor,
+            "decay": COMMUTATION_DECAY,
+            "mutation_factor": COMMUTATION_MUTATION_FACTOR,
+            "floor": COMMUTATION_FLOOR,
         },
         violations=sum(1 for r in rows if not r["ok"]),
         passed=bool(ok),

@@ -100,7 +100,6 @@ DEFAULTS = {
         "lemma22_amplitude": 0.005,
         "family_amplitudes": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
         "p_list": [4, 8, 16, 32, 64],
-        "cherrier_factor": 3.0,
         "commutation": {
             "N_lo": 12,
             "N_hi": 24,
@@ -236,7 +235,6 @@ def _validate(cfg: dict) -> dict:
         ("mms.tol", cfg["mms"]["tol"]),
         ("audit.samples", a["samples"]),
         ("audit.lemma22_amplitude", a["lemma22_amplitude"]),
-        ("audit.cherrier_factor", a["cherrier_factor"]),
     ):
         _expect(value > 0, path, f"must be positive, got {value}")
     _expect(len(a["p_list"]) >= 2, "audit.p_list", "expected at least two exponents")
@@ -301,7 +299,9 @@ def _write_outputs(outdir: Path, report: dict, rows: list) -> None:
             )
 
 
-def _problem_pieces(cfg: dict):
+def _cmd_solve(cfg: dict, outdir: Path, mms: bool) -> int:
+    """Solve for the problem's source; with mms, for the source that makes
+    the mms.terms potential exact, gated by its recovery error."""
     p = cfg["problem"]
     grid = TorusGrid(p["n"], p["N"])
     g = metric_preset(
@@ -310,49 +310,25 @@ def _problem_pieces(cfg: dict):
         epsilon=p["metric"]["epsilon"],
         amplitude=p["metric"]["amplitude"],
     )
-    return grid, g, p["k"]
-
-
-def _cmd_solve(cfg: dict, outdir: Path) -> int:
-    grid, g, k = _problem_pieces(cfg)
-    f = grid.trig_field(
-        _terms_for(grid.n, cfg["problem"]["source"]["terms"], "problem.source.terms")
-    )
-    rep = solve(grid, g, f, k, options=SolverOptions(**cfg["solver"]))
-    _write_outputs(
-        outdir,
-        {"command": "solve", "passed": rep.success, **rep.summary_dict(), "config": cfg},
-        rep.stages,
-    )
+    if mms:
+        u_star = grid.trig_field(_terms_for(grid.n, cfg["mms"]["terms"], "mms.terms"))
+        f = manufactured_source(grid, g, u_star, p["k"])
+    else:
+        f = grid.trig_field(_terms_for(grid.n, p["source"]["terms"], "problem.source.terms"))
+    rep = solve(grid, g, f, p["k"], options=SolverOptions(**cfg["solver"]))
+    report = {"command": "mms" if mms else "solve", "passed": rep.success}
+    if mms:
+        err = recovery_error(rep, u_star) if rep.success else float("inf")
+        report.update(passed=rep.success and err <= cfg["mms"]["tol"],
+                      recovery_error=err, tol=cfg["mms"]["tol"])
+    _write_outputs(outdir, {**report, **rep.summary_dict(), "config": cfg}, rep.stages)
     if cfg["save_fields"]:
         save_field(outdir / "u.khf", rep.u, grid.n, grid.N, kind="potential")
-        save_field(outdir / "f.khf", f, grid.n, grid.N, kind="source")
-    return 0 if rep.success else 1
-
-
-def _cmd_mms(cfg: dict, outdir: Path) -> int:
-    grid, g, k = _problem_pieces(cfg)
-    u_star = grid.trig_field(_terms_for(grid.n, cfg["mms"]["terms"], "mms.terms"))
-    f = manufactured_source(grid, g, u_star, k)
-    rep = solve(grid, g, f, k, options=SolverOptions(**cfg["solver"]))
-    err = recovery_error(rep, u_star) if rep.success else float("inf")
-    passed = rep.success and err <= cfg["mms"]["tol"]
-    _write_outputs(
-        outdir,
-        {
-            "command": "mms",
-            "passed": passed,
-            "recovery_error": err,
-            "tol": cfg["mms"]["tol"],
-            **rep.summary_dict(),
-            "config": cfg,
-        },
-        rep.stages,
-    )
-    if cfg["save_fields"]:
-        save_field(outdir / "u.khf", rep.u, grid.n, grid.N, kind="potential")
-        save_field(outdir / "u_star.khf", u_star, grid.n, grid.N, kind="reference")
-    return 0 if passed else 1
+        if mms:
+            save_field(outdir / "u_star.khf", u_star, grid.n, grid.N, kind="reference")
+        else:
+            save_field(outdir / "f.khf", f, grid.n, grid.N, kind="source")
+    return 0 if report["passed"] else 1
 
 
 def _family(cfg: dict) -> audits.FamilyResult:
@@ -430,11 +406,7 @@ def _run_audit(cfg: dict, name: str) -> audits.AuditReport:
         if name == "c2":
             return audits.audit_c2(family)
         return audits.audit_cherrier(
-            family.grid,
-            family.g,
-            family.reports[-1].u,
-            p_list=tuple(a["p_list"]),
-            factor=a["cherrier_factor"],
+            family.grid, family.g, family.reports[-1].u, p_list=tuple(a["p_list"])
         )
     raise ConfigError(f"unknown audit {name!r}, choose from {AUDIT_NAMES}")
 
@@ -494,10 +466,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.sets, args.seed)
         outdir = _resolve_outdir(cfg)
-        if args.command == "solve":
-            return _cmd_solve(cfg, outdir)
-        if args.command == "mms":
-            return _cmd_mms(cfg, outdir)
+        if args.command in ("solve", "mms"):
+            return _cmd_solve(cfg, outdir, mms=args.command == "mms")
         if args.command == "audit":
             return _cmd_audit(cfg, outdir, args.name)
         return _cmd_sample_cone(cfg, outdir)

@@ -270,9 +270,11 @@ class TorusGrid:
 
     def integrate(self, field: np.ndarray, metric: np.ndarray | None = None) -> float:
         """Trapezoidal (= mean, by periodicity) integral of field against the
-        metric volume density det g; unit volume for the flat metric."""
+        metric volume density det g; unit volume for the flat metric.
+        Raises DomainError for a metric ``require_metric`` rejects."""
         if metric is None:
             return self.mean(field)
+        metric, _ = require_metric(self, metric)
         dens = np.linalg.det(metric).real
         return self.mean(field * dens)
 
@@ -363,6 +365,20 @@ def metric_preset(grid: TorusGrid, name: str, epsilon: float = 0.1,
         return g
 
 
+def require_metric(grid: TorusGrid, g) -> tuple[np.ndarray, np.ndarray]:
+    """(g, g^{-1}) as arrays, or DomainError unless g is a finite Hermitian
+    positive-definite metric on the grid; every function that takes g checks
+    it here.  The Cholesky factor behind g^{-1} reads only the lower triangle
+    and passes an inf, so symmetry and finiteness are checked apart."""
+    g = np.asarray(g)
+    n = grid.n
+    if g.shape != grid.shape + (n, n):
+        raise DomainError(f"metric shape {g.shape} does not match grid {grid.shape}")
+    ginv = inverse_metric(g)
+    require_hermitian(g, "g")
+    return g, ginv
+
+
 def check_preset(name: str, epsilon: float) -> None:
     """Raise DomainError unless metric_preset accepts this name and epsilon
     (the torsion preset needs 0 < epsilon <= 0.2; the others ignore it)."""
@@ -396,11 +412,7 @@ class ChernTensors:
 def chern_tensors(grid: TorusGrid, g: np.ndarray) -> ChernTensors:
     """Assemble connection, torsion and curvature of a Hermitian metric."""
     n = grid.n
-    if g.shape != grid.shape + (n, n):
-        raise DomainError(f"metric shape {g.shape} does not match grid {grid.shape}")
-    ginv = inverse_metric(g)
-    # the Cholesky reads only the lower triangle and passes an inf
-    require_hermitian(g, "g")
+    g, ginv = require_metric(grid, g)
     dg = _index_first(grid, 3)  # dg[..., i, j, q] = d_i g_{j qbar}
     for j in range(n):
         for q in range(n):
@@ -573,8 +585,8 @@ def commutation_residual(
 
 def gradient_norm_sq(grid: TorusGrid, u: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Pointwise |du|_g^2 = g^{i jbar} u_i conj(u_j) for a real scalar."""
+    _, ginv = require_metric(grid, g)
     du = grid.holomorphic_gradient(u)
-    ginv = inverse_metric(g)
     # raised tensor g^{i jbar} = ginv[..., j, i]
     out = np.einsum("...ji,...i,...j->...", ginv, du, np.conj(du))
     return out.real
@@ -599,12 +611,12 @@ def hessian_pencil_extremes(grid: TorusGrid, u: np.ndarray, g: np.ndarray):
     cannot hold the maximum, and likewise for the minimum.  SCREEN_MARGIN
     stands far above the rounding of s (about sqrt(eps) near a repeated
     eigenvalue), so the extremes equal those of all nodes.  Raises
-    DomainError unless g is positive definite.
+    DomainError for a metric ``require_metric`` rejects.
     """
-    g = np.asarray(g)
+    g, ginv = require_metric(grid, g)
     h = grid.complex_hessian(u)
     n = grid.n
-    sigma = pencil_table(inverse_metric(g), h, 2).sigma
+    sigma = pencil_table(ginv, h, 2).sigma
     mu = sigma[1] / n
     sum_sq = sigma[1] ** 2 - 2.0 * sigma[2]
     s = np.sqrt(np.maximum(sum_sq / n - mu**2, 0.0))

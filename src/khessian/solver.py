@@ -54,14 +54,8 @@ import numpy as np
 
 from .errors import ConeViolationError, DomainError, LinearSolveError, SolveFailure
 from .fieldio import plain
-from .geometry import TorusGrid, gradient_norm_sq, hessian_pencil_extremes
-from .operator import (
-    PencilTable,
-    as_tensor_first,
-    inverse_metric,
-    pencil_table,
-    require_hermitian,
-)
+from .geometry import TorusGrid, gradient_norm_sq, hessian_pencil_extremes, require_metric
+from .operator import PencilTable, as_tensor_first, pencil_table
 # not called here: perfbench/test_perfbench.py checks that its tracer
 # restores this module's binding of the name
 from .operator import relative_eigenvalues_only  # noqa: F401
@@ -178,20 +172,6 @@ class SolveReport:
 
 # --------------------------------------------------------------- residuals
 
-def _require_metric(grid: TorusGrid, g) -> tuple[np.ndarray, np.ndarray]:
-    """(g, g^{-1}) as arrays, or DomainError for a metric the pencil kernel
-    cannot run on: the kernel takes g^{-1} and would not notice an
-    indefinite or non-Hermitian g."""
-    g = np.asarray(g)
-    n = grid.n
-    if g.shape != grid.shape + (n, n):
-        raise DomainError(f"metric shape {g.shape} does not match grid {grid.shape}")
-    ginv = inverse_metric(g)
-    # the Cholesky reads only the lower triangle and passes an inf
-    require_hermitian(g, "g")
-    return g, ginv
-
-
 def _require_source(grid: TorusGrid, f) -> np.ndarray:
     """f as an array, or DomainError unless it is a finite real grid field."""
     f = np.asarray(f)
@@ -213,7 +193,7 @@ def residual_field(
     grid: TorusGrid, u: np.ndarray, b: float, f: np.ndarray, g: np.ndarray, k: int
 ) -> np.ndarray:
     """k-th-root residual F - exp((f + b)/k); raises if omega_u exits Gamma_k."""
-    g, ginv = _require_metric(grid, g)
+    g, ginv = require_metric(grid, g)
     f = _require_source(grid, f)
     table = pencil_table(ginv, g + grid.complex_hessian(np.asarray(u)), k)
     if not table.inside:
@@ -223,7 +203,7 @@ def residual_field(
 
 def manufactured_source(grid: TorusGrid, g: np.ndarray, u_star: np.ndarray, k: int) -> np.ndarray:
     """Source f with exact solution (u_star, b = 0): f = log sigma_k(lambda)."""
-    g, ginv = _require_metric(grid, g)
+    g, ginv = require_metric(grid, g)
     table = pencil_table(ginv, g + grid.complex_hessian(np.asarray(u_star)), k)
     if not table.inside:
         raise ConeViolationError("manufactured potential leaves Gamma_k; reduce amplitude")
@@ -462,7 +442,7 @@ def solve(
     n = grid.n
     check_k(k, n)
     f = _require_source(grid, f)
-    g, ginv = _require_metric(grid, g)
+    g, ginv = require_metric(grid, g)
     start = time.perf_counter()
     log_identity = log(comb(n, k))
     u = np.zeros(grid.shape)

@@ -21,6 +21,10 @@ import numpy as np
 
 from .errors import ConeViolationError, DomainError, SamplingBudgetError
 
+# sample_gamma_k's rejection budget: candidate draws it may spend before
+# raising SamplingBudgetError (a block that would pass it is not drawn)
+MAX_ATTEMPTS = 10_000_000
+
 
 def spectrum(values) -> np.ndarray:
     """Validating constructor: sort a single eigenvalue vector descending.
@@ -144,7 +148,6 @@ def sample_gamma_k(
     count: int | None = None,
     scale: float = 1.0,
     seed: int = 0,
-    max_attempts: int = 10_000_000,
 ) -> np.ndarray:
     """Draw spectra uniformly from the box [-scale, scale]^n conditioned on
     Gamma_k membership, sorted descending.
@@ -172,7 +175,7 @@ def sample_gamma_k(
     # probe in blocks; block size adapts to the remaining need
     while have < want:
         block = min(max(4 * (want - have), 1024), 1_000_000)
-        if attempts + block > max_attempts:
+        if attempts + block > MAX_ATTEMPTS:
             raise SamplingBudgetError(
                 f"rejection budget exhausted after {attempts} attempts "
                 f"({have}/{want} accepted)"

@@ -9,7 +9,7 @@ from math import comb, log
 import numpy as np
 import pytest
 
-from khessian import audits
+from khessian import audits, symfunc
 from khessian.cli import _write_outputs
 from khessian.errors import DomainError
 from khessian.forms import metric_form
@@ -347,3 +347,117 @@ def test_commutation_audit_fails_when_the_shared_build_loses_its_torsion(monkeyp
     assert rep.passed is False
     assert rep.violations > 0
     assert not all(r["ok"] for r in rep.rows if r["preset"] == "torsion")
+
+
+# ------------------------------------------------------- fixed verdicts
+
+@pytest.mark.parametrize(
+    "call, keyword",
+    [
+        (lambda **kw: audits.audit_lemma21(4, 3, samples=10, **kw), "stability_rtol"),
+        (lambda **kw: audits.audit_lemma22(**kw), "stability_rtol"),
+        (lambda **kw: audits.audit_lemma22(**kw), "stability_atol"),
+        (lambda **kw: audits.audit_commutation(**kw), "decay"),
+        (lambda **kw: audits.audit_commutation(**kw), "mutation_factor"),
+        (lambda **kw: audits.audit_commutation(**kw), "floor"),
+        (lambda **kw: audits.audit_b_bound(None, **kw), "slack"),
+        (lambda **kw: audits.audit_c2(None, **kw), "spread"),
+        (lambda **kw: audits.audit_cherrier(None, None, None, **kw), "factor"),
+        (lambda **kw: symfunc.sample_gamma_k(2, 1, 10, **kw), "max_attempts"),
+    ],
+)
+def test_removed_tolerance_keywords_are_rejected(call, keyword):
+    # the binding fails before the body runs, so no argument needs to be real
+    with pytest.raises(TypeError, match=keyword):
+        call(**{keyword: 1.0})
+
+
+def test_report_tolerances_are_the_module_constants(small_family):
+    grid, g, u = small_family.grid, small_family.g, small_family.reports[-1].u
+    reports = {
+        "lemma21": audits.audit_lemma21(4, 3, samples=500),
+        "lemma22": audits.audit_lemma22(cases=((2, 8, 8),)),
+        "commutation": audits.audit_commutation(
+            N_lo=8, N_hi=8, presets=("kahler",), orders=(3,)
+        ),
+        "b-bound": audits.audit_b_bound(small_family),
+        "c2": audits.audit_c2(small_family),
+        "cherrier": audits.audit_cherrier(grid, g, u),
+    }
+    expected = {
+        "lemma21": {"stability_rtol": audits.LEMMA21_STABILITY_RTOL},
+        "lemma22": {
+            "stability_rtol": audits.LEMMA22_STABILITY_RTOL,
+            "stability_atol": audits.LEMMA22_STABILITY_ATOL,
+        },
+        "commutation": {
+            "decay": audits.COMMUTATION_DECAY,
+            "mutation_factor": audits.COMMUTATION_MUTATION_FACTOR,
+            "floor": audits.COMMUTATION_FLOOR,
+        },
+        "b-bound": {"slack": audits.B_BOUND_SLACK},
+        "c2": {"spread": audits.C2_SPREAD},
+        "cherrier": {"factor": audits.CHERRIER_FACTOR},
+    }
+    assert {name: rep.tolerances for name, rep in reports.items()} == expected
+
+
+def _run_small_audit(name, family):
+    if name == "lemma21":
+        return audits.audit_lemma21(4, 3, samples=3000)
+    if name == "lemma22":
+        return audits.audit_lemma22(cases=((2, 8, 12),))
+    if name == "lemma22-fine":
+        return audits.audit_lemma22(cases=((2, 16, 24),))
+    if name == "commutation":
+        return audits.audit_commutation(N_lo=8, N_hi=16)
+    if name == "b-bound":
+        return audits.audit_b_bound(family)
+    if name == "c2":
+        return audits.audit_c2(family)
+    return audits.audit_cherrier(family.grid, family.g, family.reports[-1].u)
+
+
+# (audit, constant, a stricter value than the measured quantity in the
+# comment, other constants set first)
+STRICTER = [
+    # stability_rel is 4.8e-4 at 3000 samples
+    ("lemma21", "LEMMA21_STABILITY_RTOL", 0.0, {}),
+    # the i = 1 constant, 0.478, drifts by 5.0e-5 from N = 8 to 12
+    ("lemma22", "LEMMA22_STABILITY_RTOL", 1e-5, {}),
+    # no atol can fail the audit while rtol * C allows 0.1; with rtol
+    # zeroed, the atol judges a drift of 1.1e-11 from N = 16 to 24
+    ("lemma22-fine", "LEMMA22_STABILITY_ATOL", 1e-12, {"LEMMA22_STABILITY_RTOL": 0.0}),
+    # min_decay is 124
+    ("commutation", "COMMUTATION_DECAY", 1e3, {}),
+    # mutation_ratio is 1.6e6
+    ("commutation", "COMMUTATION_MUTATION_FACTOR", 1e7, {}),
+    # the smallest residual at N_lo is 0.010
+    ("commutation", "COMMUTATION_FLOOR", 0.1, {}),
+    # the smallest threshold - |b| is 0.38
+    ("b-bound", "B_BOUND_SLACK", -0.5, {}),
+    # the peak ratio is 1.34x the median
+    ("c2", "C2_SPREAD", 1.0, {}),
+    # C(p) still grows at p = 64, so its maximum is C(64) itself
+    ("cherrier", "CHERRIER_FACTOR", 0.9, {}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, constant, stricter, setting", STRICTER,
+    ids=[constant for _, constant, _, _ in STRICTER],
+)
+def test_a_stricter_constant_fails_its_audit(
+    name, constant, stricter, setting, small_family, monkeypatch
+):
+    for key, value in setting.items():
+        monkeypatch.setattr(audits, key, value)
+    if setting:  # the constant alone decides under this setting
+        assert _run_small_audit(name, small_family).passed
+    monkeypatch.setattr(audits, constant, stricter)
+    rep = _run_small_audit(name, small_family)
+    assert rep.passed is False
+    # lemma 21 fails on stability alone without counting a violation
+    if name != "lemma21":
+        assert rep.violations > 0
+    assert stricter in rep.tolerances.values()

@@ -16,6 +16,7 @@ import pytest
 import yaml
 
 import khessian
+from khessian import symfunc
 from khessian.cli import AUDIT_NAMES, DEFAULTS, load_config, main
 from khessian.errors import ConfigError
 from khessian.fieldio import load_field
@@ -226,13 +227,21 @@ def test_mms_roundtrip(tmp_path, monkeypatch):
             "--set", "problem.N=8",
             "--set", "mms.terms=[[0.02, [1, 0, 0, 0], 0.0]]",
             "--set", "mms.tol=1e-8",
+            "--set", "save_fields=true",
         ],
         tmp_path,
         monkeypatch,
     )
     assert rc == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert list(report)[:4] == ["command", "passed", "recovery_error", "tol"]
     assert report["recovery_error"] <= 1e-8
+    u, header = load_field(tmp_path / "out" / "u.khf")
+    assert header["kind"] == "potential"
+    u_star, header = load_field(tmp_path / "out" / "u_star.khf")
+    assert header["kind"] == "reference"
+    assert np.abs(u - (u_star - u_star.max())).max() <= 1e-8
+    assert not (tmp_path / "out" / "f.khf").exists()
     with open(tmp_path / "out" / "rows.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [int(r["newton_iterations"]) for r in rows] == report["newton_iterations"]
@@ -304,6 +313,16 @@ def test_sample_cone(tmp_path, monkeypatch):
     rows = (tmp_path / "out" / "rows.csv").read_text().strip().splitlines()
     assert rows[0] == "lambda_1,lambda_2,lambda_3,sigma_1,sigma_2"
     assert len(rows) == 51
+
+
+def test_sampling_budget_error_is_exit_2_without_traceback(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(symfunc, "MAX_ATTEMPTS", 100)
+    rc = run_cli(["sample-cone", "--set", "audit.samples=50"], tmp_path, monkeypatch)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rejection budget exhausted")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_output_dir_resolution(tmp_path, monkeypatch):

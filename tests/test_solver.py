@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from khessian.audits import audit_cherrier
 from khessian.errors import ConeViolationError, DomainError, LinearSolveError, SolveFailure
 from khessian.geometry import (
     TorusGrid,
     chern_tensors,
     gradient_norm_sq,
+    hessian_pencil_extremes,
     inverse_metric,
     metric_preset,
 )
@@ -551,6 +553,59 @@ def test_bad_metric_raises_positive_definite_on_every_route(bad, monkeypatch):
     monkeypatch.setattr(grid, "complex_hessian", lambda phi: g - identity)
     with pytest.raises(DomainError, match="kahler preset must be positive definite"):
         metric_preset(grid, "kahler")
+
+
+# each bad metric, with the error of the check that must catch it
+BAD_METRICS = {
+    "non-hermitian": "not Hermitian",
+    "indefinite": "positive definite",
+    "nan": "positive definite",
+    "wrong-shape": "metric shape",
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_METRICS))
+@pytest.mark.parametrize(
+    "route",
+    [
+        "solve",
+        "residual_field",
+        "manufactured_source",
+        "chern_tensors",
+        "gradient_norm_sq",
+        "hessian_pencil_extremes",
+        "integrate",
+        "audit_cherrier",
+    ],
+)
+def test_every_function_that_takes_a_metric_rejects_a_bad_one(route, bad):
+    # gradient_norm_sq, hessian_pencil_extremes and integrate read only the
+    # lower triangle (Cholesky) or the determinant, and returned values for
+    # a non-Hermitian g; integrate gave a negative volume for an indefinite g
+    grid = TorusGrid(2, 8)
+    g = metric_preset(grid, "torsion", epsilon=0.1)
+    if bad == "non-hermitian":
+        g[..., 0, 1] = 0.3
+    elif bad == "indefinite":
+        g[..., 1, 1] *= -1.0
+    elif bad == "nan":
+        g[(3,) * (2 * grid.n)] = np.nan
+    else:
+        g = g[..., :1, :1]
+    u = grid.trig_field(MMS_TERMS)
+    f = grid.zeros()
+    call = {
+        "solve": lambda: solve(grid, g, f, 2),
+        "residual_field": lambda: residual_field(grid, u, 0.0, f, g, 2),
+        "manufactured_source": lambda: manufactured_source(grid, g, u, 2),
+        "chern_tensors": lambda: chern_tensors(grid, g),
+        "gradient_norm_sq": lambda: gradient_norm_sq(grid, u, g),
+        "hessian_pencil_extremes": lambda: hessian_pencil_extremes(grid, u, g),
+        "integrate": lambda: grid.integrate(u, metric=g),
+        "audit_cherrier": lambda: audit_cherrier(grid, g, u),
+    }[route]
+    with pytest.raises(DomainError, match=BAD_METRICS[bad]):
+        call()
 
 
 def test_solve_rejects_infinite_metric():

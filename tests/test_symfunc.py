@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from khessian import symfunc
-from khessian.errors import ConeViolationError, DomainError
+from khessian.errors import ConeViolationError, DomainError, SamplingBudgetError
 
 from oracles import (
     boundary_shift_bisection,
@@ -240,6 +240,28 @@ def test_sampler_fallback_deep_cone():
     lam = symfunc.sample_gamma_k(6, 6, count=200, seed=2)
     assert lam.shape == (200, 6)
     assert np.all(symfunc.in_gamma_k(lam, 6))
+
+
+def test_sampler_budget_raises_before_drawing(monkeypatch):
+    draws = []
+    default_rng = np.random.default_rng
+
+    class RecordingRng:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def uniform(self, *args, size=None):
+            draws.append(size)
+            return self._rng.uniform(*args, size=size)
+
+    monkeypatch.setattr(np.random, "default_rng", RecordingRng)
+    monkeypatch.setattr(symfunc, "MAX_ATTEMPTS", 1000)  # below the first block
+    with pytest.raises(SamplingBudgetError, match=r"after 0 attempts \(0/10 accepted\)"):
+        symfunc.sample_gamma_k(3, 2, count=10)
+    assert draws == []
+    monkeypatch.setattr(symfunc, "MAX_ATTEMPTS", 1024)  # exactly one block
+    assert symfunc.sample_gamma_k(3, 2, count=10).shape == (10, 3)
+    assert draws == [(1024, 3)]
 
 
 def test_boundary_sampler_targets_thin_shell():
