@@ -135,11 +135,14 @@ class TorusGrid:
         return self._dmat
 
     def _along_axis(self, field: np.ndarray, axis: int) -> np.ndarray:
-        """E applied along one grid axis of a complex field, as an
-        (N^axis, N, rest) array; the last axis, whose rest is 1, takes one
-        product from the right instead of N^(2n-1) matrix-vector ones."""
+        """E applied along one grid axis of a complex field, as a
+        (pre, N, rest) array; the last axis, whose rest is 1, takes one
+        product from the right instead of N^(2n-1) matrix-vector ones.  The
+        batch count pre comes from the field's size, so a slab field[x]
+        (leading grid axes fixed) goes through the same product along the
+        axes it keeps."""
         e = self._diff_matrix()
-        pre = self.N ** axis
+        pre = field.size // self.N ** (2 * self.n - axis)
         if axis == 2 * self.n - 1:
             return (field.reshape(pre, self.N) @ e.T)[..., None]
         return np.matmul(e, field.reshape(pre, self.N, -1))
@@ -147,18 +150,21 @@ class TorusGrid:
     def _first_derivative(self, field: np.ndarray, j: int, bar: bool) -> np.ndarray:
         """d_j field = E_x field - i E_y field, or d_jbar field with + i,
         for E along the axes x = 2j and y = 2j + 1 of block j.  A real
-        field is cast to complex first."""
-        self._check_shape(field)
+        field is cast to complex first.  The field is the grid or a slab of
+        it that keeps both axes of block j; ``dz`` and ``dzbar`` check the
+        grid shape."""
         field = np.asarray(field, dtype=complex)
-        dy = self._along_axis(field, 2 * j + 1).reshape(self.shape)
+        dy = self._along_axis(field, 2 * j + 1).reshape(field.shape)
         dy *= 1j if bar else -1j
-        dy += self._along_axis(field, 2 * j).reshape(self.shape)
+        dy += self._along_axis(field, 2 * j).reshape(field.shape)
         return dy
 
     def dz(self, field: np.ndarray, j: int) -> np.ndarray:
+        self._check_shape(field)
         return self._first_derivative(field, j, bar=False)
 
     def dzbar(self, field: np.ndarray, j: int) -> np.ndarray:
+        self._check_shape(field)
         return self._first_derivative(field, j, bar=True)
 
     def holomorphic_gradient(self, field: np.ndarray) -> np.ndarray:
@@ -534,6 +540,8 @@ def commutation_residual(
     ``omit_torsion_product`` drops the final torsion-squared term, a mutation
     hook used to confirm the audit rejects the wrong identity.
     """
+    if order not in (3, 4):
+        raise DomainError(f"commutation residual order must be 3 or 4, got {order}")
     if tensors is None:
         tensors = chern_tensors(grid, g)
     if derivatives is None:
@@ -562,23 +570,41 @@ def commutation_residual(
             float(np.abs(res_b).max()),
             float(np.abs(res_c).max()),
         )
-    if order == 4:
-        if d.d4 is None:
-            raise DomainError("fourth-order residual needs order=4 derivatives")
-        t_bar = np.conj(t)
-        res = (
-            d.d4
-            - np.transpose(d.d4, axes=tuple(range(d.d4.ndim - 4)) + (-2, -1, -4, -3))
-            - np.einsum("...lmip,...pj->...ijlm", r, d.hess)
-            + np.einsum("...ijlp,...pm->...ijlm", r, d.hess)
-            + np.einsum("...pli,...pmj->...ijlm", t, d.d3_anti)
-            + np.einsum("...qmj,...lqi->...ijlm", t_bar, d.d3_mixed)
-        )
-        if not omit_torsion_product:
-            t_hess = np.einsum("...pli,...pq->...liq", t, d.hess)
-            res -= np.einsum("...liq,...qmj->...ijlm", t_hess, t_bar)
-        return float(np.abs(res).max())
-    raise DomainError(f"commutation residual order must be 3 or 4, got {order}")
+    intact, omitted = fourth_order_residuals(grid, u, g, tensors, d)
+    return omitted if omit_torsion_product else intact
+
+
+def fourth_order_residuals(
+    grid: TorusGrid,
+    u: np.ndarray,
+    g: np.ndarray,
+    tensors: ChernTensors | None = None,
+    derivatives: CovariantDerivatives | None = None,
+) -> tuple[float, float]:
+    """(intact, omitted): the fourth-order residual of ``commutation_residual``
+    with and without its torsion-product term, from one evaluation of the
+    identity: max|R - P| and max|R|, for R the defect without the term and
+    P the term."""
+    if tensors is None:
+        tensors = chern_tensors(grid, g)
+    if derivatives is None:
+        derivatives = covariant_derivatives(grid, u, tensors, order=4)
+    t, r, d = tensors.torsion, tensors.curvature, derivatives
+    if d.d4 is None:
+        raise DomainError("fourth-order residual needs order=4 derivatives")
+    t_bar = np.conj(t)
+    res = (
+        d.d4
+        - np.transpose(d.d4, axes=tuple(range(d.d4.ndim - 4)) + (-2, -1, -4, -3))
+        - np.einsum("...lmip,...pj->...ijlm", r, d.hess)
+        + np.einsum("...ijlp,...pm->...ijlm", r, d.hess)
+        + np.einsum("...pli,...pmj->...ijlm", t, d.d3_anti)
+        + np.einsum("...qmj,...lqi->...ijlm", t_bar, d.d3_mixed)
+    )
+    omitted = float(np.abs(res).max())
+    t_hess = np.einsum("...pli,...pq->...liq", t, d.hess)
+    res -= np.einsum("...liq,...qmj->...ijlm", t_hess, t_bar)
+    return float(np.abs(res).max()), omitted
 
 
 # ------------------------------------------------------------- functionals

@@ -9,7 +9,7 @@ from math import comb, log
 import numpy as np
 import pytest
 
-from khessian import audits, symfunc
+from khessian import audits, geometry, symfunc
 from khessian.cli import _write_outputs
 from khessian.errors import DomainError
 from khessian.forms import metric_form
@@ -109,7 +109,7 @@ def test_lemma21_fails_when_only_the_second_half_holds_the_largest_ratio(monkeyp
     second = np.vstack([first[:49], [[1.0, 1e-3, 1e-3, 1e-3]]])
     _feed_cone_samples(monkeypatch, np.vstack([first, second]))
     rep = audits.audit_lemma21(4, 3, samples=50)
-    assert rep.violations == 0
+    assert rep.violations == 1
     assert rep.constants["stability_rel"] > rep.tolerances["stability_rtol"]
     assert rep.passed is False
 
@@ -202,9 +202,9 @@ def test_lemma22_contraction_matches_form_route(n, name):
         assert np.abs(terms[0][1]).max() > 1e-3 * np.abs(terms[0][0]).max()
 
 
-def test_lemma22_terms_peak_stays_below_40_grid_fields():
-    # du, omega_u and the outputs are whole-grid; the band and the minors
-    # are only one slab of grid axis 0 at a time
+def _lemma22_terms_peak_fields():
+    """Traced allocation peak of ``_lemma22_terms`` at n=3, N=8 on the
+    torsion preset, in real grid fields."""
     grid = TorusGrid(3, 8)
     g = metric_preset(grid, "torsion", epsilon=0.1)
     u = audits._smooth_test_potential(grid, 0.005)
@@ -214,7 +214,18 @@ def test_lemma22_terms_peak_stays_below_40_grid_fields():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / u.nbytes <= 40.0
+    return peak / u.nbytes
+
+
+def test_lemma22_terms_peak_stays_below_40_grid_fields():
+    # the band and the minors are only one slab of grid axis 0 at a time
+    assert _lemma22_terms_peak_fields() <= 40.0
+
+
+def test_lemma22_terms_peak_stays_below_24_grid_fields():
+    # omega_u is built one slab at a time from du: du, u_{0 0bar}, the
+    # correction and the outputs are the only whole-grid fields it adds
+    assert _lemma22_terms_peak_fields() <= 24.0
 
 
 def test_lemma22_reports_the_torsion_correction(monkeypatch):
@@ -256,6 +267,21 @@ def test_cherrier_zero_potential_and_shift_invariance(small_family):
         [a["C_emp"] for a in r1.rows], [a["C_emp"] for a in r2.rows], rtol=1e-12
     )
     assert r1.passed
+
+
+def test_cherrier_checks_the_metric_once(small_family, monkeypatch):
+    calls = []
+    check = geometry.require_metric
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(geometry, "require_metric", counted)
+    for rep in small_family.reports:
+        calls.clear()
+        assert audits.audit_cherrier(small_family.grid, small_family.g, rep.u).passed
+        assert len(calls) == 1
 
 
 def test_family_solution_audits(small_family):
@@ -325,6 +351,23 @@ def test_commutation_audit_builds_once_per_preset_and_grid(monkeypatch):
     # (kahler, torsion) x (8, 16); every order and the control share them
     assert built["chern"] == 4
     assert [order for order, _ in built["derivatives"]] == [4] * 4
+
+
+def test_commutation_audit_evaluates_order_4_once_per_grid(monkeypatch):
+    evaluations = []
+    evaluate = geometry.fourth_order_residuals
+
+    def counted(*args, **kwargs):
+        evaluations.append(args)
+        return evaluate(*args, **kwargs)
+
+    # the audit calls it directly and through commutation_residual
+    monkeypatch.setattr(geometry, "fourth_order_residuals", counted)
+    monkeypatch.setattr(audits, "fourth_order_residuals", counted)
+    assert audits.audit_commutation(N_lo=8, N_hi=16).passed
+    # (kahler, torsion) x (8, 16): the torsion control shares its grid's
+    # evaluation
+    assert len(evaluations) == 4
 
 
 def test_commutation_audit_builds_only_the_orders_it_checks(monkeypatch):
@@ -457,7 +500,5 @@ def test_a_stricter_constant_fails_its_audit(
     monkeypatch.setattr(audits, constant, stricter)
     rep = _run_small_audit(name, small_family)
     assert rep.passed is False
-    # lemma 21 fails on stability alone without counting a violation
-    if name != "lemma21":
-        assert rep.violations > 0
+    assert rep.violations > 0
     assert stricter in rep.tolerances.values()

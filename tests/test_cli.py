@@ -388,6 +388,21 @@ def test_console_script_help():
     )
 
 
+def test_python_dash_m_runs_the_cli():
+    # python -m khessian runs the console script's main, from the source tree
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    _assert_help_lists_commands(
+        subprocess.run(
+            [sys.executable, "-m", "khessian", "--help"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+    )
+
+
 def test_console_entry_pins_blas_to_one_thread_unless_set():
     # the console script imports the package, which pins BLAS before numpy
     # loads; a thread count the caller set is kept

@@ -82,6 +82,25 @@ def test_first_derivatives_reject_broadcast_views(grid8):
                 call(view)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_slab_derivatives_match_whole_grid_ones(n):
+    # a slab field[x] keeps both axes of every block j >= 1, so d_j and
+    # d_jbar of it run the whole-grid product with a smaller batch
+    grid = TorusGrid(n, 8)
+    rng = np.random.default_rng(n)
+    field = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    for bar, whole in ((False, grid.dz), (True, grid.dzbar)):
+        for j in range(1, n):
+            ref = whole(field, j)
+            for x in (0, 5):
+                got = grid._first_derivative(field[x], j, bar=bar)
+                assert got.shape == grid.shape[1:]
+                assert np.abs(got - ref[x]).max() <= 1e-14 * np.abs(ref[x]).max()
+            # the public routes still take whole grids only
+            with pytest.raises(DomainError, match="does not match grid"):
+                whole(field[0], j)
+
+
 @pytest.mark.parametrize("n, order", [(2, 4), (3, 3)])
 def test_first_order_calculus_takes_no_full_transform(n, order, monkeypatch):
     """d_j and d_jbar act on the two axes of block j only; every first-order
@@ -368,6 +387,8 @@ def test_commutation_mutation_control():
         grid, u, g, order=4, omit_torsion_product=True
     )
     assert broken > 100.0 * intact
+    # one evaluation gives both, bitwise
+    assert geometry.fourth_order_residuals(grid, u, g) == (intact, broken)
 
 
 # ------------------------------------- tensor-first route against oracle
