@@ -240,16 +240,26 @@ class TorusGrid:
                 np.conj(out[i, j], out=out[j, i])
         return np.moveaxis(out, (0, 1), (-2, -1))
 
-    def _preconditioned_hessian_fields(self, w: np.ndarray, cbar: float):
+    def _preconditioned_hessian_fields(self, rhs: np.ndarray):
         """Yields (i, j, field) for the n^2 real fields of d_i d_jbar v, laid
-        out as ``_hessian_symbols``, for v = Laplacian^{-1} w / cbar of a real
-        w: one forward transform, then one inverse transform each, for the
-        solver's fused operator, which never needs the assembled Hessian."""
+        out as ``_hessian_symbols``, for v = Laplacian^{-1} rhs of a real
+        mean-free rhs, for the solver's fused operator, which never needs the
+        assembled Hessian.  One forward transform, then one inverse
+        transform for each field but the last diagonal one: the diagonal
+        symbols sum to the Laplacian's, so the diagonal fields sum to rhs,
+        and the last is rhs minus the others."""
         from scipy.fft import irfftn, rfftn
-        hat = rfftn(w, workers=1) * (self._inverse_laplace_half() / cbar)
+        hat = rfftn(rhs, workers=1) * self._inverse_laplace_half()
+        last = rhs.copy()
         for i, row in enumerate(self._hessian_symbols()):
             for j, sym in enumerate(row):
-                yield i, j, irfftn(hat * sym, s=self.shape, workers=1)
+                if i == j == self.n - 1:
+                    yield i, j, last
+                    continue
+                part = irfftn(hat * sym, s=self.shape, workers=1)
+                if i == j:
+                    last -= part
+                yield i, j, part
 
     def _inverse_laplace_half(self) -> np.ndarray:
         if self._inv_lap is None:
@@ -611,7 +621,11 @@ def fourth_order_residuals(
 
 def gradient_norm_sq(grid: TorusGrid, u: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Pointwise |du|_g^2 = g^{i jbar} u_i conj(u_j) for a real scalar."""
-    _, ginv = require_metric(grid, g)
+    return _gradient_norm_sq(grid, u, require_metric(grid, g)[1])
+
+
+def _gradient_norm_sq(grid: TorusGrid, u: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """``gradient_norm_sq`` from the inverse of a checked metric."""
     du = grid.holomorphic_gradient(u)
     # raised tensor g^{i jbar} = ginv[..., j, i]
     out = np.einsum("...ji,...i,...j->...", ginv, du, np.conj(du))
@@ -639,7 +653,12 @@ def hessian_pencil_extremes(grid: TorusGrid, u: np.ndarray, g: np.ndarray):
     eigenvalue), so the extremes equal those of all nodes.  Raises
     DomainError for a metric ``require_metric`` rejects.
     """
-    g, ginv = require_metric(grid, g)
+    return _hessian_pencil_extremes(grid, u, *require_metric(grid, g))
+
+
+def _hessian_pencil_extremes(grid: TorusGrid, u: np.ndarray, g: np.ndarray,
+                             ginv: np.ndarray):
+    """``hessian_pencil_extremes`` from a checked metric and its inverse."""
     h = grid.complex_hessian(u)
     n = grid.n
     sigma = pencil_table(ginv, h, 2).sigma

@@ -11,9 +11,12 @@ actually drives to zero: F is concave and its linearization
     tr(Phi . ddbar du) - exp((f + b)/k)/k . db = -residual,   mean(du) = 0
 
 is solved matrix-free by right-preconditioned GMRES; Phi is the coordinate-frame
-derivative of F at the current pencil.  The offset unknown b absorbs the
-solvability constraint of the closed source; u is kept mean-zero during the
-iteration and shifted to sup u = 0 on success.
+derivative of F at the current pencil.  The preconditioner is the exact
+inverse of the pointwise model tr Phi . Laplacian du, which keeps the
+ellipticity tr Phi of each node and costs no transform beyond the
+operator's own.  The offset unknown b absorbs the solvability constraint
+of the closed source; u is kept mean-zero during the iteration and shifted
+to sup u = 0 on success.
 
 Every pencil evaluation goes through the eigen-free kernel
 ``operator.pencil_table`` with g^{-1} formed once per solve, from the
@@ -29,11 +32,13 @@ few nodes where an extreme can sit.
 
 Continuation runs along f_t = (1 - t) log C(n, k) + t f with step control
 (Deuflhard, Newton Methods for Nonlinear Problems, 2004).  The step starts
-at its cap 1/continuation_steps, halves when a stage fails (Newton stall,
-GMRES failure or cone exit) and doubles back toward the cap after each
-accepted stage; once it falls below MIN_STEP_RATIO times the cap the solve
-reports failure.  t is kept as an exact fraction, so with no failure the
-stages are t = j/continuation_steps and the last is exactly 1.0.
+at its cap 1/continuation_steps, halves when a stage fails and doubles
+back toward the cap after each accepted stage.  A stage fails on a GMRES
+failure, a cone exit, a spent max_newton budget, or a Newton stall: a sup
+residual that contracts by less than STALL_CONTRACTION on STALL_STEPS
+consecutive steps.  Once the step falls below MIN_STEP_RATIO times the cap
+the solve reports failure.  t is kept as an exact fraction, so with no
+failure the stages are t = j/continuation_steps and the last is exactly 1.0.
 
 Each GMRES solve runs to an Eisenstat-Walker forcing term (choice 2, SIAM J.
 Sci. Comput. 17, 1996), capped at ETA_MAX and floored at
@@ -54,7 +59,12 @@ import numpy as np
 
 from .errors import ConeViolationError, DomainError, LinearSolveError, SolveFailure
 from .fieldio import plain
-from .geometry import TorusGrid, gradient_norm_sq, hessian_pencil_extremes, require_metric
+from .geometry import (
+    TorusGrid,
+    _gradient_norm_sq,
+    _hessian_pencil_extremes,
+    require_metric,
+)
 from .operator import PencilTable, as_tensor_first, pencil_table
 # not called here: perfbench/test_perfbench.py checks that its tracer
 # restores this module's binding of the name
@@ -68,6 +78,16 @@ MIN_STEP_RATIO = Fraction(1, 64)
 ETA_MAX = 0.1
 EW_GAMMA = 0.9
 EW_ALPHA = 2.0
+# Newton stall test (Deuflhard's monotonicity test, in the sup residual): a
+# stage fails once the residual ratio new/old exceeds STALL_CONTRACTION on
+# STALL_STEPS consecutive Newton steps, and the continuation step halves
+# instead of spending the rest of max_newton.
+# Manufactured torsion solves contract by 0.51 or better on every step,
+# while stalled stages creep at 0.94-0.998 per step.
+STALL_CONTRACTION = 0.85
+# Stages that converge on hard sources hold runs of two steps above 0.85
+# (up to 0.97), so two slow steps are not yet a stall.
+STALL_STEPS = 3
 
 
 @dataclass
@@ -216,25 +236,33 @@ def right_preconditioned_operator(grid: TorusGrid, phi: np.ndarray, source_scale
     """The bordered linearization A composed with its preconditioner P^{-1}.
 
     A(v, beta) = (tr(phi ddbar v) - source_scale*beta, mean v), and P^{-1} is
-    the exact inverse of its constant-coefficient model, cbar = mean(tr phi)
-    times the complex Laplacian:
+    the exact inverse of its pointwise model M(v, beta) = (tr phi *
+    Laplacian v - source_scale*beta, mean v), which keeps A's ellipticity
+    tr phi node by node and drops only its anisotropy:
 
-        P^{-1}(w, s) = (Laplacian^{-1}((w - mean w)/cbar) + s,
-                        -mean w / mean(source_scale)).
+        P^{-1}(w, s) = (Laplacian^{-1}((w + source_scale*beta)/tr phi) + s,
+                        beta),
+        beta = -mean(w/tr phi) / mean(source_scale/tr phi),
+
+    where beta makes the Laplace right-hand side mean-free.
 
     Returns (apply, recover, size).  ``apply(z)`` is A P^{-1} z, with s
-    passing through as the mean of P^{-1} z.  ``recover(z)`` is P^{-1} z =
-    (du, db) without the constant s, so du is mean-zero, with
+    passing through as the mean of P^{-1} z; it divides by tr phi before
+    its one forward transform and takes n^2 - 1 inverse ones
+    (``TorusGrid._preconditioned_hessian_fields``).  ``recover(z)`` is
+    P^{-1} z = (du, db) without the constant s, so du is mean-zero, with
     ``complex_hessian(du)``: (du, db, ddbar du).  Raises LinearSolveError
-    for a non-finite phi or source_scale, or unless cbar > 0.
+    for a non-finite phi or source_scale, or unless tr phi > 0 at every node.
     """
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(source_scale))):
         raise LinearSolveError("non-finite linearization coefficients")
-    cbar = float(np.einsum("...ii->...", phi).real.mean())
-    if not cbar > 0:
-        raise LinearSolveError(f"mean ellipticity coefficient {cbar} is not > 0")
-    cb_mean = float(source_scale.mean())
-    scale = source_scale / cb_mean
+    trace = np.ascontiguousarray(np.einsum("...ii->...", phi).real)
+    if not np.all(trace > 0):
+        raise LinearSolveError(
+            f"ellipticity coefficient tr phi reaches {float(trace.min())}, not > 0"
+        )
+    scale = source_scale / trace
+    scale_mean = float(scale.mean())
     shape = grid.shape
     m = int(np.prod(shape))
 
@@ -249,16 +277,24 @@ def right_preconditioned_operator(grid: TorusGrid, phi: np.ndarray, source_scale
             coef[i][j] = 2.0 * phi[..., i, j].real
             coef[j][i] = 2.0 * phi[..., i, j].imag
 
+    def laplace_rhs(z):
+        """(w + source_scale*beta)/tr phi, mean-free, and beta."""
+        rhs = z[:m].reshape(shape) / trace
+        beta = -float(rhs.mean()) / scale_mean
+        rhs += beta * scale
+        return rhs, beta
+
     def apply(z):
-        w = z[:m].reshape(shape)
-        lv = scale * w.mean()
-        for i, j, part in grid._preconditioned_hessian_fields(w, cbar):
+        rhs, beta = laplace_rhs(z)
+        lv = source_scale * -beta
+        for i, j, part in grid._preconditioned_hessian_fields(rhs):
             lv += coef[i][j] * part
         return np.concatenate([lv.ravel(), z[m:]])
 
     def recover(z):
-        du = grid.solve_laplacian(z[:m].reshape(shape)) / cbar
-        return du, float(-z[:m].mean() / cb_mean), grid.complex_hessian(du)
+        rhs, beta = laplace_rhs(z)
+        du = grid.solve_laplacian(rhs)
+        return du, beta, grid.complex_hessian(du)
 
     return apply, recover, m + 1
 
@@ -386,6 +422,7 @@ def _newton_solve(grid, ginv, f, k, u, b, w, options, history, path, t):
     forcing: list[float] = []
     gmres_counts: list[int] = []
     eta = sup_prev = None
+    slow = 0  # consecutive steps that contracted by less than STALL_CONTRACTION
     for iteration in range(options.max_newton + 1):
         if sup_res <= options.newton_tol:
             if path is not None:
@@ -398,6 +435,12 @@ def _newton_solve(grid, ginv, f, k, u, b, w, options, history, path, t):
                 gmres_iterations=sum(gmres_counts),
                 forcing_terms=forcing,
                 gmres_per_step=gmres_counts,
+            )
+        if slow == STALL_STEPS:
+            raise SolveFailure(
+                f"Newton stalled: sup residual contracted by less than "
+                f"{STALL_CONTRACTION} on {STALL_STEPS} consecutive steps "
+                f"(residual {sup_res:.3e})"
             )
         if iteration == options.max_newton:
             break
@@ -419,6 +462,7 @@ def _newton_solve(grid, ginv, f, k, u, b, w, options, history, path, t):
         history.append(sup_res)
         if path is not None:
             path.append({"t": t, "u": u.copy(), "b": b})
+        slow = slow + 1 if sup_res > STALL_CONTRACTION * sup_prev else 0
     raise SolveFailure(
         f"Newton did not reach tol {options.newton_tol} in "
         f"{options.max_newton} iterations (residual {sup_res:.3e})"
@@ -495,7 +539,7 @@ def solve(
     if success:
         u = u - u.max()  # gauge: sup u = 0
     # spectrum of (g, g + ddbar u) is 1 + spectrum of (g, ddbar u)
-    lo, hi = hessian_pencil_extremes(grid, u, g)
+    lo, hi = _hessian_pencil_extremes(grid, u, g, ginv)
     report = SolveReport(
         success=success,
         n=n,
@@ -511,7 +555,7 @@ def solve(
         sup_abs_f=float(np.abs(f).max()),
         sup_abs_u=float(np.abs(u).max()),
         max_abs_hessian=max(abs(lo), abs(hi)),
-        max_grad_sq=float(gradient_norm_sq(grid, u, g).max()),
+        max_grad_sq=float(_gradient_norm_sq(grid, u, ginv).max()),
         eig_min=1.0 + lo,
         eig_max=1.0 + hi,
         wall_seconds=time.perf_counter() - start,

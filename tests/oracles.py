@@ -364,17 +364,18 @@ def complex_laplacian(grid: TorusGrid, field: np.ndarray) -> np.ndarray:
 # --------------------------------- left-preconditioned Newton linearization
 
 def bordered_pair(grid: TorusGrid, phi: np.ndarray, source_scale: np.ndarray):
-    """(matvec, precond) of the bordered Newton system as two separate
+    """(matvec, precond, model) of the bordered Newton system as separate
     operators on (nodes + 1) vectors: matvec is A(v, beta) =
     (tr(phi ddbar v) - source_scale*beta, mean v) through ``complex_hessian``,
-    precond the exact inverse of its constant-coefficient model through
-    ``solve_laplacian_fft``, numpy's complex transforms, not the solver's
-    ``scipy.fft`` route.  The solver once ran GMRES on A with precond as a
-    left preconditioner; its fused A P^{-1} must match matvec(precond(z))."""
+    model its pointwise model M(v, beta) = (tr phi * Laplacian v -
+    source_scale*beta, mean v) through ``complex_laplacian``, and precond
+    the exact inverse of M through ``solve_laplacian_fft``, numpy's complex
+    transforms, not the solver's ``scipy.fft`` route.  The solver once ran
+    GMRES on A with precond as a left preconditioner; its fused A P^{-1}
+    must match matvec(precond(z))."""
     shape = grid.shape
     m = int(np.prod(shape))
-    cbar = float(np.einsum("...ii->...", phi).real.mean())
-    cb_mean = float(source_scale.mean())
+    trace = np.einsum("...ii->...", phi).real
     n = grid.n
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
     coef_diag = [np.ascontiguousarray(phi[..., i, i].real) for i in range(n)]
@@ -392,15 +393,20 @@ def bordered_pair(grid: TorusGrid, phi: np.ndarray, source_scale: np.ndarray):
             lv = lv + cr * hv[..., i, j].real + ci * hv[..., i, j].imag
         return np.concatenate([lv.ravel(), [v.mean()]])
 
+    def model(z):
+        v = z[:m].reshape(shape)
+        lv = trace * complex_laplacian(grid, v) - source_scale * z[m]
+        return np.concatenate([lv.ravel(), [v.mean()]])
+
     def precond(z):
+        # M(v, beta) = (w, s) needs (w + source_scale*beta)/tr phi mean-free
         w = z[:m].reshape(shape)
         s = z[m]
-        wm = w.mean()
-        beta = -wm / cb_mean
-        v = solve_laplacian_fft((w - wm) / cbar, grid.n).real + s
+        beta = -np.mean(w / trace) / np.mean(source_scale / trace)
+        v = solve_laplacian_fft((w + source_scale * beta) / trace, grid.n).real + s
         return np.concatenate([v.ravel(), [beta]])
 
-    return matvec, precond
+    return matvec, precond, model
 
 
 # ------------------------------------------- Form route (lemma-22 integrands)

@@ -2,6 +2,7 @@
 guards, continuation solves, and mesh convergence against an analytic
 source that no finite grid resolves exactly."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from khessian import geometry
+from khessian import solver as solver_module
 from khessian.audits import audit_cherrier
 from khessian.errors import ConeViolationError, DomainError, LinearSolveError, SolveFailure
 from khessian.geometry import (
@@ -147,11 +150,13 @@ def test_fused_operator_matches_left_preconditioned_pair(case):
     # oracle: the solver's one-pass A P^{-1} against matvec(precond(z))
     grid, phi, scale, residual = _linearization(case)
     apply, recover, size = right_preconditioned_operator(grid, phi, scale)
-    matvec, precond = bordered_pair(grid, phi, scale)
+    matvec, precond, model = bordered_pair(grid, phi, scale)
     m = size - 1
     rng = np.random.default_rng(11)
     for _ in range(3):
         z = rng.normal(size=size)
+        # precond inverts the pointwise model exactly
+        assert np.linalg.norm(model(precond(z)) - z) <= 1e-12 * np.linalg.norm(z)
         ref = matvec(precond(z))
         assert np.linalg.norm(apply(z) - ref) <= 1e-12 * np.linalg.norm(ref)
         du, db, _ = recover(z)
@@ -167,6 +172,25 @@ def test_fused_operator_matches_left_preconditioned_pair(case):
         assert np.linalg.norm(true_res) <= eta * np.linalg.norm(rhs)
 
 
+@pytest.mark.parametrize("case", ["random", "torsion-3"])
+def test_fused_operator_takes_n2_minus_1_inverse_transforms(case, monkeypatch):
+    # the diagonal Hessian fields sum to the Laplace right-hand side, so the
+    # last one costs no inverse transform
+    import scipy.fft
+
+    grid, phi, scale, _ = _linearization(case)
+    apply, _, size = right_preconditioned_operator(grid, phi, scale)
+    calls = {"rfftn": 0, "irfftn": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    apply(np.random.default_rng(5).normal(size=size))
+    assert calls == {"rfftn": 1, "irfftn": grid.n**2 - 1}
+
+
 @pytest.mark.parametrize("case", ["torsion-2", "torsion-3"])
 def test_newton_step_hessian_is_complex_hessian_of_du(case):
     # the recovered ddbar du is the one-axis Hessian of the recovered du
@@ -175,10 +199,11 @@ def test_newton_step_hessian_is_complex_hessian_of_du(case):
     np.testing.assert_array_equal(hess_du, grid.complex_hessian(du))
 
 
-@pytest.mark.parametrize("where", ["phi", "source_scale", "residual", "cbar"])
+@pytest.mark.parametrize("where", ["phi", "source_scale", "residual", "cbar", "trace"])
 def test_newton_step_rejects_a_bad_linearization_before_gmres(where, monkeypatch):
-    # a NaN passes a `cbar <= 0` test and would drive GMRES through its
-    # whole iteration budget; it must fail before the first iteration
+    # a NaN passes a `tr phi <= 0` test and would drive GMRES through its
+    # whole iteration budget, and the preconditioner divides by tr phi at
+    # every node; either must fail before the first iteration
     def no_gmres(*args, **kwargs):
         raise AssertionError("GMRES ran on a bad linearization")
 
@@ -193,8 +218,12 @@ def test_newton_step_rejects_a_bad_linearization_before_gmres(where, monkeypatch
         scale[node] = np.inf
     elif where == "residual":
         residual[node] = np.nan
-    else:
+    elif where == "cbar":
         phi = -phi  # mean tr phi < 0: no elliptic model to precondition with
+    else:
+        # tr phi = -1 at one node only, so its mean stays positive
+        phi[node + (0, 0)] = -1.0 - phi[node + (1, 1)]
+        assert np.einsum("...ii->...", phi).real.mean() > 0
     with pytest.raises(LinearSolveError):
         newton_step(grid, phi, scale, residual, SolverOptions(), 0.1)
 
@@ -437,6 +466,9 @@ def test_adaptive_solve_matches_uniform_schedule_and_budget():
     # schedule with GMRES at rtol 1e-10 took 32 Newton steps and ~620
     # GMRES iterations here; left-preconditioned GMRES, which minimized
     # the preconditioned residual, took 9 Newton steps and 71 iterations)
+    # or to the constant-coefficient preconditioner mean(tr phi) Laplacian
+    # (9 Newton steps and 46 GMRES iterations; the pointwise tr phi
+    # Laplacian takes 7 and 30)
     grid, g, ustar, f = _torsion_mms(12)
     fast = solve(grid, g, f, 2)
     fixed = solve(grid, g, f, 2, options=SolverOptions(continuation_steps=8))
@@ -445,13 +477,75 @@ def test_adaptive_solve_matches_uniform_schedule_and_budget():
     assert abs(fast.b - fixed.b) <= 1e-10
     assert recovery_error(fast, ustar) <= 1e-8
     assert [s.t for s in fast.stages] == [0.0, 1.0]
-    assert sum(s.newton_iterations for s in fast.stages) <= 15
-    assert sum(s.gmres_iterations for s in fast.stages) <= 60
+    assert sum(s.newton_iterations for s in fast.stages) <= 8
+    assert sum(s.gmres_iterations for s in fast.stages) <= 36
     for rep in (fast, fixed):
         for stage in rep.stages:
             assert stage.final_residual <= SolverOptions().newton_tol
             eta = stage.forcing_terms
             assert all(SolverOptions().linear_rtol <= e <= 0.5 for e in eta)
+
+
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _hard_torsion_solve(N):
+    # a Newton iteration at t = 1 creeps at a contraction near 0.97 per step
+    grid = TorusGrid(2, N)
+    g = metric_preset(grid, "torsion", epsilon=0.1)
+    f = grid.trig_field([(4.0, (1, 0, 0, 0), 0.0), (2.0, (0, 0, 1, 1), 0.7)])
+    return solve(grid, g, f, 2)
+
+
+def test_a_stalled_stage_is_rejected_before_its_budget():
+    rep = _hard_torsion_solve(8)
+    assert rep.success
+    stalls = [r for r in rep.rejected if "stalled" in r.message]
+    assert stalls
+    budget = SolverOptions().max_newton + 1
+    for attempt in stalls:
+        assert attempt.error == "SolveFailure"
+        assert attempt.residual_stop - attempt.residual_start < budget
+
+
+def _manufactured_inputs():
+    """(grid, g, f) of criterion 1 and of the benchmark's mms-torsion seeds 1-3."""
+    for preset in ("euclidean", "torsion"):
+        grid = TorusGrid(2, 16)
+        g = metric_preset(grid, preset, epsilon=0.1)
+        yield grid, g, manufactured_source(grid, g, grid.trig_field(MMS_TERMS), 2)
+    spec = importlib.util.spec_from_file_location("khessian_bench_workloads", BENCH_WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    for seed in (1, 2, 3):
+        inputs = workloads.build_mms(sys.modules["khessian"], seed)
+        yield inputs["grid"], inputs["g"], inputs["f"]
+
+
+def test_manufactured_solves_never_stall():
+    # the stall test must not cut a stage that Newton would finish
+    for grid, g, f in _manufactured_inputs():
+        rep = solve(grid, g, f, 2)
+        assert rep.success
+        assert not rep.rejected, [r.message for r in rep.rejected]
+
+
+def test_solve_checks_the_metric_once(monkeypatch):
+    # the report's Hessian extremes and gradient norm reuse the checked
+    # (g, g^{-1}) of the solve
+    grid, g, _, f = _torsion_mms(8)
+    calls = []
+    check = geometry.require_metric
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(geometry, "require_metric", counted)
+    monkeypatch.setattr(solver_module, "require_metric", counted)
+    assert solve(grid, g, f, 2).success
+    assert len(calls) == 1
 
 
 def test_solve_input_validation():
