@@ -47,10 +47,10 @@ from .geometry import (
 )
 from .solver import SolveReport, SolverOptions, solve
 from .symfunc import (
+    _sigma_table,
     basic_inequality_check,
     sample_gamma_k,
     sample_gamma_k_boundary,
-    sigma_restricted,
 )
 
 # Verdict tolerances, each under the key its reports record it by.
@@ -139,29 +139,39 @@ def audit_lemma21(
         raise DomainError(f"audit needs 3 <= k <= n <= 6, got n={n}, k={k}")
     lam = _mixed_cone_samples(n, k, samples, seed)
     half = lam.shape[0] // 2
+    # sigma_0..sigma_{k-2} of lambda with entry j deleted, one table per j
+    rest = lam.copy()
+    deleted = []
+    for j in range(n):
+        rest[:, j] = 0.0
+        deleted.append(_sigma_table(rest, k - 2))
+        rest[:, j] = lam[:, j]
     rows = []
     violations = 0
     by_i_full: dict[int, float] = {}
     by_i_half: dict[int, float] = {}
     for i in range(k - 1):
+        numers = {
+            subset: np.abs(np.prod(lam[:, [p - 1 for p in subset]], axis=-1))
+            if subset else np.ones(lam.shape[0])
+            for subset in combinations(range(1, n + 1), i)
+        }
         for j in range(1, n + 1):
-            denom = sigma_restricted(i, lam, j - 1)
+            denom = deleted[j - 1][i]
             bad = int(np.count_nonzero(denom <= 0.0))
             good = denom > 0.0
+            if bad:
+                denom = denom[good]
+            head = max(np.count_nonzero(good[:half]), 1)
             others = [p for p in range(1, n + 1) if p != j]
             for subset in combinations(others, i):
-                if subset:
-                    numer = np.abs(
-                        np.prod(lam[:, [p - 1 for p in subset]], axis=-1)
-                    )
-                else:
-                    numer = np.ones(lam.shape[0])
+                numer = numers[subset][good] if bad else numers[subset]
                 violations += bad  # counted per row, as the rows report it
-                ratio = numer[good] / denom[good]
+                ratio = numer / denom
                 full_max = half_max = np.inf  # no sample has a positive denominator
                 if ratio.size:
                     full_max = float(ratio.max())
-                    half_max = float(ratio[: max(np.count_nonzero(good[:half]), 1)].max())
+                    half_max = float(ratio[:head].max())
                 rows.append(
                     {
                         "i": i,

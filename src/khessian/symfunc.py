@@ -7,14 +7,23 @@ vectorized over arbitrary leading (batch) axes.  Where entry order matters
 match the usual statement "lambda_1 >= ... >= lambda_n".
 
 sigma_k is computed with the stable coefficient recurrence for
-prod_i (1 + lambda_i t), sigma index first; no subset enumeration happens
-outside tests, and no bisection: the cone boundary comes in closed form.
-``sigma_restricted`` is the one deletion routine and ``gamma_k_verdict`` the
-one Garding cone test; the operator calls it with a positive sigma_k floor.
+prod_i (1 + lambda_i t), sigma index first, by one private kernel that runs
+over blocks of BLOCK_ROWS spectra: each block's entries are copied to
+contiguous columns once, and every update e[j] += lambda_i e[j-1] is a
+multiply into one block buffer and an in-place add, so a block's table stays
+in cache and no batch-sized temporary is made.  A table is truncated at the
+highest sigma_top its caller needs: sigma_j depends only on sigma_0..sigma_j,
+so the truncated table equals the leading rows of the full one bit for bit.
+``in_gamma_k`` keeps only each block's verdict.  No subset enumeration
+happens outside tests, and no bisection: the cone boundary comes in closed
+form.  ``sigma_restricted`` is the one deletion routine and
+``gamma_k_verdict`` the one Garding cone test; the operator calls it with a
+positive sigma_k floor.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -39,22 +48,62 @@ def spectrum(values) -> np.ndarray:
     return np.sort(lam)[::-1].copy()
 
 
+# Spectra per block of the sigma recurrence: at n = 6 a block's columns,
+# table and product buffer (14 rows of 128 KiB) fit a 2 MiB cache.
+BLOCK_ROWS = 16384
+
+
+def _sigma_blocks(lam: np.ndarray, top: int, out: np.ndarray | None = None):
+    """Yield (rows, e) block by block over the spectra of ``lam``, its batch
+    axes flattened to one: e[j] holds sigma_j of the spectra in the slice
+    ``rows`` of that axis, for j = 0..top.
+
+    e is ``out[:, rows]`` when an output table of shape (top+1, rows) is
+    given, else a block buffer that the next block overwrites.  The updates
+    are those of the full recurrence, j descending so each lambda_i enters
+    once, with the j > top ones left out.
+    """
+    n = lam.shape[-1]
+    flat = lam.reshape(math.prod(lam.shape[:-1]), n)
+    size = min(flat.shape[0], BLOCK_ROWS)
+    cols = np.empty((n, size))
+    prod = np.empty(size)
+    buf = np.empty((top + 1, size)) if out is None else None
+    for start in range(0, flat.shape[0], BLOCK_ROWS):
+        rows = slice(start, min(start + BLOCK_ROWS, flat.shape[0]))
+        m = rows.stop - start
+        c, p = cols[:, :m], prod[:m]
+        np.copyto(c, flat[rows].T)
+        e = buf[:, :m] if out is None else out[:, rows]
+        e[0] = 1.0
+        e[1:] = 0.0
+        for i in range(n):
+            for j in range(min(i + 1, top), 0, -1):
+                np.multiply(c[i], e[j - 1], out=p)
+                e[j] += p
+        yield rows, e
+
+
+def _sigma_table(lam: np.ndarray, top: int) -> np.ndarray:
+    """sigma_0..sigma_top of float spectra, sigma index first: shape
+    (top+1,) + lam.shape[:-1]."""
+    out = np.empty((top + 1, math.prod(lam.shape[:-1])))
+    for _ in _sigma_blocks(lam, top, out):
+        pass
+    return out.reshape((top + 1,) + lam.shape[:-1])
+
+
 def elementary_all(values) -> np.ndarray:
     """All elementary symmetric functions sigma_0..sigma_n along the last axis.
 
     Returns an array of shape ``values.shape[:-1] + (n+1,)`` holding the
     coefficients of prod_i (1 + lambda_i t), i.e. e[..., j] = sigma_j: a view
-    of a table with the sigma index first, where e[j] += lambda_i e[j-1]
-    updates contiguous batch rows, j descending so each lambda_i enters once.
+    of the kernel's table with the sigma index first, filled block by block
+    of BLOCK_ROWS spectra with e[j] += lambda_i e[j-1], j descending so each
+    lambda_i enters once.
     """
     lam = np.asarray(values, dtype=float)
-    n = lam.shape[-1]
-    e = np.zeros((n + 1,) + lam.shape[:-1], dtype=float)
-    e[0] = 1.0
-    for i in range(n):
-        for j in range(i + 1, 0, -1):
-            e[j] += lam[..., i] * e[j - 1]
-    return np.moveaxis(e, 0, -1)
+    return np.moveaxis(_sigma_table(lam, lam.shape[-1]), 0, -1)
 
 
 def sigma(k: int, values) -> float | np.ndarray:
@@ -84,7 +133,7 @@ def sigma_restricted(r: int, values, excluded) -> float | np.ndarray:
         raise DomainError(f"sigma_{r} undefined for spectra of length {n}")
     reduced = lam.copy()
     reduced[..., idx] = 0.0
-    out = elementary_all(reduced)[..., r]
+    out = _sigma_table(reduced, r)[r]
     return float(out) if out.ndim == 0 else out
 
 
@@ -120,7 +169,9 @@ def gamma_k_verdict(sig: np.ndarray, k: int, floor: float = 0.0) -> np.ndarray:
 def require_gamma_k(values, k: int, floor: float = 0.0) -> np.ndarray:
     """sigma_0..sigma_n of the spectra, sigma index first, after the verdict
     of ``gamma_k_verdict``; raises ConeViolationError with the number of
-    spectra that fail it as ``count``."""
+    spectra that fail it as ``count``.  The table is the whole-batch one of
+    ``elementary_all``, untruncated: the operator reads sigma_k and the
+    deletions from it."""
     check_k(k, np.shape(values)[-1])
     sig = np.moveaxis(elementary_all(values), -1, 0)
     ok = gamma_k_verdict(sig, k, floor)
@@ -135,10 +186,15 @@ def require_gamma_k(values, k: int, floor: float = 0.0) -> np.ndarray:
 def in_gamma_k(values, k: int) -> bool | np.ndarray:
     """Strict Garding cone test: sigma_j > 0 for all j = 1..k.
 
-    Batched input gives a boolean array over the batch axes.
+    Batched input gives a boolean array over the batch axes.  Only
+    sigma_0..sigma_k of one block are held at a time, never a batch table.
     """
     check_k(k, np.shape(values)[-1])
-    ok = gamma_k_verdict(np.moveaxis(elementary_all(values), -1, 0), k)
+    lam = np.asarray(values, dtype=float)
+    ok = np.empty(lam.shape[:-1], dtype=bool)
+    flat = ok.reshape(-1)
+    for rows, e in _sigma_blocks(lam, k):
+        flat[rows] = gamma_k_verdict(e, k)
     return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -194,20 +250,31 @@ def sample_gamma_k(
         base = np.sort(base, axis=-1)[:, ::-1]
         # negative perturbation of the smallest entry, halved until inside
         perturb = -rng.uniform(0.0, 1.0, size=need) * base[:, -1]
-        shrink = np.ones(need)
-        for _ in range(80):
-            trial = base.copy()
-            trial[:, -1] = base[:, -1] + shrink * perturb
-            bad = ~in_gamma_k(trial, k)
-            if not np.any(bad):
-                break
-            shrink[bad] *= 0.5
-        else:
-            trial = base  # positive orthant is always inside
-        got.append(trial)
+        got.append(_shrink_into_gamma_k(base, perturb, k))
     out = np.concatenate(got, axis=0)[:want]
     out = np.sort(out, axis=-1)[:, ::-1]
     return out[0] if count is None else out
+
+
+def _shrink_into_gamma_k(base: np.ndarray, perturb: np.ndarray, k: int) -> np.ndarray:
+    """base with perturb added to its last entry, the perturbation of each
+    row halved until the row lies in Gamma_k; base itself (the positive
+    orthant is always inside) if some row is still outside after 80 tries.
+
+    A row's verdict depends on that row alone, so only the rows still
+    outside are shrunk and tested again.
+    """
+    shrink = np.ones(base.shape[0])
+    trial = base.copy()
+    trial[:, -1] = base[:, -1] + perturb
+    rows = np.arange(base.shape[0])
+    for _ in range(80):
+        rows = rows[~in_gamma_k(trial[rows], k)]
+        if rows.size == 0:
+            return trial
+        shrink[rows] *= 0.5
+        trial[rows, -1] = base[rows, -1] + shrink[rows] * perturb[rows]
+    return base
 
 
 def sample_gamma_k_boundary(
@@ -233,7 +300,10 @@ def sample_gamma_k_boundary(
         raise DomainError(f"depth must lie in (0, 1), got {depth!r}")
     lam = np.atleast_2d(sample_gamma_k(n, k, count, scale=scale, seed=seed))
     # deletion by zeroing keeps sigma_n(lambda|n) = 0, so t* = lambda_n at k = n
-    ratio = sigma_restricted(k, lam, n - 1) / sigma_restricted(k - 1, lam, n - 1)
+    rest = lam.copy()
+    rest[:, -1] = 0.0
+    sig = _sigma_table(rest, k)
+    ratio = sig[k] / sig[k - 1]
     out = lam.copy()
     out[:, -1] -= (lam[:, -1] + ratio) * (1.0 - depth)
     out = np.sort(out, axis=-1)[:, ::-1]

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from khessian import audits
 from khessian.errors import DomainError
 from khessian.forms import Form, gradient_band_form, metric_form
 from khessian.geometry import (
@@ -25,6 +26,7 @@ from khessian.symfunc import (
     elementary_all,
     in_gamma_k,
     require_gamma_k,
+    sample_gamma_k,
     sigma_restricted,
     sigma_restricted_each,
 )
@@ -87,6 +89,101 @@ def boundary_shift_bisection(lam, k: int) -> np.ndarray:
         t_lo = np.where(inside, mid, t_lo)
         t_hi = np.where(inside, t_hi, mid)
     return t_lo
+
+
+def shrink_into_gamma_k_loop(base, perturb, k: int) -> np.ndarray:
+    """The sampler fallback as a whole-batch loop: every round copies all
+    rows, adds the shrunk perturbation and tests all of them again."""
+    shrink = np.ones(base.shape[0])
+    for _ in range(80):
+        trial = base.copy()
+        trial[:, -1] = base[:, -1] + shrink * perturb
+        bad = ~in_gamma_k(trial, k)
+        if not np.any(bad):
+            break
+        shrink[bad] *= 0.5
+    else:
+        trial = base
+    return trial
+
+
+def sample_gamma_k_boundary_two_calls(
+    n: int, k: int, count: int, seed: int = 0, scale: float = 1.0, depth: float = 1e-8
+) -> np.ndarray:
+    """The boundary sampler with its shift ratio from two sigma_restricted
+    calls, each building the table of lambda|n again."""
+    lam = np.atleast_2d(sample_gamma_k(n, k, count, scale=scale, seed=seed))
+    ratio = sigma_restricted(k, lam, n - 1) / sigma_restricted(k - 1, lam, n - 1)
+    out = lam.copy()
+    out[:, -1] -= (lam[:, -1] + ratio) * (1.0 - depth)
+    out = np.sort(out, axis=-1)[:, ::-1]
+    bad = ~in_gamma_k(out, k)
+    if np.any(bad):
+        out[bad] = lam[bad]
+    return out
+
+
+def audit_lemma21_loop(n: int = 4, k: int = 3, samples: int = 20000, seed: int = 0):
+    """The lemma-21 audit with one sigma_restricted call per (i, j) and one
+    numerator per (i, j, subset), on the samples of
+    ``audits._mixed_cone_samples`` (looked up at call time, so a test may
+    replace it)."""
+    lam = audits._mixed_cone_samples(n, k, samples, seed)
+    half = lam.shape[0] // 2
+    rows = []
+    violations = 0
+    by_i_full: dict[int, float] = {}
+    by_i_half: dict[int, float] = {}
+    for i in range(k - 1):
+        for j in range(1, n + 1):
+            denom = sigma_restricted(i, lam, j - 1)
+            bad = int(np.count_nonzero(denom <= 0.0))
+            good = denom > 0.0
+            others = [p for p in range(1, n + 1) if p != j]
+            for subset in itertools.combinations(others, i):
+                if subset:
+                    numer = np.abs(np.prod(lam[:, [p - 1 for p in subset]], axis=-1))
+                else:
+                    numer = np.ones(lam.shape[0])
+                violations += bad
+                ratio = numer[good] / denom[good]
+                full_max = half_max = np.inf
+                if ratio.size:
+                    full_max = float(ratio.max())
+                    half_max = float(ratio[: max(np.count_nonzero(good[:half]), 1)].max())
+                rows.append({
+                    "i": i,
+                    "j": j,
+                    "subset": "+".join(map(str, subset)) or "-",
+                    "max_ratio": full_max,
+                    "max_ratio_half": half_max,
+                    "denominator_violations": bad,
+                })
+                by_i_full[i] = max(by_i_full.get(i, 0.0), full_max)
+                by_i_half[i] = max(by_i_half.get(i, 0.0), half_max)
+    stability = max(
+        abs(by_i_full[i] - by_i_half[i]) / (by_i_full[i] + 1e-300)
+        if np.isfinite(by_i_full[i]) else np.inf
+        for i in by_i_full
+    )
+    if np.isfinite(stability) and stability > audits.LEMMA21_STABILITY_RTOL:
+        violations += 1
+    constants = {f"C_i_{i}": by_i_full[i] for i in sorted(by_i_full)}
+    constants["C_global"] = max(by_i_full.values())
+    constants["stability_rel"] = stability
+    passed = violations == 0
+    return audits.AuditReport(
+        name="lemma21_ratio_bound",
+        params={"n": n, "k": k, "samples": samples, "seed": seed},
+        rows=rows,
+        constants=constants,
+        tolerances={"stability_rtol": audits.LEMMA21_STABILITY_RTOL},
+        violations=violations,
+        passed=passed,
+        message="denominators positive and constants saturated"
+        if passed
+        else "ratio bound audit failed",
+    )
 
 
 def central_difference(func, x, h: float):

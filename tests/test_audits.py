@@ -15,7 +15,12 @@ from khessian.errors import DomainError
 from khessian.forms import metric_form
 from khessian.geometry import TorusGrid, metric_preset
 
-from oracles import _correction_block, _lemma22_constant, random_hermitian_field
+from oracles import (
+    _correction_block,
+    _lemma22_constant,
+    audit_lemma21_loop,
+    random_hermitian_field,
+)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +83,13 @@ def test_lemma21_enumeration_and_pass():
     assert rep.constants["C_global"] <= 2.0
 
 
+@pytest.mark.parametrize("n, k, samples", [(4, 3, 400), (6, 5, 300)])
+def test_lemma21_report_equals_the_per_row_loop(n, k, samples):
+    for seed in (0, 5):
+        expect = audit_lemma21_loop(n, k, samples=samples, seed=seed).as_dict()
+        assert audits.audit_lemma21(n, k, samples=samples, seed=seed).as_dict() == expect
+
+
 def test_lemma21_validation():
     with pytest.raises(DomainError):
         audits.audit_lemma21(7, 3, samples=10)
@@ -101,6 +113,14 @@ def _feed_cone_samples(monkeypatch, lam):
     monkeypatch.setattr(audits, "_mixed_cone_samples", lambda *args: lam)
 
 
+def _lemma21_fed(samples):
+    """The lemma-21 report on the fed samples, after checking that the
+    per-row loop gives the same one."""
+    rep = audits.audit_lemma21(4, 3, samples=samples)
+    assert rep.as_dict() == audit_lemma21_loop(4, 3, samples=samples).as_dict()
+    return rep
+
+
 def test_lemma21_fails_when_only_the_second_half_holds_the_largest_ratio(monkeypatch):
     # first half: entries in [0.5, 1], so |lambda_p| / sigma_1(lambda|j) <= 1/2;
     # second half adds (1, eps, eps, eps), whose ratio at i = 1 is ~1
@@ -108,7 +128,7 @@ def test_lemma21_fails_when_only_the_second_half_holds_the_largest_ratio(monkeyp
     first = -np.sort(-rng.uniform(0.5, 1.0, size=(50, 4)), axis=-1)
     second = np.vstack([first[:49], [[1.0, 1e-3, 1e-3, 1e-3]]])
     _feed_cone_samples(monkeypatch, np.vstack([first, second]))
-    rep = audits.audit_lemma21(4, 3, samples=50)
+    rep = _lemma21_fed(50)
     assert rep.violations == 1
     assert rep.constants["stability_rel"] > rep.tolerances["stability_rtol"]
     assert rep.passed is False
@@ -118,7 +138,7 @@ def test_lemma21_counts_nonpositive_denominators_per_row(monkeypatch):
     # (1, 1, -5, -5) lies outside Gamma_3: sigma_1(lambda|j) < 0 for every j
     lam = np.vstack([np.ones((20, 4)), [[1.0, 1.0, -5.0, -5.0]] * 3])
     _feed_cone_samples(monkeypatch, lam)
-    rep = audits.audit_lemma21(4, 3, samples=20)
+    rep = _lemma21_fed(20)
     # i = 1: four positions j, three subsets each, three bad spectra per row
     assert rep.violations == 4 * 3 * 3
     assert sum(row["denominator_violations"] for row in rep.rows) == rep.violations
@@ -129,7 +149,7 @@ def test_lemma21_reports_a_row_without_positive_denominators(monkeypatch):
     # sigma_1(lambda|j) < 0 for every j and every sample: the i = 1 rows
     # have no ratio to maximize, and the audit reports that instead of raising
     _feed_cone_samples(monkeypatch, np.array([[1.0, 1.0, -5.0, -5.0]] * 4))
-    rep = audits.audit_lemma21(4, 3, samples=4)
+    rep = _lemma21_fed(4)
     empty = [row for row in rep.rows if row["i"] == 1]
     assert len(empty) == 4 * 3
     for row in empty:

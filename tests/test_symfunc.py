@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,18 @@ from khessian.errors import ConeViolationError, DomainError, SamplingBudgetError
 from oracles import (
     boundary_shift_bisection,
     elementary_all_last_axis,
+    sample_gamma_k_boundary_two_calls,
+    shrink_into_gamma_k_loop,
     sigma_enumerated,
     sigma_restricted_enumerated,
     sigma_restricted_pairs,
 )
+
+B = symfunc.BLOCK_ROWS
+# row counts on either side of one and two block boundaries, each with a
+# (rows, n) and an (a, b, n) batch of that many spectra
+BLOCK_EDGE_SHAPES = [(B - 1,), (3, (B - 1) // 3), (B,), (2, B // 2), (B + 1,),
+                     (5, (B + 1) // 5), (2 * B + 7,), (3, (2 * B + 7) // 3), ()]
 
 
 # ---------------------------------------------------------------- sigma_k
@@ -89,9 +99,49 @@ def test_sigma_recurrence_in_one_variable(lam, t):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_elementary_all_bit_identical_to_last_axis_loop(n):
     rng = np.random.default_rng(n)
-    for shape in [(n,), (33, n), (4, 5, n)]:
-        lam = rng.normal(size=shape)
-        assert np.array_equal(symfunc.elementary_all(lam), elementary_all_last_axis(lam))
+    for batch in [(33,), (4, 5)] + BLOCK_EDGE_SHAPES:
+        lam = rng.normal(size=batch + (n,))
+        expect = elementary_all_last_axis(lam)
+        assert np.array_equal(symfunc.elementary_all(lam), expect)
+        # a table truncated at sigma_top is the full table's leading rows
+        for top in range(n + 1):
+            table = symfunc._sigma_table(lam, top)
+            assert table.shape == (top + 1,) + batch
+            assert np.array_equal(table, np.moveaxis(expect[..., : top + 1], -1, 0))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_in_gamma_k_matches_the_oracle_table_at_the_boundary(n):
+    # boundary draws, with the uniform draws adding rows outside the cone; at
+    # depth 1e-15 sigma_k is at rounding level, so letting the lambda_i enter
+    # the recurrence in another order flips some verdicts
+    rng = np.random.default_rng(n)
+    for depth in (1e-8, 1e-15):
+        for k in range(1, n + 1):
+            count = B + 1 if k == n else 300
+            lam = np.vstack([
+                symfunc.sample_gamma_k_boundary(n, k, count, seed=k, depth=depth),
+                rng.uniform(-1.0, 1.0, size=(B // 2, n)),
+            ])
+            table = np.moveaxis(elementary_all_last_axis(lam), -1, 0)
+            expect = symfunc.gamma_k_verdict(table, k)
+            assert np.array_equal(symfunc.in_gamma_k(lam, k), expect)
+            assert 0 < np.count_nonzero(expect) < expect.size
+
+
+def test_in_gamma_k_holds_one_block_beyond_its_verdict():
+    # 400000 x 6 spectra: the whole-batch sigma table alone is 22 MB; the
+    # blocked test holds the block's columns, sigma_0..sigma_k and a product
+    # buffer, each at most n + 1 rows of BLOCK_ROWS doubles
+    n, k = 6, 5
+    lam = np.random.default_rng(0).uniform(-1.0, 1.0, size=(400_000, n))
+    tracemalloc.start()
+    try:
+        ok = symfunc.in_gamma_k(lam, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - ok.nbytes <= 3 * (n + 1) * B * 8
 
 
 # ---------------------------------------------------------------- restricted
@@ -242,6 +292,35 @@ def test_sampler_fallback_deep_cone():
     assert np.all(symfunc.in_gamma_k(lam, 6))
 
 
+def test_sampler_fallback_shrinks_like_the_whole_batch_loop(monkeypatch):
+    # Gamma_7 has box mass 2^-7, below the 1 % that starts the fallback
+    calls = []
+    shrink = symfunc._shrink_into_gamma_k
+
+    def recorded(base, perturb, k):
+        out = shrink(base, perturb, k)
+        calls.append((base, perturb, k, out))
+        return out
+
+    monkeypatch.setattr(symfunc, "_shrink_into_gamma_k", recorded)
+    symfunc.sample_gamma_k(7, 7, count=200, seed=2)
+    assert len(calls) == 1
+    base, perturb, k, out = calls[0]
+    assert np.array_equal(out, shrink_into_gamma_k_loop(base, perturb, k))
+    # row 0 needs two halvings, row 1 none
+    base = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.1]])
+    perturb = np.array([-3.0, -0.05])
+    out = shrink(base, perturb, 3)
+    assert np.array_equal(out[:, -1], [0.25, 0.05])
+    assert np.array_equal(out, shrink_into_gamma_k_loop(base, perturb, 3))
+    # a row on the boundary of Gamma_3 never gets inside: 80 halvings, then base
+    base = np.array([[1.0, 1.0, 0.0], [2.0, 1.0, 0.5]])
+    perturb = np.array([-0.5, -0.25])
+    out = shrink(base, perturb, 3)
+    assert out is base
+    assert np.array_equal(out, shrink_into_gamma_k_loop(base, perturb, 3))
+
+
 def test_sampler_budget_raises_before_drawing(monkeypatch):
     draws = []
     default_rng = np.random.default_rng
@@ -285,6 +364,16 @@ def test_boundary_shift_matches_bisection(n):
             t = boundary_shift_bisection(lam, k)
             np.testing.assert_allclose(
                 out[:, -1], lam[:, -1] - t * (1.0 - depth), rtol=0.0, atol=1e-12
+            )
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_boundary_sampler_equals_the_two_call_shift(n):
+    for k in range(1, n + 1):
+        for seed in range(2):
+            assert np.array_equal(
+                symfunc.sample_gamma_k_boundary(n, k, 200, seed=seed),
+                sample_gamma_k_boundary_two_calls(n, k, 200, seed=seed),
             )
 
 
