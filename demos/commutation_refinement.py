@@ -17,6 +17,7 @@ from khessian import (
     covariant_derivatives,
     metric_preset,
 )
+from khessian.geometry import fourth_order_residuals
 
 terms = [
     (0.5, (1, 0, 0, 0), 0.0),
@@ -47,8 +48,6 @@ for preset in ("kahler", "torsion"):
 # torsion-product term. On a metric with torsion the identity is now wrong,
 # so the residual saturates at O(1) instead of tracking grid error.
 good = res[4, 16]
-broken = commutation_residual(
-    grid, u, g, order=4, omit_torsion_product=True, tensors=tensors, derivatives=derivs
-)
+broken = fourth_order_residuals(grid, u, g, tensors=tensors, derivatives=derivs)[1]
 print(f"\nfourth order at N=16: intact {good:.3e}, "
       f"torsion term dropped {broken:.3e} (x{broken / good:.1e} worse)")

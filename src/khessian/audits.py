@@ -448,6 +448,8 @@ def audit_lemma22(
     whether it did.  Cases need n <= 3: at n >= 4 T_i gains a
     d omega ^ dbar omega term that this route does not evaluate.
     """
+    if not amplitude > 0:
+        raise DomainError(f"amplitude must be positive, got {amplitude}")
     for n, _, _ in cases:
         if not 2 <= n <= 3:
             raise DomainError(
@@ -530,8 +532,11 @@ def audit_cherrier(
     The exponent is shifted by min u before exponentiating (the ratio is
     shift-invariant) so large p stays well conditioned.  Blow-up as p grows
     would sink the iteration-to-C0 argument; the verdict requires
-    max_p C(p) <= CHERRIER_FACTOR * C(p_max).
+    max_p C(p) <= CHERRIER_FACTOR * C(p_max), so it needs at least two
+    exponents, all positive.
     """
+    if len(p_list) < 2 or not all(p > 0 for p in p_list):
+        raise DomainError(f"need at least two positive exponents, got {list(p_list)}")
     v = u - u.min()
     grad = gradient_norm_sq(grid, u, g)  # checks the metric, once
     dens = np.linalg.det(g).real  # the volume density of grid.integrate
@@ -546,7 +551,7 @@ def audit_cherrier(
     c_tail = values[-1]
     c_max = max(values)
     # tail growth rate is informational: a bounded sequence tends to 1
-    growth = values[-1] / values[-2] if len(values) > 1 and values[-2] > 0 else 1.0
+    growth = values[-1] / values[-2] if values[-2] > 0 else 1.0
     passed = bool(np.isfinite(values).all()) and c_max <= CHERRIER_FACTOR * c_tail
     return AuditReport(
         name="cherrier_exponential_gradient",

@@ -9,8 +9,11 @@ Configuration is YAML merged over built-in defaults; a --set override
 names a dotted path (--set problem.N=16) and goes through the same merge.
 Unknown keys are rejected with their full path, and every value is
 type-checked against its default; the solver section is SolverOptions,
-checked by SolverOptions.validated().  Every run writes report.json (with
-the effective configuration embedded) and rows.csv into the output
+checked by SolverOptions.validated().  Ranges are the library's to check:
+a DomainError raised while a value is in use leaves as a ConfigError that
+names the value's key (``_at``), so the load-time range checks are only
+those whose key the library could not name.  Every run writes report.json
+(with the effective configuration embedded) and rows.csv into the output
 directory, which resolves from the config, then the KHESSIAN_OUTDIR
 environment variable, then ./khessian-out.  Both files come from the
 report dataclasses' fields: for solve and mms, report.json holds every
@@ -25,6 +28,7 @@ divergence, audit violation), 2 for configuration errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -60,9 +64,9 @@ _ConfigLoader.add_implicit_resolver(
 from . import audits
 from .errors import ConfigError, DomainError, SamplingBudgetError
 from .fieldio import plain, save_field
-from .geometry import PRESET_NAMES, TorusGrid, check_preset, metric_preset
+from .geometry import TorusGrid, check_preset, metric_preset
 from .solver import SolverOptions, manufactured_source, recovery_error, solve
-from .symfunc import elementary_all, sample_gamma_k
+from .symfunc import check_k, elementary_all, sample_gamma_k
 
 AUDIT_NAMES = (
     "lemma21",
@@ -117,6 +121,15 @@ DEFAULTS = {
 def _expect(cond: bool, path: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"{path}: {message}")
+
+
+@contextlib.contextmanager
+def _at(path: str):
+    """Re-raise a library DomainError as a ConfigError naming ``path``."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -203,55 +216,33 @@ def _validate(cfg: dict) -> dict:
     for key, default in DEFAULTS.items():
         if key != "solver":
             _check_types(cfg[key], default, key)
-    # Range rules for what the library leaves unchecked (problem.n too, as
-    # sample-cone builds no grid), and for the problem keys whose errors name
-    # their dotted path.  The library rejects the rest (audit grid sizes,
-    # lemma21's n and k, the commutation audit's epsilon) with DomainError.
-    p = cfg["problem"]
-    n, k, N = p["n"], p["k"], p["N"]
-    _expect(n >= 2, "problem.n", f"must be >= 2, got {n}")
-    _expect(1 <= k <= n, "problem.k", f"must satisfy 1 <= k <= n, got k={k}, n={n}")
-    _expect(N >= 8 and N % 2 == 0, "problem.N", f"must be even and >= 8, got {N}")
-    _expect(
-        p["metric"]["preset"] in PRESET_NAMES,
-        "problem.metric.preset",
-        f"unknown preset {p['metric']['preset']!r}, choose from {PRESET_NAMES}",
-    )
-    # at load, because lemma22 and the family audits build the metric inside
-    # the audit, where the error could not name this key
-    try:
-        check_preset(p["metric"]["preset"], p["metric"]["epsilon"])
-    except DomainError as exc:
-        raise ConfigError(f"problem.metric.epsilon: {exc}") from exc
+    # Load-time range rules, for keys the library cannot name: problem.n
+    # (sample-cone builds no grid), N, the term parity, and values that reach
+    # the library under another name or not at all.  k and the preset are
+    # checked here too, as lemma22 and the family audits use them inside.
+    p, m = cfg["problem"], cfg["problem"]["metric"]
+    _expect(p["n"] >= 2, "problem.n", f"must be >= 2, got {p['n']}")
+    _expect(p["N"] >= 8 and p["N"] % 2 == 0, "problem.N", f"must be even and >= 8, got {p['N']}")
+    with _at("problem.k"):
+        check_k(p["k"], p["n"])
+    # only the torsion preset reads epsilon, so its name is known to be valid
+    with _at("problem.metric.epsilon" if m["preset"] == "torsion" else "problem.metric.preset"):
+        check_preset(m["preset"], m["epsilon"])
     for idx, (_, freqs, _) in enumerate(p["source"]["terms"]):
         _expect(
             len(freqs) % 2 == 0,
             f"problem.source.terms[{idx}][1]",
             f"expected an even number of integer frequencies, got {freqs!r}",
         )
-    a = cfg["audit"]
     for path, value in (
-        ("problem.metric.amplitude", p["metric"]["amplitude"]),
+        ("problem.metric.amplitude", m["amplitude"]),
         ("mms.tol", cfg["mms"]["tol"]),
-        ("audit.samples", a["samples"]),
-        ("audit.lemma22_amplitude", a["lemma22_amplitude"]),
+        ("audit.samples", cfg["audit"]["samples"]),
+        ("audit.lemma22_amplitude", cfg["audit"]["lemma22_amplitude"]),
     ):
         _expect(value > 0, path, f"must be positive, got {value}")
-    _expect(len(a["p_list"]) >= 2, "audit.p_list", "expected at least two exponents")
     _expect(cfg["seed"] >= 0, "seed", f"must be >= 0, got {cfg['seed']}")
     return cfg
-
-
-def _terms_for(n: int, terms, path) -> list[tuple]:
-    """Exact frequency-length check happens where terms meet a grid."""
-    for idx, term in enumerate(terms):
-        freqs = term[1]
-        _expect(
-            len(freqs) == 2 * n,
-            f"{path}[{idx}][1]",
-            f"expected {2 * n} integer frequencies for n={n}, got {freqs!r}",
-        )
-    return [tuple(t) for t in terms]
 
 
 def load_config(path: str | None, sets, seed: int | None) -> dict:
@@ -311,10 +302,12 @@ def _cmd_solve(cfg: dict, outdir: Path, mms: bool) -> int:
         amplitude=p["metric"]["amplitude"],
     )
     if mms:
-        u_star = grid.trig_field(_terms_for(grid.n, cfg["mms"]["terms"], "mms.terms"))
+        with _at("mms.terms"):
+            u_star = grid.trig_field(cfg["mms"]["terms"])
         f = manufactured_source(grid, g, u_star, p["k"])
     else:
-        f = grid.trig_field(_terms_for(grid.n, p["source"]["terms"], "problem.source.terms"))
+        with _at("problem.source.terms"):
+            f = grid.trig_field(p["source"]["terms"])
     rep = solve(grid, g, f, p["k"], options=SolverOptions(**cfg["solver"]))
     report = {"command": "mms" if mms else "solve", "passed": rep.success}
     if mms:
@@ -331,36 +324,8 @@ def _cmd_solve(cfg: dict, outdir: Path, mms: bool) -> int:
     return 0 if report["passed"] else 1
 
 
-def _family(cfg: dict) -> audits.FamilyResult:
-    p = cfg["problem"]
-    return audits.run_family(
-        p["n"],
-        p["k"],
-        p["N"],
-        p["metric"]["preset"],
-        _terms_for(p["n"], p["source"]["terms"], "problem.source.terms"),
-        cfg["audit"]["family_amplitudes"],
-        epsilon=p["metric"]["epsilon"],
-        options=SolverOptions(**cfg["solver"]),
-    )
-
-
-# the config entry that holds the parameters each audit validates itself
-_AUDIT_PARAMS = {
-    "lemma21": "audit.lemma21",
-    "basic-inequality": "audit.pairs",
-    "lemma22": "audit.lemma22_cases",
-    "commutation": "audit.commutation",
-}
-
-
 def _cmd_audit(cfg: dict, outdir: Path, name: str) -> int:
-    try:
-        rep = _run_audit(cfg, name)
-    except DomainError as exc:
-        if name not in _AUDIT_PARAMS:
-            raise
-        raise ConfigError(f"{_AUDIT_PARAMS[name]}: {exc}") from exc
+    rep = _run_audit(cfg, name)
     _write_outputs(
         outdir,
         {"command": f"audit {name}", "passed": rep.passed, **rep.as_dict(), "config": cfg},
@@ -370,45 +335,39 @@ def _cmd_audit(cfg: dict, outdir: Path, name: str) -> int:
 
 
 def _run_audit(cfg: dict, name: str) -> audits.AuditReport:
-    a = cfg["audit"]
+    """Run one audit; a parameter it rejects is reported under its key."""
+    p, a, seed = cfg["problem"], cfg["audit"], cfg["seed"]
     if name == "lemma21":
-        return audits.audit_lemma21(
-            a["lemma21"]["n"], a["lemma21"]["k"], samples=a["samples"], seed=cfg["seed"]
-        )
+        with _at("audit.lemma21"):
+            return audits.audit_lemma21(**a["lemma21"], samples=a["samples"], seed=seed)
     if name == "basic-inequality":
-        return audits.audit_basic_inequality(
-            pairs=tuple(tuple(pair) for pair in a["pairs"]),
-            samples=a["samples"],
-            seed=cfg["seed"],
-        )
+        with _at("audit.pairs"):
+            return audits.audit_basic_inequality(a["pairs"], samples=a["samples"], seed=seed)
     if name == "lemma22":
-        return audits.audit_lemma22(
-            cases=tuple(tuple(c) for c in a["lemma22_cases"]),
-            preset=cfg["problem"]["metric"]["preset"],
-            epsilon=cfg["problem"]["metric"]["epsilon"],
-            amplitude=a["lemma22_amplitude"],
-        )
+        m = p["metric"]
+        with _at("audit.lemma22_cases"):
+            return audits.audit_lemma22(
+                a["lemma22_cases"], m["preset"], m["epsilon"], a["lemma22_amplitude"]
+            )
     if name == "commutation":
-        c = a["commutation"]
-        return audits.audit_commutation(
-            N_lo=c["N_lo"],
-            N_hi=c["N_hi"],
-            presets=tuple(c["presets"]),
-            orders=tuple(c["orders"]),
-            epsilon=c["epsilon"],
+        with _at("audit.commutation"):
+            return audits.audit_commutation(**a["commutation"])
+    with _at("problem.source.terms"):
+        family = audits.run_family(
+            p["n"], p["k"], p["N"], p["metric"]["preset"], p["source"]["terms"],
+            a["family_amplitudes"], epsilon=p["metric"]["epsilon"],
+            options=SolverOptions(**cfg["solver"]),
         )
-    if name in ("c0", "b-bound", "c2", "cherrier"):
-        family = _family(cfg)
-        if name == "c0":
-            return audits.audit_c0(family)
-        if name == "b-bound":
-            return audits.audit_b_bound(family)
-        if name == "c2":
-            return audits.audit_c2(family)
+    if name == "c0":
+        return audits.audit_c0(family)
+    if name == "b-bound":
+        return audits.audit_b_bound(family)
+    if name == "c2":
+        return audits.audit_c2(family)
+    with _at("audit.p_list"):
         return audits.audit_cherrier(
-            family.grid, family.g, family.reports[-1].u, p_list=tuple(a["p_list"])
+            family.grid, family.g, family.reports[-1].u, p_list=a["p_list"]
         )
-    raise ConfigError(f"unknown audit {name!r}, choose from {AUDIT_NAMES}")
 
 
 def _cmd_sample_cone(cfg: dict, outdir: Path) -> int:

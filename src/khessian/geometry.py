@@ -303,12 +303,12 @@ class TorusGrid:
         integer vector against the coordinates (x^1, y^1, ..., x^n, y^n).
         """
         out = np.zeros(self.shape)
-        for term in terms:
-            amp, freqs, phase = term
+        for idx, (amp, freqs, phase) in enumerate(terms):
             freqs = [int(v) for v in freqs]
             if len(freqs) != 2 * self.n:
                 raise DomainError(
-                    f"frequency vector must have length {2 * self.n}, got {len(freqs)}"
+                    f"term {idx}: frequency vector must have length {2 * self.n}, "
+                    f"got {len(freqs)}"
                 )
             arg = np.zeros(self.shape)
             for a, m in enumerate(freqs):
@@ -528,7 +528,6 @@ def commutation_residual(
     u: np.ndarray,
     g: np.ndarray,
     order: int = 3,
-    omit_torsion_product: bool = False,
     tensors: ChernTensors | None = None,
     derivatives: CovariantDerivatives | None = None,
 ) -> float:
@@ -547,8 +546,8 @@ def commutation_residual(
             - T^p_li u_{p mbar jbar} - conj(T^q_mj) u_{l qbar i}
             + T^p_li conj(T^q_mj) u_{p qbar}.
 
-    ``omit_torsion_product`` drops the final torsion-squared term, a mutation
-    hook used to confirm the audit rejects the wrong identity.
+    ``fourth_order_residuals`` also gives the order-4 defect without the
+    final torsion-squared term, the audit's mutation control.
     """
     if order not in (3, 4):
         raise DomainError(f"commutation residual order must be 3 or 4, got {order}")
@@ -580,8 +579,7 @@ def commutation_residual(
             float(np.abs(res_b).max()),
             float(np.abs(res_c).max()),
         )
-    intact, omitted = fourth_order_residuals(grid, u, g, tensors, d)
-    return omitted if omit_torsion_product else intact
+    return fourth_order_residuals(grid, u, g, tensors, d)[0]
 
 
 def fourth_order_residuals(

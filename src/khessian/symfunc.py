@@ -223,6 +223,8 @@ def sample_gamma_k(
     want = 1 if count is None else count
     if isinstance(want, bool) or not isinstance(want, numbers.Integral) or want < 0:
         raise DomainError(f"count must be a nonnegative integer, got {count!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     got: list[np.ndarray] = [np.empty((0, n))]
     have = 0

@@ -109,6 +109,14 @@ def test_cone_audits_reject_fewer_than_one_sample_before_drawing(monkeypatch):
             audits.audit_basic_inequality(samples=samples)
 
 
+def test_cone_audits_reject_a_negative_seed_as_a_domain_error():
+    # not numpy's bare ValueError, which names no parameter
+    with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+        audits.audit_lemma21(4, 3, samples=10, seed=-1)
+    with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+        audits.audit_basic_inequality(pairs=((3, 2),), samples=10, seed=-1)
+
+
 def _feed_cone_samples(monkeypatch, lam):
     monkeypatch.setattr(audits, "_mixed_cone_samples", lambda *args: lam)
 
@@ -273,6 +281,26 @@ def test_lemma22_rejects_n_above_3_before_building_a_grid(monkeypatch):
     monkeypatch.setattr(audits, "TorusGrid", no_grid)
     with pytest.raises(DomainError, match="n <= 3"):
         audits.audit_lemma22(cases=((2, 8, 16), (4, 8, 10)))
+
+
+@pytest.mark.parametrize("amplitude", [0.0, -0.005, np.nan])
+def test_lemma22_rejects_a_nonpositive_amplitude_before_building_a_grid(
+    monkeypatch, amplitude
+):
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(audits, "TorusGrid", no_grid)
+    with pytest.raises(DomainError, match="amplitude must be positive"):
+        audits.audit_lemma22(cases=((2, 8, 8),), amplitude=amplitude)
+
+
+@pytest.mark.parametrize("p_list", [(0, 0), (4, -8), (16,), ()])
+def test_cherrier_rejects_fewer_than_two_positive_exponents(small_family, p_list):
+    # (0, 0) would give C = 0 for every p, and a single p has C_max = C_tail
+    grid, g, u = small_family.grid, small_family.g, small_family.reports[-1].u
+    with pytest.raises(DomainError, match="at least two positive exponents"):
+        audits.audit_cherrier(grid, g, u, p_list=p_list)
 
 
 def test_cherrier_zero_potential_and_shift_invariance(small_family):

@@ -122,6 +122,12 @@ def test_bad_value_is_exit_2_without_traceback(tmp_path, monkeypatch, capsys):
             id="lemma22-torsion-epsilon",
         ),
         ("lemma22", "audit.lemma22_cases=[[4, 8, 10]]", "audit.lemma22_cases"),
+        pytest.param(
+            "cherrier",
+            ("problem.N=8", "audit.family_amplitudes=[1.0]", "audit.p_list=[0, 0]"),
+            "audit.p_list",
+            id="cherrier-p-list",
+        ),
     ],
 )
 def test_audit_parameter_error_names_path_and_writes_nothing(
@@ -138,6 +144,24 @@ def test_audit_parameter_error_names_path_and_writes_nothing(
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "khessian-out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("mms", "mms.terms"), ("solve", "problem.source.terms")],
+)
+def test_terms_of_the_wrong_length_name_the_term_and_write_nothing(
+    command, key, tmp_path, monkeypatch, capsys
+):
+    # the grid rejects the term; the CLI adds the config path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("KHESSIAN_OUTDIR", raising=False)
+    argv = [command, "--set", "problem.N=8", "--set", f"{key}=[[0.02,[1,0,0,0,0,0],0.0]]"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: term 0: frequency vector must have length 4")
     assert "Traceback" not in err
     assert not (tmp_path / "khessian-out").exists()
 

@@ -383,12 +383,10 @@ def test_commutation_mutation_control():
     g = metric_preset(grid, "torsion", epsilon=0.15)
     u = grid.trig_field([(0.5, [1, 0, 0, 0], 0.0), (0.3, [0, 1, 1, 0], 0.4)])
     intact = geometry.commutation_residual(grid, u, g, order=4)
-    broken = geometry.commutation_residual(
-        grid, u, g, order=4, omit_torsion_product=True
-    )
+    same, broken = geometry.fourth_order_residuals(grid, u, g)
     assert broken > 100.0 * intact
-    # one evaluation gives both, bitwise
-    assert geometry.fourth_order_residuals(grid, u, g) == (intact, broken)
+    # the residual is the intact half of the one evaluation, bitwise
+    assert same == intact
 
 
 # ------------------------------------- tensor-first route against oracle
@@ -427,22 +425,30 @@ def test_tensor_first_chern_route_matches_grid_first_oracle(n, N, preset, order)
     # a time to keep the n=3 case's peak memory down
     variants = [(3, False)] + ([(4, False), (4, True)] if order == 4 else [])
 
-    def residuals(module, derivatives):
+    def residuals(derivatives):
+        # the fourth-order pair is (intact, torsion product omitted)
+        kw = dict(tensors=tensors, derivatives=derivatives)
+        got = [geometry.commutation_residual(grid, u, g, order=3, **kw)]
+        if order == 4:
+            got += geometry.fourth_order_residuals(grid, u, g, **kw)
+        return np.array(got)
+
+    def oracle_residuals(derivatives):
         return np.array([
-            module.commutation_residual(grid, u, g, order=o, omit_torsion_product=omit,
-                                        tensors=tensors, derivatives=derivatives)
+            oracles.commutation_residual(grid, u, g, order=o, omit_torsion_product=omit,
+                                         tensors=tensors, derivatives=derivatives)
             for o, omit in variants
         ])
 
     derivs = geometry.covariant_derivatives(grid, u, tensors, order=order)
-    got = residuals(geometry, derivs)
-    np.testing.assert_allclose(got, residuals(oracles, derivs), rtol=1e-9, atol=0.0)
+    got = residuals(derivs)
+    np.testing.assert_allclose(got, oracle_residuals(derivs), rtol=1e-9, atol=0.0)
     ref = oracles.covariant_derivatives(grid, u, tensors, order=order)
     _assert_fields_match(derivs, ref, grid)
     del derivs
     field_max = max(np.abs(getattr(ref, f.name)).max()
                     for f in fields(ref) if getattr(ref, f.name) is not None)
-    assert np.abs(got - residuals(oracles, ref)).max() <= 1e-12 * (1.0 + field_max)
+    assert np.abs(got - oracle_residuals(ref)).max() <= 1e-12 * (1.0 + field_max)
 
 
 def test_metric_presets_and_inverse_are_index_first(grid8):

@@ -409,6 +409,14 @@ def test_samplers_reject_a_scale_not_finite_and_positive(scale):
         symfunc.sample_gamma_k_boundary(3, 2, 4, scale=scale)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(2.0), "3"])
+def test_samplers_reject_a_seed_not_a_nonnegative_integer(seed):
+    with pytest.raises(DomainError, match="seed"):
+        symfunc.sample_gamma_k(3, 2, 4, seed=seed)
+    with pytest.raises(DomainError, match="seed"):
+        symfunc.sample_gamma_k_boundary(3, 2, 4, seed=seed)
+
+
 @pytest.mark.parametrize("depth", [-1.0, 0.0, 1.0, 2.0, np.nan])
 def test_boundary_sampler_rejects_depth_outside_unit_interval(depth):
     with pytest.raises(DomainError):
