@@ -18,8 +18,9 @@ The lemma-22 audit runs on the top-coefficient route: each integrand
 band ^ omega_u^i ^ T_i is evaluated as a pointwise contraction of the rank-
 one band with mixed cofactors of g and omega_u and with the coefficients
 of sqrt-1 d dbar omega, built from one-axis spectral derivatives, never as
-a form.  omega_u is never held as a whole grid: each slab of grid axis 0
-builds its own from the gradient du, and its minors with it.  It covers
+a form.  omega_u, its minors and the densities exist one slab of grid
+axis 0 at a time: each slab builds its omega_u from the gradient du, and
+the integrals are summed slab by slab.  It covers
 n <= 3, where sqrt-1 d dbar omega (in T_0 at n = 3) is the only torsion
 correction.  The Form algebra of ``forms`` is the slow reference route the
 tests compare it against.
@@ -254,10 +255,11 @@ def audit_basic_inequality(
 
 # --------------------------------------------------------- lemma-22 audit
 
-def _signed_minors(mats, a: int, b: int) -> list[np.ndarray]:
+def _signed_minors(mats, a: int, b: int, nonzero) -> list[np.ndarray]:
     """Coefficients of s^i, i = 0..n-1, in the (a, b) cofactor of
     mats[0] + s mats[1]: the sum over choices of i rows taken from mats[1]
-    of (-1)^(a+b) det of rows != a and columns != b (Leibniz sum)."""
+    of (-1)^(a+b) det of rows != a and columns != b (Leibniz sum), without
+    the products through a slot (r, c) of mats[0] that nonzero[r, c] zeroes."""
     n = mats[0].shape[-1]
     rows = [r for r in range(n) if r != a]
     cols = [c for c in range(n) if c != b]
@@ -265,10 +267,14 @@ def _signed_minors(mats, a: int, b: int) -> list[np.ndarray]:
     for choice in product((0, 1), repeat=n - 1):
         acc = out[sum(choice)]
         for perm in permutations(range(n - 1)):
+            factors = [mats[m][..., r, cols[c]] for r, m, c in zip(rows, choice, perm)
+                       if m or nonzero[r, cols[c]]]
+            if len(factors) < n - 1:
+                continue
             inversions = sum(1 for x, y in combinations(perm, 2) if x > y)
-            term = mats[choice[0]][..., rows[0], cols[perm[0]]]
-            for r, m, c in zip(rows[1:], choice[1:], perm[1:]):
-                term = term * mats[m][..., r, cols[c]]
+            term = factors[0]
+            for factor in factors[1:]:
+                term = term * factor
             if (a + b + inversions) % 2:
                 acc -= term
             else:
@@ -276,8 +282,8 @@ def _signed_minors(mats, a: int, b: int) -> list[np.ndarray]:
     return out
 
 
-def _ddbar_omega_contraction(grid: TorusGrid, g: np.ndarray,
-                             du: np.ndarray) -> np.ndarray:
+def _ddbar_omega_contraction(grid: TorusGrid, g: np.ndarray, du: np.ndarray,
+                             nonzero) -> np.ndarray:
     """For n = 3: sum_{p,q} (-1)^{p+q} u_p conj(u_q) Q_{p^c q^c}, so that
     band ^ sqrt-1 d dbar omega = sqrt-1 (this) dz^123 ^ dzbar^123.
 
@@ -285,89 +291,76 @@ def _ddbar_omega_contraction(grid: TorusGrid, g: np.ndarray,
     + d_i dbar_j g_ab (a < i, b < j) are the coefficients of
     sqrt-1 d dbar omega on dz^a dz^i dzbar^b dzbar^j, and p^c is the sorted
     complement of p.  Q is Hermitian in its index pairs, so only q >= p is
-    assembled, one row p at a time: d_x first, summed over the orderings
-    (r, x) of p^c for each column c of g, then one d_ybar per (q, c).
+    assembled, a term at a time: per row p and column c of g, with
+    p^c = (a, b), the row d_a g_bc - d_b g_ac, then its d_ybar for each q
+    whose complement is {c, y}, contracted with the band into the output.
+    Slots (r, c) of g that nonzero[r, c] zeroes are skipped.
     """
     n = grid.n
     comp = [tuple(r for r in range(n) if r != p) for p in range(n)]
-    # zero slots (e.g. off the diagonal of a diagonal g) are skipped; each
-    # slot is scanned once, not once per p
-    nonzero = {(r, c): bool(g[..., r, c].any()) for r in range(n) for c in range(n)}
     out = np.zeros(grid.shape)
-    for p in range(n):
-        # rows[c] = sum_r +-d_x g_rc, (r, x) running over the orderings of p^c,
-        # signed by the antisymmetrisation
-        rows: dict = {}
-        for c in range(n):
-            row = _signed_sum((r > x, grid.dz(g[..., r, c], x))
-                              for r, x in permutations(comp[p]) if nonzero[r, c])
-            if row is not None:
-                rows[c] = row
+    for p, c in product(range(n), repeat=2):
+        a, b = comp[p]
+        row = grid.dz(g[..., b, c], a) if nonzero[b, c] else None
+        if nonzero[a, c]:
+            d = grid.dz(g[..., a, c], b)
+            row = np.negative(d, out=d) if row is None else np.subtract(row, d, out=row)
+            del d  # before the next row exists
+        if row is None:
+            continue
         for q in range(p, n):
-            # the coefficient, then the term, in place
-            term = _signed_sum((c > y, grid.dzbar(rows[c], y))
-                               for c, y in permutations(comp[q]) if c in rows)
-            if term is None:
+            if c not in comp[q]:
                 continue
-            band = np.conj(du[..., q])
-            band *= du[..., p]
-            term *= band
-            if p != q:
-                term *= (-1) ** (p + q) * 2.0
-            out += term.real
-            del term, band  # before the next q's terms exist
+            (y,) = (s for s in comp[q] if s != c)
+            term = grid.dzbar(row, y)
+            term *= du[..., p]  # then Re(term conj(u_q)), in its real part
+            re, im = term.real, term.imag
+            re *= du[..., q].real
+            im *= du[..., q].imag
+            re += im
+            re *= (1.0 if c > y else -1.0) * ((-1) ** (p + q) * 2.0 if p != q else 1.0)
+            out += re
+            del term, re, im  # before the next term exists
     return out
 
 
-def _signed_sum(terms):
-    """Sum of the fields of (positive, field) terms, each negated unless
-    positive, accumulated in place in the first one; None for no terms."""
-    acc = None
-    for positive, value in terms:
-        if not positive:
-            np.negative(value, out=value)
-        if acc is None:
-            acc = value
-        else:
-            acc += value
-    return acc
+def _lemma22_slabs(grid: TorusGrid, g: np.ndarray, u: np.ndarray):
+    """Yield (volume, bare, correction) of the lemma-22 integrands for
+    n <= 3, by contraction, one new slab of grid axis 0 at a time.
 
-
-def _lemma22_terms(grid: TorusGrid, g: np.ndarray, u: np.ndarray):
-    """Densities of the lemma-22 integrands for n <= 3, by contraction; no
-    Form is built.
-
-    Returns (volume, energy, terms): volume is det g, energy the Dirichlet
-    energy int |du|_g^2 dV, and terms[i] for i < n the pair (density,
-    correction) of top(band ^ omega_u^i ^ T_i) / top(omega^n) and of its
-    sqrt-1 d dbar omega part alone (None when T_i has no such term), with
+    volume is det g; bare[i], i < n, is top(band ^ omega_u^i ^ omega^d) /
+    top(omega^n) times det g, d = n - 1 - i, and correction that of the
+    sqrt-1 d dbar omega part of T_0 (None below n = 3, its only
+    correction), so their means are integrals against the metric volume.
     band = sqrt-1 du ^ dbar u and omega_u = omega + sqrt-1 ddbar u.
 
-    The band is rank one, c_ab = u_a conj(u_b), so with d = n - 1 - i
-    top(band ^ omega_u^i ^ omega^d) / top(omega^n) =
-    i! d! sum_ab c_ab K^i_ab / (n! det g), where K^i is the s^i coefficient
-    of the cofactor matrix of g + s (g + ddbar u).  K^0, the cofactor matrix
-    of g, is det g times its transposed inverse, so sum_ab c_ab K^0_ab =
-    |du|_g^2 det g.  For n <= 3 the only correction is sqrt-1 d dbar omega
-    in T_0 at n = 3.
-
-    omega_u is never a whole grid: it is built one slab of grid axis 0 at a
-    time, as the minors are, from u_{i jbar} = d_jbar u_i (i <= j) of the
-    gradient du, the lower triangle conjugate.  Only u_{0 0bar} takes a
-    derivative along axis 0, so it alone is a whole (real) field.
+    The band is rank one, c_ab = u_a conj(u_b), so bare[i] =
+    i! d! sum_ab c_ab K^i_ab / n!, where K^i is the s^i coefficient of the
+    cofactor matrix of g + s (g + ddbar u); K^0, the cofactor matrix of g,
+    is det g times its transposed inverse, so bare[0] = |du|_g^2 det g / n.
+    Each slab builds its omega_u and minors from u_{i jbar} = d_jbar u_i
+    (i <= j) of du, the lower triangle conjugate; only u_{0 0bar} takes a
+    derivative along axis 0, so du, it and the correction are the whole
+    fields.  Slots of g that are zero on the whole grid are skipped.
     """
     n = grid.n
+    # cast once, so the gradient copies nothing; a real u that the caller
+    # no longer holds is freed here, and the complex one after the gradient
+    u = u.astype(complex)
     du = grid.holomorphic_gradient(u)
-    # before the slab loop's outputs exist, to keep the peak down
-    correction = _ddbar_omega_contraction(grid, g, du) if n == 3 else None
+    del u
+    nonzero = {(r, c): bool(g[..., r, c].any()) for r in range(n) for c in range(n)}
+    correction = None  # before u_{0 0bar} exists, to keep the peak down
+    if n == 3:
+        correction = _ddbar_omega_contraction(grid, g, du, nonzero)
+        correction /= factorial(n)
     u00 = grid.dzbar(du[..., 0], 0).real.copy()
-    contracted = [np.zeros(grid.shape) for _ in range(n)]  # sum_ab c_ab K^i_ab
-    volume = np.zeros(grid.shape)
+    weights = [factorial(i) * factorial(n - 1 - i) / factorial(n) for i in range(n)]
     # one slab of omega_u; index-first, so each slot the minors read is
     # contiguous, as in the whole-grid stacks
     wbuf = np.empty((n, n) + grid.shape[1:], dtype=complex)
     wx = np.moveaxis(wbuf, (0, 1), (-2, -1))
-    for x in range(grid.N):  # one slab of grid axis 0 at a time: slab-sized minors
+    for x in range(grid.N):
         gx, dux = g[x], du[x]
         np.add(u00[x], gx[..., 0, 0], out=wbuf[0, 0])
         for j in range(1, n):
@@ -378,50 +371,51 @@ def _lemma22_terms(grid: TorusGrid, g: np.ndarray, u: np.ndarray):
                     continue
                 np.add(h, gx[..., i, j], out=wbuf[i, j])
                 np.add(np.conj(h, out=h), gx[..., j, i], out=wbuf[j, i])
+        volume = np.zeros(grid.shape[1:])
+        bare = [np.zeros(grid.shape[1:]) for _ in range(n)]
         for a in range(n):
             for b in range(a, n):
-                band = dux[..., a] * np.conj(dux[..., b])
-                minors = _signed_minors((gx, wx), a, b)
-                for i in range(n):
-                    # c and K^i are Hermitian: the (b, a) term conjugates (a, b)
-                    term = (band * minors[i]).real
-                    contracted[i][x] += term if a == b else 2.0 * term
-                if a == 0:  # cofactor expansion of det g along row 0
-                    volume[x] += (gx[..., 0, b] * minors[0]).real
-    energy = grid.mean(contracted[0])
-    scale = 1.0 / (factorial(n) * volume)
-    terms = [(factorial(i) * factorial(n - 1 - i) * contracted[i] * scale, None)
-             for i in range(n)]
-    if correction is not None:  # T_0 = omega^2 + sqrt-1 d dbar omega
-        correction *= scale
-        terms[0] = (terms[0][0] + correction, correction)
-    return volume, energy, terms
+                minors = _signed_minors((gx, wx), a, b, nonzero)
+                if a == 0 and nonzero[0, b]:  # det g along row 0
+                    volume += (gx[..., 0, b] * minors[0]).real
+                band = np.conj(dux[..., b])
+                band *= dux[..., a]
+                if a != b:  # c and K^i are Hermitian: (b, a) conjugates (a, b)
+                    band *= 2.0
+                for minor, acc in zip(minors, bare):
+                    minor *= band
+                    acc += minor.real
+        for acc, weight in zip(bare, weights):
+            acc *= weight
+        yield volume, bare, None if correction is None else correction[x]
 
 
 def _smooth_test_potential(grid: TorusGrid, amplitude: float) -> np.ndarray:
     """Full-spectrum smooth potential: exponentials of low trig modes, so no
     finite grid represents it exactly and refinement is measurable."""
-    x1 = grid.x(0) + grid.zeros()
-    y2 = grid.y(1) + grid.zeros()
-    u = np.exp(np.sin(2 * np.pi * x1) + 0.5 * np.cos(2 * np.pi * y2))
+    u = np.add(np.sin(2 * np.pi * grid.x(0)), 0.5 * np.cos(2 * np.pi * grid.y(1)),
+               out=grid.zeros())
+    np.exp(u, out=u)
     return amplitude * (u - u.mean())
 
 
 def _lemma22_grid_constants(grid: TorusGrid, preset: str, epsilon: float,
                             amplitude: float) -> list[tuple]:
     """(C, correction integral, correction sup) for each power i < n on one
-    grid, the integrals against the metric volume over the Dirichlet energy."""
+    grid, the integrals against the metric volume over the Dirichlet energy,
+    summed slab by slab."""
     g = metric_preset(grid, preset, epsilon=epsilon)
-    u = _smooth_test_potential(grid, amplitude)
-    volume, energy, terms = _lemma22_terms(grid, g, u)
-    out = []
-    for density, correction in terms:
-        corr_int = corr_sup = 0.0
+    sums, corr_sum, corr_sup = np.zeros(grid.n), 0.0, 0.0
+    for volume, bare, correction in _lemma22_slabs(
+            grid, g, _smooth_test_potential(grid, amplitude)):
+        sums += [b.sum() for b in bare]
         if correction is not None:
-            corr_int = grid.mean(correction * volume) / energy
-            corr_sup = float(np.abs(correction).max())
-        out.append((abs(grid.mean(density * volume)) / energy, corr_int, corr_sup))
-    return out
+            corr_sum += float(correction.sum())
+            corr_sup = max(corr_sup, float(np.abs(correction / volume).max()))
+    energy = grid.n * float(sums[0])  # bare[0] is |du|_g^2 det g / n
+    sums[0] += corr_sum
+    c = (np.abs(sums) / energy).tolist()
+    return [(c[0], corr_sum / energy, corr_sup)] + [(ci, 0.0, 0.0) for ci in c[1:]]
 
 
 def audit_lemma22(
@@ -445,16 +439,17 @@ def audit_lemma22(
     (correction_integral) and its sup density (correction_sup).  The
     correction counts as tested only if some |correction_integral| exceeds
     its row's allowed drift; constants["torsion_correction_tested"] says
-    whether it did.  Cases need n <= 3: at n >= 4 T_i gains a
-    d omega ^ dbar omega term that this route does not evaluate.
+    whether it did.  Cases need n <= 3 (at n >= 4 T_i gains a d omega ^
+    dbar omega term that this route does not evaluate) and N_lo < N_hi.
     """
     if not amplitude > 0:
         raise DomainError(f"amplitude must be positive, got {amplitude}")
-    for n, _, _ in cases:
-        if not 2 <= n <= 3:
+    for n, n_lo, n_hi in cases:
+        if not (2 <= n <= 3 and n_lo < n_hi):
             raise DomainError(
-                f"lemma-22 cases need 2 <= n <= 3 (n >= 4 adds the "
-                f"d omega ^ dbar omega correction), got n={n}"
+                f"lemma-22 cases need 2 <= n <= 3 (n >= 4 adds the d omega ^ dbar "
+                f"omega correction) and N_lo < N_hi (a grid cannot drift from "
+                f"itself), got (n, N_lo, N_hi) = ({n}, {n_lo}, {n_hi})"
             )
     rows = []
     worst = 0.0

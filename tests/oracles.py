@@ -560,6 +560,154 @@ def _lemma22_constant(grid: TorusGrid, g: np.ndarray, u: np.ndarray, i: int):
     return num / den, density, correction
 
 
+# ------------------------------------ whole-grid contraction (lemma-22 terms)
+# The audit's contraction route before it summed its integrals slab by slab:
+# the same formulas, returning every density as a whole grid.
+
+def _signed_minors(mats, a: int, b: int) -> list[np.ndarray]:
+    """Coefficients of s^i, i = 0..n-1, in the (a, b) cofactor of
+    mats[0] + s mats[1]: the sum over choices of i rows taken from mats[1]
+    of (-1)^(a+b) det of rows != a and columns != b (Leibniz sum)."""
+    n = mats[0].shape[-1]
+    rows = [r for r in range(n) if r != a]
+    cols = [c for c in range(n) if c != b]
+    out = [np.zeros(mats[0].shape[:-2], dtype=complex) for _ in range(n)]
+    for choice in itertools.product((0, 1), repeat=n - 1):
+        acc = out[sum(choice)]
+        for perm in itertools.permutations(range(n - 1)):
+            inversions = sum(1 for x, y in itertools.combinations(perm, 2) if x > y)
+            term = mats[choice[0]][..., rows[0], cols[perm[0]]]
+            for r, m, c in zip(rows[1:], choice[1:], perm[1:]):
+                term = term * mats[m][..., r, cols[c]]
+            if (a + b + inversions) % 2:
+                acc -= term
+            else:
+                acc += term
+    return out
+
+
+def _ddbar_omega_contraction(grid: TorusGrid, g: np.ndarray,
+                             du: np.ndarray) -> np.ndarray:
+    """For n = 3: sum_{p,q} (-1)^{p+q} u_p conj(u_q) Q_{p^c q^c}, so that
+    band ^ sqrt-1 d dbar omega = sqrt-1 (this) dz^123 ^ dzbar^123.
+
+    Q_{(a,i),(b,j)} = d_a dbar_b g_ij - d_i dbar_b g_aj - d_a dbar_j g_ib
+    + d_i dbar_j g_ab (a < i, b < j) are the coefficients of
+    sqrt-1 d dbar omega on dz^a dz^i dzbar^b dzbar^j, and p^c is the sorted
+    complement of p.  Q is Hermitian in its index pairs, so only q >= p is
+    assembled, one row p at a time: d_x first, summed over the orderings
+    (r, x) of p^c for each column c of g, then one d_ybar per (q, c).
+    """
+    n = grid.n
+    comp = [tuple(r for r in range(n) if r != p) for p in range(n)]
+    # zero slots (e.g. off the diagonal of a diagonal g) are skipped; each
+    # slot is scanned once, not once per p
+    nonzero = {(r, c): bool(g[..., r, c].any()) for r in range(n) for c in range(n)}
+    out = np.zeros(grid.shape)
+    for p in range(n):
+        # rows[c] = sum_r +-d_x g_rc, (r, x) running over the orderings of p^c,
+        # signed by the antisymmetrisation
+        rows: dict = {}
+        for c in range(n):
+            row = _signed_sum((r > x, grid.dz(g[..., r, c], x))
+                              for r, x in itertools.permutations(comp[p]) if nonzero[r, c])
+            if row is not None:
+                rows[c] = row
+        for q in range(p, n):
+            # the coefficient, then the term, in place
+            term = _signed_sum((c > y, grid.dzbar(rows[c], y))
+                               for c, y in itertools.permutations(comp[q]) if c in rows)
+            if term is None:
+                continue
+            band = np.conj(du[..., q])
+            band *= du[..., p]
+            term *= band
+            if p != q:
+                term *= (-1) ** (p + q) * 2.0
+            out += term.real
+            del term, band  # before the next q's terms exist
+    return out
+
+
+def _signed_sum(terms):
+    """Sum of the fields of (positive, field) terms, each negated unless
+    positive, accumulated in place in the first one; None for no terms."""
+    acc = None
+    for positive, value in terms:
+        if not positive:
+            np.negative(value, out=value)
+        if acc is None:
+            acc = value
+        else:
+            acc += value
+    return acc
+
+
+def lemma22_terms(grid: TorusGrid, g: np.ndarray, u: np.ndarray):
+    """Densities of the lemma-22 integrands for n <= 3, by contraction; no
+    Form is built.
+
+    Returns (volume, energy, terms): volume is det g, energy the Dirichlet
+    energy int |du|_g^2 dV, and terms[i] for i < n the pair (density,
+    correction) of top(band ^ omega_u^i ^ T_i) / top(omega^n) and of its
+    sqrt-1 d dbar omega part alone (None when T_i has no such term), with
+    band = sqrt-1 du ^ dbar u and omega_u = omega + sqrt-1 ddbar u.
+
+    The band is rank one, c_ab = u_a conj(u_b), so with d = n - 1 - i
+    top(band ^ omega_u^i ^ omega^d) / top(omega^n) =
+    i! d! sum_ab c_ab K^i_ab / (n! det g), where K^i is the s^i coefficient
+    of the cofactor matrix of g + s (g + ddbar u).  K^0, the cofactor matrix
+    of g, is det g times its transposed inverse, so sum_ab c_ab K^0_ab =
+    |du|_g^2 det g.  For n <= 3 the only correction is sqrt-1 d dbar omega
+    in T_0 at n = 3.
+
+    omega_u is never a whole grid: it is built one slab of grid axis 0 at a
+    time, as the minors are, from u_{i jbar} = d_jbar u_i (i <= j) of the
+    gradient du, the lower triangle conjugate.  Only u_{0 0bar} takes a
+    derivative along axis 0, so it alone is a whole (real) field.
+    """
+    n = grid.n
+    du = grid.holomorphic_gradient(u)
+    # before the slab loop's outputs exist, to keep the peak down
+    correction = _ddbar_omega_contraction(grid, g, du) if n == 3 else None
+    u00 = grid.dzbar(du[..., 0], 0).real.copy()
+    contracted = [np.zeros(grid.shape) for _ in range(n)]  # sum_ab c_ab K^i_ab
+    volume = np.zeros(grid.shape)
+    # one slab of omega_u; index-first, so each slot the minors read is
+    # contiguous, as in the whole-grid stacks
+    wbuf = np.empty((n, n) + grid.shape[1:], dtype=complex)
+    wx = np.moveaxis(wbuf, (0, 1), (-2, -1))
+    for x in range(grid.N):  # one slab of grid axis 0 at a time: slab-sized minors
+        gx, dux = g[x], du[x]
+        np.add(u00[x], gx[..., 0, 0], out=wbuf[0, 0])
+        for j in range(1, n):
+            for i in range(j + 1):
+                h = grid._first_derivative(dux[..., i], j, bar=True)
+                if i == j:
+                    np.add(h.real, gx[..., j, j], out=wbuf[j, j])
+                    continue
+                np.add(h, gx[..., i, j], out=wbuf[i, j])
+                np.add(np.conj(h, out=h), gx[..., j, i], out=wbuf[j, i])
+        for a in range(n):
+            for b in range(a, n):
+                band = dux[..., a] * np.conj(dux[..., b])
+                minors = _signed_minors((gx, wx), a, b)
+                for i in range(n):
+                    # c and K^i are Hermitian: the (b, a) term conjugates (a, b)
+                    term = (band * minors[i]).real
+                    contracted[i][x] += term if a == b else 2.0 * term
+                if a == 0:  # cofactor expansion of det g along row 0
+                    volume[x] += (gx[..., 0, b] * minors[0]).real
+    energy = grid.mean(contracted[0])
+    scale = 1.0 / (math.factorial(n) * volume)
+    terms = [(math.factorial(i) * math.factorial(n - 1 - i) * contracted[i] * scale, None)
+             for i in range(n)]
+    if correction is not None:  # T_0 = omega^2 + sqrt-1 d dbar omega
+        correction *= scale
+        terms[0] = (terms[0][0] + correction, correction)
+    return volume, energy, terms
+
+
 # ------------------------------------------------- grid-first Chern route
 # The package's Chern and covariant-derivative route before its stacks were
 # stored index-first and before first derivatives ran one axis at a time:

@@ -19,6 +19,7 @@ from oracles import (
     _correction_block,
     _lemma22_constant,
     audit_lemma21_loop,
+    lemma22_terms,
     random_hermitian_field,
 )
 
@@ -201,24 +202,38 @@ def test_lemma22_correction_block_inert_on_kahler():
     assert np.abs(diff).max() < 1e-6
 
 
+def _lemma22_metric(grid, name):
+    if name == "random":  # non-diagonal and not Kahler: off-diagonal signs count
+        return random_hermitian_field(grid, np.random.default_rng(grid.n))
+    return metric_preset(grid, name)
+
+
 @pytest.mark.parametrize("name", ["euclidean", "kahler", "torsion", "random"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_lemma22_contraction_matches_form_route(n, name):
     grid = TorusGrid(n, 8)
-    if name == "random":  # non-diagonal and not Kahler: off-diagonal signs count
-        g = random_hermitian_field(grid, np.random.default_rng(n))
-    else:
-        g = metric_preset(grid, name)
+    g = _lemma22_metric(grid, name)
     # every du component complex and nonzero, so a transposed band shows
     rng = np.random.default_rng(10 + n)
     u = grid.trig_field(
         [(0.01, rng.integers(-1, 2, size=2 * n), rng.uniform(0, 6)) for _ in range(4)]
     )
-    volume, energy, terms = audits._lemma22_terms(grid, g, u)
-    assert len(terms) == n
-    for i, (density, correction) in enumerate(terms):
+    # whole-grid densities, assembled from the sweep's slabs
+    slabs = list(audits._lemma22_slabs(grid, g, u))
+    assert len(slabs) == grid.N and all(len(bare) == n for _, bare, _ in slabs)
+    assert all((c is None) == (n < 3) for _, _, c in slabs)
+    volume = np.stack([v for v, _, _ in slabs])
+    energy = n * grid.mean(np.stack([bare[0] for _, bare, _ in slabs]))
+    for i in range(n):
+        weighted = np.stack([bare[i] for _, bare, _ in slabs])
+        correction = None
+        if i == 0 and n == 3:  # T_0 = omega^2 + sqrt-1 d dbar omega
+            weighted_correction = np.stack([c for _, _, c in slabs])
+            weighted += weighted_correction
+            correction = weighted_correction / volume
+        density = weighted / volume
         c_ref, density_ref, correction_ref = _lemma22_constant(grid, g, u, i)
-        c_new = abs(grid.mean(density * volume)) / energy
+        c_new = abs(grid.mean(weighted)) / energy
         assert abs(c_new - c_ref) <= 1e-12 * c_ref
         scale = np.abs(density_ref).max()
         assert np.abs(density - density_ref).max() <= 1e-12 * scale
@@ -226,38 +241,51 @@ def test_lemma22_contraction_matches_form_route(n, name):
             assert n - 1 - i < 2 and not correction_ref.any()
         else:
             assert np.abs(correction - correction_ref).max() <= 1e-12 * scale
-    if n == 3 and name in ("torsion", "random"):
-        assert np.abs(terms[0][1]).max() > 1e-3 * np.abs(terms[0][0]).max()
+            if name in ("torsion", "random"):
+                assert np.abs(correction).max() > 1e-3 * np.abs(density).max()
 
 
-def _lemma22_terms_peak_fields():
-    """Traced allocation peak of ``_lemma22_terms`` at n=3, N=8 on the
-    torsion preset, in real grid fields."""
+@pytest.mark.parametrize("name", ["euclidean", "kahler", "torsion", "random"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_lemma22_grid_constants_match_whole_grid_route(n, name, monkeypatch):
+    grid = TorusGrid(n, 8)
+    g = _lemma22_metric(grid, name)
+    monkeypatch.setattr(audits, "metric_preset", lambda grid, preset, epsilon: g)
+    consts = audits._lemma22_grid_constants(grid, name, 0.1, 0.005)
+    u = audits._smooth_test_potential(grid, 0.005)
+    volume, energy, terms = lemma22_terms(grid, g, u)
+    assert len(consts) == n
+    for (c, corr_int, corr_sup), (density, correction) in zip(consts, terms):
+        c_ref = abs(grid.mean(density * volume)) / energy
+        assert abs(c - c_ref) <= 1e-12 * c_ref
+        if correction is None:
+            assert corr_int == corr_sup == 0.0
+            continue
+        assert abs(corr_int - grid.mean(correction * volume) / energy) <= 1e-12 * c
+        assert abs(corr_sup - np.abs(correction).max()) <= 1e-12 * c
+
+
+def test_lemma22_sweep_peak_stays_below_14_grid_fields():
+    # traced at n=3, N=8 on the torsion preset, in real grid fields.  The
+    # whole grids left are du (2n fields), u_{0 0bar} and the correction; at
+    # N=8 one slab's omega_u, minors and sums add about 4.  The correction's
+    # contraction peaks lower, at 13: du, its output, one row of d_x g and
+    # the d_ybar of that row with its transform's temporary
     grid = TorusGrid(3, 8)
     g = metric_preset(grid, "torsion", epsilon=0.1)
     u = audits._smooth_test_potential(grid, 0.005)
     tracemalloc.start()
     try:
-        audits._lemma22_terms(grid, g, u)
+        for _ in audits._lemma22_slabs(grid, g, u):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / u.nbytes
-
-
-def test_lemma22_terms_peak_stays_below_40_grid_fields():
-    # the band and the minors are only one slab of grid axis 0 at a time
-    assert _lemma22_terms_peak_fields() <= 40.0
-
-
-def test_lemma22_terms_peak_stays_below_24_grid_fields():
-    # omega_u is built one slab at a time from du: du, u_{0 0bar}, the
-    # correction and the outputs are the only whole-grid fields it adds
-    assert _lemma22_terms_peak_fields() <= 24.0
+    assert peak / u.nbytes <= 14.0
 
 
 def test_lemma22_reports_the_torsion_correction(monkeypatch):
-    rep = audits.audit_lemma22(cases=((3, 8, 8),))
+    rep = audits.audit_lemma22(cases=((3, 8, 10),))
     assert rep.passed
     i0 = next(r for r in rep.rows if r["i"] == 0)
     assert i0["correction_sup"] > 0.0
@@ -268,8 +296,8 @@ def test_lemma22_reports_the_torsion_correction(monkeypatch):
     assert "torsion correction not tested" in rep.message
     # a correction that integrates to more than the allowed drift is tested
     monkeypatch.setattr(audits, "_ddbar_omega_contraction",
-                        lambda grid, g, du: np.full(grid.shape, 1e-3))
-    rep = audits.audit_lemma22(cases=((3, 8, 8),))
+                        lambda grid, g, du, nonzero: np.full(grid.shape, 1e-3))
+    rep = audits.audit_lemma22(cases=((3, 8, 10),))
     assert rep.constants["torsion_correction_tested"] is True
     assert "not tested" not in rep.message
 
@@ -283,6 +311,19 @@ def test_lemma22_rejects_n_above_3_before_building_a_grid(monkeypatch):
         audits.audit_lemma22(cases=((2, 8, 16), (4, 8, 10)))
 
 
+@pytest.mark.parametrize("case", [(2, 8, 8), (3, 10, 8)])
+def test_lemma22_rejects_a_case_without_refinement_before_building_a_grid(
+    monkeypatch, case
+):
+    # N_lo == N_hi compares a grid with itself: drift 0, so it could not fail
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(audits, "TorusGrid", no_grid)
+    with pytest.raises(DomainError, match="N_lo < N_hi"):
+        audits.audit_lemma22(cases=((2, 8, 16), case))
+
+
 @pytest.mark.parametrize("amplitude", [0.0, -0.005, np.nan])
 def test_lemma22_rejects_a_nonpositive_amplitude_before_building_a_grid(
     monkeypatch, amplitude
@@ -292,7 +333,7 @@ def test_lemma22_rejects_a_nonpositive_amplitude_before_building_a_grid(
 
     monkeypatch.setattr(audits, "TorusGrid", no_grid)
     with pytest.raises(DomainError, match="amplitude must be positive"):
-        audits.audit_lemma22(cases=((2, 8, 8),), amplitude=amplitude)
+        audits.audit_lemma22(cases=((2, 8, 16),), amplitude=amplitude)
 
 
 @pytest.mark.parametrize("p_list", [(0, 0), (4, -8), (16,), ()])
@@ -467,7 +508,7 @@ def test_report_tolerances_are_the_module_constants(small_family):
     grid, g, u = small_family.grid, small_family.g, small_family.reports[-1].u
     reports = {
         "lemma21": audits.audit_lemma21(4, 3, samples=500),
-        "lemma22": audits.audit_lemma22(cases=((2, 8, 8),)),
+        "lemma22": audits.audit_lemma22(cases=((2, 8, 12),)),
         "commutation": audits.audit_commutation(
             N_lo=8, N_hi=8, presets=("kahler",), orders=(3,)
         ),

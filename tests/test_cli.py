@@ -17,7 +17,7 @@ import yaml
 
 import khessian
 from khessian import symfunc
-from khessian.cli import AUDIT_NAMES, DEFAULTS, load_config, main
+from khessian.cli import AUDIT_NAMES, DEFAULTS, _run_audit, load_config, main
 from khessian.errors import ConfigError
 from khessian.fieldio import load_field
 from khessian.solver import StageRecord
@@ -100,6 +100,13 @@ def test_value_validation_names_path(assignment, path):
         load_config(None, [assignment], None)
 
 
+def test_lemma22_case_without_refinement_is_a_config_error_naming_its_key():
+    # N_lo == N_hi compares a grid with itself; the audit refuses it
+    cfg = load_config(None, ["audit.lemma22_cases=[[3, 8, 8]]"], None)
+    with pytest.raises(ConfigError, match=r"^audit\.lemma22_cases: .*N_lo < N_hi"):
+        _run_audit(cfg, "lemma22")
+
+
 def test_bad_value_is_exit_2_without_traceback(tmp_path, monkeypatch, capsys):
     rc = run_cli(
         ["audit", "lemma22", "--set", "audit.lemma22_cases=[[3, 8]]"], tmp_path, monkeypatch
@@ -122,6 +129,7 @@ def test_bad_value_is_exit_2_without_traceback(tmp_path, monkeypatch, capsys):
             id="lemma22-torsion-epsilon",
         ),
         ("lemma22", "audit.lemma22_cases=[[4, 8, 10]]", "audit.lemma22_cases"),
+        ("lemma22", "audit.lemma22_cases=[[3, 8, 8]]", "audit.lemma22_cases"),
         pytest.param(
             "cherrier",
             ("problem.N=8", "audit.family_amplitudes=[1.0]", "audit.p_list=[0, 0]"),

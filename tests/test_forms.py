@@ -127,7 +127,7 @@ def test_cone_band_integrand_dual_route(n, k, i, grid, grid3):
     factor = factorial(i) * factorial(n - i - 1) / factorial(n)
     assert np.abs(ratio.imag).max() < 1e-10
     assert np.abs(ratio.real - factor * band).max() < 1e-10
-    density, correction = audits._lemma22_terms(g_grid, g, u)[2][i]
-    if correction is not None:
-        density = density - correction
+    # the whole-grid density, assembled from the sweep's slabs
+    slabs = list(audits._lemma22_slabs(g_grid, g, u))
+    density = np.stack([bare[i] / volume for volume, bare, _ in slabs])
     assert np.abs(density - factor * band).max() < 1e-10
