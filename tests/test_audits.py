@@ -265,12 +265,9 @@ def test_lemma22_grid_constants_match_whole_grid_route(n, name, monkeypatch):
         assert abs(corr_sup - np.abs(correction).max()) <= 1e-12 * c
 
 
-def test_lemma22_sweep_peak_stays_below_14_grid_fields():
-    # traced at n=3, N=8 on the torsion preset, in real grid fields.  The
-    # whole grids left are du (2n fields), u_{0 0bar} and the correction; at
-    # N=8 one slab's omega_u, minors and sums add about 4.  The correction's
-    # contraction peaks lower, at 13: du, its output, one row of d_x g and
-    # the d_ybar of that row with its transform's temporary
+def _lemma22_terms_peak_fields():
+    """Traced allocation peak of the lemma-22 slab sweep at n=3, N=8 on the
+    torsion preset, in real grid fields."""
     grid = TorusGrid(3, 8)
     g = metric_preset(grid, "torsion", epsilon=0.1)
     u = audits._smooth_test_potential(grid, 0.005)
@@ -281,7 +278,26 @@ def test_lemma22_sweep_peak_stays_below_14_grid_fields():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / u.nbytes <= 14.0
+    return peak / u.nbytes
+
+
+def test_lemma22_terms_peak_stays_below_40_grid_fields():
+    # the band and the minors are only one slab of grid axis 0 at a time
+    assert _lemma22_terms_peak_fields() <= 40.0
+
+
+def test_lemma22_terms_peak_stays_below_24_grid_fields():
+    # omega_u is built one slab at a time from du: du, u_{0 0bar}, the
+    # correction and the outputs are the only whole-grid fields it adds
+    assert _lemma22_terms_peak_fields() <= 24.0
+
+
+def test_lemma22_sweep_peak_stays_below_14_grid_fields():
+    # the whole grids left are du (2n fields), u_{0 0bar} and the
+    # correction; at N=8 one slab's omega_u, minors and sums add about 4.
+    # The correction's contraction peaks lower, at 13: du, its output, one
+    # row of d_x g and the d_ybar of that row with its transform's temporary
+    assert _lemma22_terms_peak_fields() <= 14.0
 
 
 def test_lemma22_reports_the_torsion_correction(monkeypatch):
