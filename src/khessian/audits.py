@@ -87,6 +87,20 @@ C2_SPREAD = 10.0
 # its tail growth is reported, not judged.
 CHERRIER_FACTOR = 3.0
 
+# Fixed inputs, each recorded under its name in its report's params.
+# lemma22 "amplitude": scale of the test potential.  Its ddbar u has
+# eigenvalues in [-0.23, 0.09], so omega_u = omega + sqrt-1 ddbar u stays
+# positive definite on every preset (Weyl: the kahler g has eigenvalues
+# >= 0.41, the others >= 1).
+LEMMA22_AMPLITUDE = 0.005
+# commutation "presets": kahler checks the curvature terms with zero
+# torsion, torsion adds the torsion products and carries the mutation
+# control, so neither can be left out.
+COMMUTATION_PRESETS = ("kahler", "torsion")
+# commutation "epsilon": the torsion preset's departure from the identity,
+# inside the preset's admissible (0, 0.2].
+COMMUTATION_EPSILON = 0.15
+
 
 @dataclass
 class AuditReport:
@@ -390,24 +404,24 @@ def _lemma22_slabs(grid: TorusGrid, g: np.ndarray, u: np.ndarray):
         yield volume, bare, None if correction is None else correction[x]
 
 
-def _smooth_test_potential(grid: TorusGrid, amplitude: float) -> np.ndarray:
-    """Full-spectrum smooth potential: exponentials of low trig modes, so no
-    finite grid represents it exactly and refinement is measurable."""
+def _smooth_test_potential(grid: TorusGrid) -> np.ndarray:
+    """Full-spectrum smooth potential of scale LEMMA22_AMPLITUDE: exponentials
+    of low trig modes, so no finite grid represents it exactly and refinement
+    is measurable."""
     u = np.add(np.sin(2 * np.pi * grid.x(0)), 0.5 * np.cos(2 * np.pi * grid.y(1)),
                out=grid.zeros())
     np.exp(u, out=u)
-    return amplitude * (u - u.mean())
+    return LEMMA22_AMPLITUDE * (u - u.mean())
 
 
-def _lemma22_grid_constants(grid: TorusGrid, preset: str, epsilon: float,
-                            amplitude: float) -> list[tuple]:
+def _lemma22_grid_constants(grid: TorusGrid, preset: str, epsilon: float) -> list[tuple]:
     """(C, correction integral, correction sup) for each power i < n on one
     grid, the integrals against the metric volume over the Dirichlet energy,
     summed slab by slab."""
     g = metric_preset(grid, preset, epsilon=epsilon)
     sums, corr_sum, corr_sup = np.zeros(grid.n), 0.0, 0.0
     for volume, bare, correction in _lemma22_slabs(
-            grid, g, _smooth_test_potential(grid, amplitude)):
+            grid, g, _smooth_test_potential(grid)):
         sums += [b.sum() for b in bare]
         if correction is not None:
             corr_sum += float(correction.sum())
@@ -422,7 +436,6 @@ def audit_lemma22(
     cases=((2, 8, 16), (3, 8, 12)),
     preset: str = "torsion",
     epsilon: float = 0.1,
-    amplitude: float = 0.005,
 ) -> AuditReport:
     """Stability of the torsion-corrected integral constants under grid
     refinement.
@@ -442,8 +455,6 @@ def audit_lemma22(
     whether it did.  Cases need n <= 3 (at n >= 4 T_i gains a d omega ^
     dbar omega term that this route does not evaluate) and N_lo < N_hi.
     """
-    if not amplitude > 0:
-        raise DomainError(f"amplitude must be positive, got {amplitude}")
     for n, n_lo, n_hi in cases:
         if not (2 <= n <= 3 and n_lo < n_hi):
             raise DomainError(
@@ -455,7 +466,7 @@ def audit_lemma22(
     worst = 0.0
     for n, n_lo, n_hi in cases:
         consts = {
-            N: _lemma22_grid_constants(TorusGrid(n, N), preset, epsilon, amplitude)
+            N: _lemma22_grid_constants(TorusGrid(n, N), preset, epsilon)
             for N in (n_lo, n_hi)
         }
         for i in range(n):
@@ -495,7 +506,7 @@ def audit_lemma22(
             "cases": list(map(list, cases)),
             "preset": preset,
             "epsilon": epsilon,
-            "amplitude": amplitude,
+            "amplitude": LEMMA22_AMPLITUDE,
         },
         rows=rows,
         constants={
@@ -528,10 +539,13 @@ def audit_cherrier(
     shift-invariant) so large p stays well conditioned.  Blow-up as p grows
     would sink the iteration-to-C0 argument; the verdict requires
     max_p C(p) <= CHERRIER_FACTOR * C(p_max), so it needs at least two
-    exponents, all positive.
+    exponents, positive and strictly increasing, the last one p_max.
     """
-    if len(p_list) < 2 or not all(p > 0 for p in p_list):
-        raise DomainError(f"need at least two positive exponents, got {list(p_list)}")
+    if len(p_list) < 2 or not 0 < p_list[0] or any(
+            a >= b for a, b in zip(p_list, p_list[1:])):
+        raise DomainError(
+            f"need at least two positive, strictly increasing exponents, got {list(p_list)}"
+        )
     v = u - u.min()
     grad = gradient_norm_sq(grid, u, g)  # checks the metric, once
     dens = np.linalg.det(g).real  # the volume density of grid.integrate
@@ -722,51 +736,38 @@ COMMUTATION_TERMS = (
 )
 
 
-def audit_commutation(
-    N_lo: int = 12,
-    N_hi: int = 24,
-    presets=("kahler", "torsion"),
-    orders=(3, 4),
-    epsilon: float = 0.15,
-) -> AuditReport:
+def audit_commutation(N_lo: int = 12, N_hi: int = 24) -> AuditReport:
     """Covariant-derivative commutation identities close under refinement.
 
-    For each non-flat preset and derivative order the residual must drop by
-    at least COMMUTATION_DECAY from N_lo to N_hi while starting above
-    COMMUTATION_FLOOR (so the check measures something).  A mutation control
-    drops the torsion-product term from the fourth-order identity on the
-    torsion preset; the mutated residual must exceed the intact one by
-    COMMUTATION_MUTATION_FACTOR at N_hi, guarding the audit against a
-    vacuous pass.
+    For each preset of COMMUTATION_PRESETS and derivative order 3 and 4 the
+    residual must drop by at least COMMUTATION_DECAY from N_lo to N_hi while
+    starting above COMMUTATION_FLOOR (so the check measures something).  A
+    mutation control drops the torsion-product term from the fourth-order
+    identity on the torsion preset; the mutated residual must exceed the
+    intact one by COMMUTATION_MUTATION_FACTOR at N_hi, guarding the audit
+    against a vacuous pass.
     """
     rows = []
-    ok = True
-    mutate = "torsion" in presets and 4 in orders
     res: dict[tuple, float] = {}  # (preset, order or "mutated", N) -> residual
     for N in (N_lo, N_hi):
         grid = TorusGrid(2, N)
         u = grid.trig_field(list(COMMUTATION_TERMS))
-        for preset in presets:
-            # one build per (preset, grid) serves every order and the control
-            g = metric_preset(grid, preset, epsilon=epsilon)
+        for preset in COMMUTATION_PRESETS:
+            # one build per (preset, grid) serves both orders and the control
+            g = metric_preset(grid, preset, epsilon=COMMUTATION_EPSILON)
             tensors = chern_tensors(grid, g)
-            derivs = covariant_derivatives(grid, u, tensors, order=max(orders))
-            for order in orders:
-                if preset == "torsion" and order == 4:
-                    # the control is the same evaluation without its last term
-                    res[preset, 4, N], res[preset, "mutated", N] = fourth_order_residuals(
-                        grid, u, g, tensors=tensors, derivatives=derivs)
-                    continue
-                res[preset, order, N] = commutation_residual(
-                    grid, u, g, order=order, tensors=tensors, derivatives=derivs
-                )
+            derivs = covariant_derivatives(grid, u, tensors, order=4)
+            res[preset, 3, N] = commutation_residual(
+                grid, u, g, order=3, tensors=tensors, derivatives=derivs
+            )
+            # the control is the same evaluation without its last term
+            res[preset, 4, N], res[preset, "mutated", N] = fourth_order_residuals(
+                grid, u, g, tensors=tensors, derivatives=derivs)
             del tensors, derivs  # before the next build, to keep one at a time
-    for preset in presets:
-        for order in orders:
+    for preset in COMMUTATION_PRESETS:
+        for order in (3, 4):
             lo, hi = res[preset, order, N_lo], res[preset, order, N_hi]
             achieved = lo / hi if hi > 0 else np.inf
-            row_ok = lo > COMMUTATION_FLOOR and achieved >= COMMUTATION_DECAY
-            ok = ok and row_ok
             rows.append(
                 {
                     "preset": preset,
@@ -775,49 +776,45 @@ def audit_commutation(
                     "res_lo": lo,
                     "res_hi": hi,
                     "decay": achieved,
-                    "ok": row_ok,
+                    "ok": lo > COMMUTATION_FLOOR and achieved >= COMMUTATION_DECAY,
                 }
             )
-    mutation_ratio = np.inf
-    if mutate:
-        lo, hi = res["torsion", "mutated", N_lo], res["torsion", "mutated", N_hi]
-        intact_hi = res["torsion", 4, N_hi]
-        mutation_ratio = hi / intact_hi
-        mut_ok = hi >= COMMUTATION_MUTATION_FACTOR * intact_hi
-        ok = ok and mut_ok
-        rows.append(
-            {
-                "preset": "torsion",
-                "order": 4,
-                "variant": "torsion_product_omitted",
-                "res_lo": lo,
-                "res_hi": hi,
-                "decay": lo / hi if hi > 0 else np.inf,
-                "ok": mut_ok,
-            }
-        )
+    lo, hi = res["torsion", "mutated", N_lo], res["torsion", "mutated", N_hi]
+    intact_hi = res["torsion", 4, N_hi]
+    rows.append(
+        {
+            "preset": "torsion",
+            "order": 4,
+            "variant": "torsion_product_omitted",
+            "res_lo": lo,
+            "res_hi": hi,
+            "decay": lo / hi if hi > 0 else np.inf,
+            "ok": hi >= COMMUTATION_MUTATION_FACTOR * intact_hi,
+        }
+    )
+    violations = sum(1 for r in rows if not r["ok"])
     return AuditReport(
         name="commutation_identities",
         params={
             "N_lo": N_lo,
             "N_hi": N_hi,
-            "presets": list(presets),
-            "orders": list(map(int, orders)),
-            "epsilon": epsilon,
+            "presets": list(COMMUTATION_PRESETS),
+            "orders": [3, 4],
+            "epsilon": COMMUTATION_EPSILON,
         },
         rows=rows,
         constants={
             "min_decay": min(r["decay"] for r in rows if r["variant"] == "intact"),
-            "mutation_ratio": mutation_ratio,
+            "mutation_ratio": hi / intact_hi,
         },
         tolerances={
             "decay": COMMUTATION_DECAY,
             "mutation_factor": COMMUTATION_MUTATION_FACTOR,
             "floor": COMMUTATION_FLOOR,
         },
-        violations=sum(1 for r in rows if not r["ok"]),
-        passed=bool(ok),
+        violations=violations,
+        passed=violations == 0,
         message="identities close under refinement and the control breaks them"
-        if ok
+        if violations == 0
         else "commutation audit failed",
     )

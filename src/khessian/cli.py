@@ -84,7 +84,7 @@ DEFAULTS = {
         "n": 2,
         "k": 2,
         "N": 16,
-        "metric": {"preset": "euclidean", "epsilon": 0.1, "amplitude": 0.02},
+        "metric": {"preset": "euclidean", "epsilon": 0.1},
         "source": {"terms": [[0.5, [1, 0, 0, 0], 0.0]]},
     },
     "solver": dataclasses.asdict(SolverOptions()),
@@ -101,16 +101,9 @@ DEFAULTS = {
         "pairs": [[3, 2], [4, 2], [4, 3], [5, 3]],
         "lemma21": {"n": 4, "k": 3},
         "lemma22_cases": [[2, 8, 16], [3, 8, 12]],
-        "lemma22_amplitude": 0.005,
         "family_amplitudes": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
         "p_list": [4, 8, 16, 32, 64],
-        "commutation": {
-            "N_lo": 12,
-            "N_hi": 24,
-            "presets": ["kahler", "torsion"],
-            "orders": [3, 4],
-            "epsilon": 0.15,
-        },
+        "commutation": {"N_lo": 12, "N_hi": 24},
     },
     "output_dir": None,
     "save_fields": False,
@@ -235,10 +228,8 @@ def _validate(cfg: dict) -> dict:
             f"expected an even number of integer frequencies, got {freqs!r}",
         )
     for path, value in (
-        ("problem.metric.amplitude", m["amplitude"]),
         ("mms.tol", cfg["mms"]["tol"]),
         ("audit.samples", cfg["audit"]["samples"]),
-        ("audit.lemma22_amplitude", cfg["audit"]["lemma22_amplitude"]),
     ):
         _expect(value > 0, path, f"must be positive, got {value}")
     _expect(cfg["seed"] >= 0, "seed", f"must be >= 0, got {cfg['seed']}")
@@ -295,12 +286,7 @@ def _cmd_solve(cfg: dict, outdir: Path, mms: bool) -> int:
     the mms.terms potential exact, gated by its recovery error."""
     p = cfg["problem"]
     grid = TorusGrid(p["n"], p["N"])
-    g = metric_preset(
-        grid,
-        p["metric"]["preset"],
-        epsilon=p["metric"]["epsilon"],
-        amplitude=p["metric"]["amplitude"],
-    )
+    g = metric_preset(grid, p["metric"]["preset"], epsilon=p["metric"]["epsilon"])
     if mms:
         with _at("mms.terms"):
             u_star = grid.trig_field(cfg["mms"]["terms"])
@@ -346,9 +332,7 @@ def _run_audit(cfg: dict, name: str) -> audits.AuditReport:
     if name == "lemma22":
         m = p["metric"]
         with _at("audit.lemma22_cases"):
-            return audits.audit_lemma22(
-                a["lemma22_cases"], m["preset"], m["epsilon"], a["lemma22_amplitude"]
-            )
+            return audits.audit_lemma22(a["lemma22_cases"], m["preset"], m["epsilon"])
     if name == "commutation":
         with _at("audit.commutation"):
             return audits.audit_commutation(**a["commutation"])

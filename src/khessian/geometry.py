@@ -327,6 +327,9 @@ def _index_first(grid: TorusGrid, rank: int, alloc=np.empty) -> np.ndarray:
 # ------------------------------------------------------------------ metrics
 
 PRESET_NAMES = ("euclidean", "kahler", "torsion")
+# Scale of the kahler preset's potential: its metric's eigenvalues then
+# span [0.41, 1.59] (n = 2 and 3, N = 16), far from flat and from degenerate.
+KAHLER_AMPLITUDE = 0.02
 
 
 def identity_metric(grid: TorusGrid) -> np.ndarray:
@@ -348,12 +351,12 @@ def kahler_potential(grid: TorusGrid, amplitude: float) -> np.ndarray:
     return amplitude * phi
 
 
-def metric_preset(grid: TorusGrid, name: str, epsilon: float = 0.1,
-                  amplitude: float = 0.02) -> np.ndarray:
+def metric_preset(grid: TorusGrid, name: str, epsilon: float = 0.1) -> np.ndarray:
     """Build one of the named Hermitian metric families.
 
     euclidean: the identity.
-    kahler:    g = id + ddbar(phi) for a small potential (torsion-free).
+    kahler:    g = id + ddbar(phi) for a small potential of scale
+               KAHLER_AMPLITUDE (torsion-free).
     torsion:   diagonal g_ii = 1 + epsilon * h_i with nonnegative bump
                profiles h_i = 1 + (unit wave in a coordinate outside block
                i); distinct cross-coordinate waves force nonzero torsion,
@@ -365,7 +368,7 @@ def metric_preset(grid: TorusGrid, name: str, epsilon: float = 0.1,
         return identity_metric(grid)
     if name == "kahler":
         g = identity_metric(grid)
-        g += grid.complex_hessian(kahler_potential(grid, amplitude))
+        g += grid.complex_hessian(kahler_potential(grid, KAHLER_AMPLITUDE))
         inverse_cholesky_factor(g, "kahler preset")
         return g
     if name == "torsion":

@@ -202,24 +202,23 @@ def sample_gamma_k(
     n: int,
     k: int,
     count: int | None = None,
-    scale: float = 1.0,
     seed: int = 0,
 ) -> np.ndarray:
-    """Draw spectra uniformly from the box [-scale, scale]^n conditioned on
-    Gamma_k membership, sorted descending.
+    """Draw spectra uniformly from the box [-1, 1]^n conditioned on Gamma_k
+    membership, sorted descending.  Gamma_k is a cone, so a draw from a
+    scaled box is a multiple of one of these.
 
     Rejection sampling is exact for the box-conditioned law.  If the observed
-    acceptance rate drops below 1% (deep cones, large n) a constructive
-    fallback fills the remainder: positive-orthant draws with a bounded
-    negative perturbation of the trailing entries, shrunk until membership
-    holds.  Fallback points are still i.i.d. draws from a fixed law, just not
-    the box-conditioned one; they keep audits running instead of stalling.
+    acceptance rate drops below 1% (deep cones, large n) a fallback fills the
+    remainder from another fixed law: entries uniform on [1e-6, 1), with the
+    smallest one multiplied by 1 - U for U uniform on [0, 1).  Every
+    fallback row is positive, so it lies inside Gamma_k without a test, and
+    none has a negative entry.  Fallback rows keep audits running instead of
+    stalling.
 
     Returns shape (count, n), or (n,) when count is None.
     """
     check_k(k, n)
-    if not isinstance(scale, numbers.Real) or not 0.0 < scale < np.inf:
-        raise DomainError(f"scale must be finite and positive, got {scale!r}")
     want = 1 if count is None else count
     if isinstance(want, bool) or not isinstance(want, numbers.Integral) or want < 0:
         raise DomainError(f"count must be a nonnegative integer, got {count!r}")
@@ -238,7 +237,7 @@ def sample_gamma_k(
                 f"rejection budget exhausted after {attempts} attempts "
                 f"({have}/{want} accepted)"
             )
-        cand = rng.uniform(-scale, scale, size=(block, n))
+        cand = rng.uniform(-1.0, 1.0, size=(block, n))
         keep = cand[in_gamma_k(cand, k)]
         attempts += block
         got.append(keep)
@@ -248,35 +247,15 @@ def sample_gamma_k(
             break
     if fallback:
         need = want - have
-        base = rng.uniform(scale * 1e-6, scale, size=(need, n))
+        base = rng.uniform(1e-6, 1.0, size=(need, n))
         base = np.sort(base, axis=-1)[:, ::-1]
-        # negative perturbation of the smallest entry, halved until inside
-        perturb = -rng.uniform(0.0, 1.0, size=need) * base[:, -1]
-        got.append(_shrink_into_gamma_k(base, perturb, k))
+        # U <= 1 - 2^-53 keeps U * base[:, -1] below base[:, -1] in floating
+        # point, so the smallest entry stays positive
+        base[:, -1] += -rng.uniform(0.0, 1.0, size=need) * base[:, -1]
+        got.append(base)
     out = np.concatenate(got, axis=0)[:want]
     out = np.sort(out, axis=-1)[:, ::-1]
     return out[0] if count is None else out
-
-
-def _shrink_into_gamma_k(base: np.ndarray, perturb: np.ndarray, k: int) -> np.ndarray:
-    """base with perturb added to its last entry, the perturbation of each
-    row halved until the row lies in Gamma_k; base itself (the positive
-    orthant is always inside) if some row is still outside after 80 tries.
-
-    A row's verdict depends on that row alone, so only the rows still
-    outside are shrunk and tested again.
-    """
-    shrink = np.ones(base.shape[0])
-    trial = base.copy()
-    trial[:, -1] = base[:, -1] + perturb
-    rows = np.arange(base.shape[0])
-    for _ in range(80):
-        rows = rows[~in_gamma_k(trial[rows], k)]
-        if rows.size == 0:
-            return trial
-        shrink[rows] *= 0.5
-        trial[rows, -1] = base[rows, -1] + shrink[rows] * perturb[rows]
-    return base
 
 
 def sample_gamma_k_boundary(
@@ -284,7 +263,6 @@ def sample_gamma_k_boundary(
     k: int,
     count: int,
     seed: int = 0,
-    scale: float = 1.0,
     depth: float = 1e-8,
 ) -> np.ndarray:
     """Spectra just inside the Gamma_k boundary.
@@ -300,7 +278,7 @@ def sample_gamma_k_boundary(
     """
     if not isinstance(depth, numbers.Real) or not 0.0 < depth < 1.0:
         raise DomainError(f"depth must lie in (0, 1), got {depth!r}")
-    lam = np.atleast_2d(sample_gamma_k(n, k, count, scale=scale, seed=seed))
+    lam = np.atleast_2d(sample_gamma_k(n, k, count, seed=seed))
     # deletion by zeroing keeps sigma_n(lambda|n) = 0, so t* = lambda_n at k = n
     rest = lam.copy()
     rest[:, -1] = 0.0

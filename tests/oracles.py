@@ -108,11 +108,11 @@ def shrink_into_gamma_k_loop(base, perturb, k: int) -> np.ndarray:
 
 
 def sample_gamma_k_boundary_two_calls(
-    n: int, k: int, count: int, seed: int = 0, scale: float = 1.0, depth: float = 1e-8
+    n: int, k: int, count: int, seed: int = 0, depth: float = 1e-8
 ) -> np.ndarray:
     """The boundary sampler with its shift ratio from two sigma_restricted
     calls, each building the table of lambda|n again."""
-    lam = np.atleast_2d(sample_gamma_k(n, k, count, scale=scale, seed=seed))
+    lam = np.atleast_2d(sample_gamma_k(n, k, count, seed=seed))
     ratio = sigma_restricted(k, lam, n - 1) / sigma_restricted(k - 1, lam, n - 1)
     out = lam.copy()
     out[:, -1] -= (lam[:, -1] + ratio) * (1.0 - depth)

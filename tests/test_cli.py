@@ -90,14 +90,45 @@ def test_value_validation():
         ("audit.p_list=[a, b]", "audit.p_list[0]"),
         ("audit.pairs=[[3, x]]", "audit.pairs[0][1]"),
         ("audit.family_amplitudes=[a]", "audit.family_amplitudes[0]"),
-        ("audit.commutation.presets=torsion", "audit.commutation.presets"),
-        ("audit.commutation.orders=[]", "audit.commutation.orders"),
+        ("audit.family_amplitudes=0.5", "audit.family_amplitudes"),
+        ("audit.p_list=[]", "audit.p_list"),
+        ("audit.commutation.N_lo=twelve", "audit.commutation.N_lo"),
         ("solver.newton_tol=2", "solver.newton_tol"),
     ],
 )
 def test_value_validation_names_path(assignment, path):
     with pytest.raises(ConfigError, match=f"^{re.escape(path)}[: ]"):
         load_config(None, [assignment], None)
+
+
+# keys whose values are now library constants, with their last defaults
+REMOVED_KEYS = [
+    ("solver.linear_rtol", 1e-10),
+    ("solver.linear_maxiter", 800),
+    ("solver.gmres_restart", 60),
+    ("problem.metric.amplitude", 0.02),
+    ("audit.lemma22_amplitude", 0.005),
+    ("audit.commutation.presets", ["kahler", "torsion"]),
+    ("audit.commutation.orders", [3, 4]),
+    ("audit.commutation.epsilon", 0.15),
+]
+
+
+@pytest.mark.parametrize("given", ["set", "file"])
+@pytest.mark.parametrize("key, value", REMOVED_KEYS, ids=[key for key, _ in REMOVED_KEYS])
+def test_removed_keys_are_unknown(key, value, given, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("KHESSIAN_OUTDIR", raising=False)
+    if given == "set":
+        argv = ["solve", "--set", f"{key}={json.dumps(value)}"]
+    else:
+        data = value
+        for part in reversed(key.split(".")):
+            data = {part: data}
+        argv = ["solve", "--config", write_cfg(tmp_path, data)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: unknown configuration key {key!r}")
+    assert not (tmp_path / "khessian-out").exists()
 
 
 def test_lemma22_case_without_refinement_is_a_config_error_naming_its_key():
@@ -321,8 +352,6 @@ def test_audit_failure_exits_1(tmp_path, monkeypatch):
             "audit", "commutation",
             "--set", "audit.commutation.N_lo=8",
             "--set", "audit.commutation.N_hi=8",
-            "--set", "audit.commutation.presets=[torsion]",
-            "--set", "audit.commutation.orders=[3]",
         ],
         tmp_path,
         monkeypatch,

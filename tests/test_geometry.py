@@ -293,7 +293,7 @@ def test_flat_metric_has_no_connection(grid8):
 
 
 def test_kahler_preset_is_torsion_free(grid16):
-    g = metric_preset(grid16, "kahler", amplitude=0.02)
+    g = metric_preset(grid16, "kahler")
     t = chern_tensors(grid16, g)
     assert np.abs(t.torsion).max() < 1e-8
 

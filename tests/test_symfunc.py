@@ -293,32 +293,32 @@ def test_sampler_fallback_deep_cone():
 
 
 def test_sampler_fallback_shrinks_like_the_whole_batch_loop(monkeypatch):
-    # Gamma_7 has box mass 2^-7, below the 1 % that starts the fallback
-    calls = []
-    shrink = symfunc._shrink_into_gamma_k
+    # Gamma_7 and Gamma_8 have box mass 2^-n, below the 1 % that starts the
+    # fallback; its rows are rebuilt from the sampler's last two draws
+    draws = []
+    default_rng = np.random.default_rng
 
-    def recorded(base, perturb, k):
-        out = shrink(base, perturb, k)
-        calls.append((base, perturb, k, out))
-        return out
+    class RecordingRng:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
 
-    monkeypatch.setattr(symfunc, "_shrink_into_gamma_k", recorded)
-    symfunc.sample_gamma_k(7, 7, count=200, seed=2)
-    assert len(calls) == 1
-    base, perturb, k, out = calls[0]
-    assert np.array_equal(out, shrink_into_gamma_k_loop(base, perturb, k))
-    # row 0 needs two halvings, row 1 none
-    base = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.1]])
-    perturb = np.array([-3.0, -0.05])
-    out = shrink(base, perturb, 3)
-    assert np.array_equal(out[:, -1], [0.25, 0.05])
-    assert np.array_equal(out, shrink_into_gamma_k_loop(base, perturb, 3))
-    # a row on the boundary of Gamma_3 never gets inside: 80 halvings, then base
-    base = np.array([[1.0, 1.0, 0.0], [2.0, 1.0, 0.5]])
-    perturb = np.array([-0.5, -0.25])
-    out = shrink(base, perturb, 3)
-    assert out is base
-    assert np.array_equal(out, shrink_into_gamma_k_loop(base, perturb, 3))
+        def uniform(self, *args, size=None):
+            draws.append(self._rng.uniform(*args, size=size))
+            return draws[-1].copy()
+
+    monkeypatch.setattr(np.random, "default_rng", RecordingRng)
+    for n, fallback_rows in ((7, 1938), (8, 1961)):
+        draws.clear()
+        out = symfunc.sample_gamma_k(n, n, count=2000, seed=3)
+        base = np.sort(draws[-2], axis=-1)[:, ::-1]
+        perturb = -draws[-1] * base[:, -1]
+        expect = shrink_into_gamma_k_loop(base, perturb, n)
+        assert len(base) == fallback_rows
+        assert np.array_equal(out[-fallback_rows:], expect)
+        # the loop never halves: every row takes its whole perturbation
+        assert np.array_equal(expect[:, :-1], base[:, :-1])
+        assert np.array_equal(expect[:, -1], base[:, -1] + perturb)
+        assert np.all(expect > 0.0)
 
 
 def test_sampler_budget_raises_before_drawing(monkeypatch):
@@ -399,14 +399,6 @@ def test_samplers_reject_a_non_integer_count(count):
         symfunc.sample_gamma_k(3, 2, count)
     with pytest.raises(DomainError):
         symfunc.sample_gamma_k_boundary(3, 2, count)
-
-
-@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0, "1"])
-def test_samplers_reject_a_scale_not_finite_and_positive(scale):
-    with pytest.raises(DomainError):
-        symfunc.sample_gamma_k(3, 2, 4, scale=scale)
-    with pytest.raises(DomainError):
-        symfunc.sample_gamma_k_boundary(3, 2, 4, scale=scale)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(2.0), "3"])
