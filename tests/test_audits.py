@@ -341,6 +341,20 @@ def test_lemma22_rejects_a_case_without_refinement_before_building_a_grid(
         audits.audit_lemma22(cases=((2, 8, 16), case))
 
 
+@pytest.mark.parametrize("amplitude", [0.0, -0.005, np.nan])
+def test_lemma22_rejects_a_nonpositive_amplitude_before_building_a_grid(
+    monkeypatch, amplitude
+):
+    # the amplitude is the constant LEMMA22_AMPLITUDE, so no call can pass one
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(audits, "TorusGrid", no_grid)
+    assert audits.LEMMA22_AMPLITUDE > 0
+    with pytest.raises(TypeError, match="amplitude"):
+        audits.audit_lemma22(cases=((2, 8, 16),), amplitude=amplitude)
+
+
 @pytest.mark.parametrize("p_list", [(0, 0), (4, -8), (16,), (), (64, 4), (4, 4)])
 def test_cherrier_rejects_fewer_than_two_positive_exponents(small_family, p_list):
     # (0, 0) would give C = 0 for every p, a single p has C_max = C_tail,

@@ -401,6 +401,15 @@ def test_samplers_reject_a_non_integer_count(count):
         symfunc.sample_gamma_k_boundary(3, 2, count)
 
 
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0, "1"])
+def test_samplers_reject_a_scale_not_finite_and_positive(scale):
+    # Gamma_k is a cone: the samplers take no scale, a caller multiplies the draw
+    with pytest.raises(TypeError, match="scale"):
+        symfunc.sample_gamma_k(3, 2, 4, scale=scale)
+    with pytest.raises(TypeError, match="scale"):
+        symfunc.sample_gamma_k_boundary(3, 2, 4, scale=scale)
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(2.0), "3"])
 def test_samplers_reject_a_seed_not_a_nonnegative_integer(seed):
     with pytest.raises(DomainError, match="seed"):
