@@ -17,7 +17,6 @@ from khessian import (
     covariant_derivatives,
     metric_preset,
 )
-from khessian.geometry import fourth_order_residuals
 
 terms = [
     (0.5, (1, 0, 0, 0), 0.0),
@@ -35,19 +34,15 @@ for preset in ("kahler", "torsion"):
         u = grid.trig_field(terms)
         tensors = chern_tensors(grid, g)
         derivs = covariant_derivatives(grid, u, tensors, order=4)
-        for order in (3, 4):
-            res[order, N] = commutation_residual(
-                grid, u, g, order=order, tensors=tensors, derivatives=derivs
-            )
+        res[3, N], res[4, N], broken = commutation_residual(tensors, derivs)
     for order in (3, 4):
         ratio = res[order, 8] / max(res[order, 16], 1e-300)
         print(f"  order {order}: residual {res[order, 8]:.3e} -> {res[order, 16]:.3e}"
               f"  (decay x{ratio:.1f})")
 
-# Mutation control on the last build (torsion preset, N=16): omit the
-# torsion-product term. On a metric with torsion the identity is now wrong,
+# Mutation control from the last evaluation (torsion preset, N=16): the
+# same residual without the torsion-product term. On a metric with torsion the identity is now wrong,
 # so the residual saturates at O(1) instead of tracking grid error.
 good = res[4, 16]
-broken = fourth_order_residuals(grid, u, g, tensors=tensors, derivatives=derivs)[1]
 print(f"\nfourth order at N=16: intact {good:.3e}, "
       f"torsion term dropped {broken:.3e} (x{broken / good:.1e} worse)")

@@ -28,6 +28,7 @@ tests compare it against.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 from math import comb, factorial, log
@@ -42,7 +43,6 @@ from .geometry import (
     chern_tensors,
     commutation_residual,
     covariant_derivatives,
-    fourth_order_residuals,
     gradient_norm_sq,
     metric_preset,
 )
@@ -236,6 +236,8 @@ def audit_basic_inequality(
     Zero tolerance: a single violating sample fails the audit.  Rows record
     the worst margin (n - k) lambda_k - max_p |lambda_p| per (n, k).
     """
+    if len(pairs) == 0:
+        raise DomainError("basic-inequality audit needs at least one (n, k) pair")
     rows = []
     violations = 0
     for idx, (n, k) in enumerate(pairs):
@@ -455,6 +457,8 @@ def audit_lemma22(
     whether it did.  Cases need n <= 3 (at n >= 4 T_i gains a d omega ^
     dbar omega term that this route does not evaluate) and N_lo < N_hi.
     """
+    if len(cases) == 0:
+        raise DomainError("lemma-22 audit needs at least one (n, N_lo, N_hi) case")
     for n, n_lo, n_hi in cases:
         if not (2 <= n <= 3 and n_lo < n_hi):
             raise DomainError(
@@ -539,8 +543,10 @@ def audit_cherrier(
     shift-invariant) so large p stays well conditioned.  Blow-up as p grows
     would sink the iteration-to-C0 argument; the verdict requires
     max_p C(p) <= CHERRIER_FACTOR * C(p_max), so it needs at least two
-    exponents, positive and strictly increasing, the last one p_max.
+    integer exponents, positive and strictly increasing, the last one p_max.
     """
+    if any(isinstance(p, bool) or not isinstance(p, numbers.Integral) for p in p_list):
+        raise DomainError(f"exponents must be integers, got {list(p_list)}")
     if len(p_list) < 2 or not 0 < p_list[0] or any(
             a >= b for a, b in zip(p_list, p_list[1:])):
         raise DomainError(
@@ -599,6 +605,8 @@ def run_family(
     options: SolverOptions | None = None,
 ) -> FamilyResult:
     """Solve the equation for every amplitude scaling of one source shape."""
+    if len(amplitudes) == 0:
+        raise DomainError("an amplitude family needs at least one amplitude")
     grid = TorusGrid(n, N)
     g = metric_preset(grid, preset, epsilon=epsilon)
     f_hat = grid.trig_field(terms)
@@ -753,16 +761,13 @@ def audit_commutation(N_lo: int = 12, N_hi: int = 24) -> AuditReport:
         grid = TorusGrid(2, N)
         u = grid.trig_field(list(COMMUTATION_TERMS))
         for preset in COMMUTATION_PRESETS:
-            # one build per (preset, grid) serves both orders and the control
+            # one build and one evaluation per (preset, grid) serve both
+            # orders and the control
             g = metric_preset(grid, preset, epsilon=COMMUTATION_EPSILON)
             tensors = chern_tensors(grid, g)
             derivs = covariant_derivatives(grid, u, tensors, order=4)
-            res[preset, 3, N] = commutation_residual(
-                grid, u, g, order=3, tensors=tensors, derivatives=derivs
-            )
-            # the control is the same evaluation without its last term
-            res[preset, 4, N], res[preset, "mutated", N] = fourth_order_residuals(
-                grid, u, g, tensors=tensors, derivatives=derivs)
+            res[preset, 3, N], res[preset, 4, N], res[preset, "mutated", N] = (
+                commutation_residual(tensors, derivs))
             del tensors, derivs  # before the next build, to keep one at a time
     for preset in COMMUTATION_PRESETS:
         for order in (3, 4):

@@ -290,7 +290,7 @@ def _cmd_solve(cfg: dict, outdir: Path, mms: bool) -> int:
     if mms:
         with _at("mms.terms"):
             u_star = grid.trig_field(cfg["mms"]["terms"])
-        f = manufactured_source(grid, g, u_star, p["k"])
+            f = manufactured_source(grid, g, u_star, p["k"])
     else:
         with _at("problem.source.terms"):
             f = grid.trig_field(p["source"]["terms"])

@@ -527,83 +527,52 @@ def covariant_derivatives(
 
 
 def commutation_residual(
-    grid: TorusGrid,
-    u: np.ndarray,
-    g: np.ndarray,
-    order: int = 3,
-    tensors: ChernTensors | None = None,
-    derivatives: CovariantDerivatives | None = None,
-) -> float:
-    """Max-abs defect of the third- or fourth-order commutation identities.
-
-    order=3 takes the worst case over the three index-exchange identities
+    tensors: ChernTensors, derivatives: CovariantDerivatives
+) -> tuple[float, float | None, float | None]:
+    """(third, fourth, fourth_without_torsion_product): max-abs defects of
+    the commutation identities.  third is the worst case over the three
+    index-exchange identities
 
         u_{i jbar l} = u_{l jbar i} - T^p_li u_{p jbar}
         u_{p i jbar} = u_{p jbar i} + u_q R_{i jbar p}^q
         u_{i pbar jbar} = u_{i jbar pbar} - conj(T^q_jp) u_{i qbar}
 
-    and order=4 measures
+    and fourth is the defect of
 
         u_{i jbar l mbar} = u_{l mbar i jbar}
             + u_{p jbar} R_{l mbar i}^p - u_{p mbar} R_{i jbar l}^p
             - T^p_li u_{p mbar jbar} - conj(T^q_mj) u_{l qbar i}
             + T^p_li conj(T^q_mj) u_{p qbar}.
 
-    ``fourth_order_residuals`` also gives the order-4 defect without the
-    final torsion-squared term, the audit's mutation control.
+    The last value drops the final torsion-squared term from the same
+    evaluation, the audit's mutation control.  Both fourth-order values are
+    None for order-3 derivatives.
     """
-    if order not in (3, 4):
-        raise DomainError(f"commutation residual order must be 3 or 4, got {order}")
-    if tensors is None:
-        tensors = chern_tensors(grid, g)
-    if derivatives is None:
-        derivatives = covariant_derivatives(grid, u, tensors, order=order)
-    t = tensors.torsion
-    r = tensors.curvature
-    d = derivatives
-    if order == 3:
-        res_a = (
-            d.d3_mixed
-            - np.swapaxes(d.d3_mixed, -3, -1)  # u_{l jbar i} in [i, j, l] slots
-            + np.einsum("...pli,...pj->...ijl", t, d.hess)
-        )
-        res_b = (
-            d.d3_hol
-            - np.transpose(d.d3_mixed, axes=tuple(range(d.d3_mixed.ndim - 3)) + (-3, -1, -2))
-            - np.einsum("...q,...ijpq->...pij", d.grad, r)
-        )
-        res_c = (
-            d.d3_anti
-            - np.swapaxes(d.d3_anti, -2, -1)  # u_{i jbar pbar} in [i, p, j] slots
-            + np.einsum("...qjp,...iq->...ipj", np.conj(t), d.hess)
-        )
-        return max(
-            float(np.abs(res_a).max()),
-            float(np.abs(res_b).max()),
-            float(np.abs(res_c).max()),
-        )
-    return fourth_order_residuals(grid, u, g, tensors, d)[0]
-
-
-def fourth_order_residuals(
-    grid: TorusGrid,
-    u: np.ndarray,
-    g: np.ndarray,
-    tensors: ChernTensors | None = None,
-    derivatives: CovariantDerivatives | None = None,
-) -> tuple[float, float]:
-    """(intact, omitted): the fourth-order residual of ``commutation_residual``
-    with and without its torsion-product term, from one evaluation of the
-    identity: max|R - P| and max|R|, for R the defect without the term and
-    P the term."""
-    if tensors is None:
-        tensors = chern_tensors(grid, g)
-    if derivatives is None:
-        derivatives = covariant_derivatives(grid, u, tensors, order=4)
     t, r, d = tensors.torsion, tensors.curvature, derivatives
-    if d.d4 is None:
-        raise DomainError("fourth-order residual needs order=4 derivatives")
     t_bar = np.conj(t)
+    res_a = (
+        d.d3_mixed
+        - np.swapaxes(d.d3_mixed, -3, -1)  # u_{l jbar i} in [i, j, l] slots
+        + np.einsum("...pli,...pj->...ijl", t, d.hess)
+    )
+    res_b = (
+        d.d3_hol
+        - np.transpose(d.d3_mixed, axes=tuple(range(d.d3_mixed.ndim - 3)) + (-3, -1, -2))
+        - np.einsum("...q,...ijpq->...pij", d.grad, r)
+    )
+    res_c = (
+        d.d3_anti
+        - np.swapaxes(d.d3_anti, -2, -1)  # u_{i jbar pbar} in [i, p, j] slots
+        + np.einsum("...qjp,...iq->...ipj", t_bar, d.hess)
+    )
+    third = max(
+        float(np.abs(res_a).max()),
+        float(np.abs(res_b).max()),
+        float(np.abs(res_c).max()),
+    )
+    del res_a, res_b, res_c  # before the larger fourth-order defect
+    if d.d4 is None:
+        return third, None, None
     res = (
         d.d4
         - np.transpose(d.d4, axes=tuple(range(d.d4.ndim - 4)) + (-2, -1, -4, -3))
@@ -615,7 +584,7 @@ def fourth_order_residuals(
     omitted = float(np.abs(res).max())
     t_hess = np.einsum("...pli,...pq->...liq", t, d.hess)
     res -= np.einsum("...liq,...qmj->...ijlm", t_hess, t_bar)
-    return float(np.abs(res).max()), omitted
+    return third, float(np.abs(res).max()), omitted
 
 
 # ------------------------------------------------------------- functionals

@@ -366,6 +366,36 @@ def test_cherrier_rejects_fewer_than_two_positive_exponents(small_family, p_list
         audits.audit_cherrier(grid, g, u, p_list=p_list)
 
 
+@pytest.mark.parametrize("p_list", [(4.5, 8), (4, np.nan), ("a", "b"), (True, 8)])
+def test_cherrier_rejects_exponents_that_are_not_integers(small_family, p_list):
+    # 4.5 would be reported as p = 4 next to the value of C(4.5)
+    grid, g, u = small_family.grid, small_family.g, small_family.reports[-1].u
+    with pytest.raises(DomainError, match="exponents must be integers"):
+        audits.audit_cherrier(grid, g, u, p_list=p_list)
+
+
+def test_cherrier_accepts_numpy_integer_exponents(small_family):
+    grid, g, u = small_family.grid, small_family.g, small_family.reports[-1].u
+    rep = audits.audit_cherrier(grid, g, u, p_list=np.array([4, 8]))
+    assert rep.as_dict() == audits.audit_cherrier(grid, g, u, p_list=(4, 8)).as_dict()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: audits.audit_basic_inequality(pairs=()),
+        lambda: audits.audit_lemma22(cases=()),
+        lambda: audits.run_family(2, 2, 8, "euclidean", [(0.5, (1, 0, 0, 0), 0.0)], []),
+    ],
+    ids=["basic-inequality-pairs", "lemma22-cases", "family-amplitudes"],
+)
+def test_empty_audit_inputs_are_rejected(call):
+    # no rows would pass basic-inequality vacuously and break the other
+    # audits' max and median
+    with pytest.raises(DomainError, match="at least one"):
+        call()
+
+
 def test_cherrier_zero_potential_and_shift_invariance(small_family):
     grid, g = small_family.grid, small_family.g
     rep = audits.audit_cherrier(grid, g, grid.zeros())
@@ -468,18 +498,16 @@ def test_commutation_audit_builds_once_per_preset_and_grid(monkeypatch):
 
 def test_commutation_audit_evaluates_order_4_once_per_grid(monkeypatch):
     evaluations = []
-    evaluate = geometry.fourth_order_residuals
+    evaluate = geometry.commutation_residual
 
     def counted(*args, **kwargs):
         evaluations.append(args)
         return evaluate(*args, **kwargs)
 
-    # the audit calls it directly and through commutation_residual
-    monkeypatch.setattr(geometry, "fourth_order_residuals", counted)
-    monkeypatch.setattr(audits, "fourth_order_residuals", counted)
+    monkeypatch.setattr(audits, "commutation_residual", counted)
     assert audits.audit_commutation(N_lo=8, N_hi=16).passed
-    # (kahler, torsion) x (8, 16): the torsion control shares its grid's
-    # evaluation
+    # (kahler, torsion) x (8, 16): both orders and the torsion control
+    # share their grid's evaluation
     assert len(evaluations) == 4
 
 

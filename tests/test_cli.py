@@ -205,6 +205,20 @@ def test_terms_of_the_wrong_length_name_the_term_and_write_nothing(
     assert not (tmp_path / "khessian-out").exists()
 
 
+def test_manufactured_potential_outside_the_cone_names_mms_terms(
+    tmp_path, monkeypatch, capsys
+):
+    # the default terms leave Gamma_k on the kahler preset; manufactured_source
+    # rejects them, and the CLI adds the config path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("KHESSIAN_OUTDIR", raising=False)
+    assert main(["mms", "--set", "problem.metric.preset=kahler"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: mms.terms: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "khessian-out").exists()
+
+
 def test_readme_defaults_match():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"^```yaml\n(.*?)^```", readme, re.S | re.M)

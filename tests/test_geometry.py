@@ -353,11 +353,18 @@ def test_holomorphic_second_derivative_antisymmetry(grid16):
     assert np.abs(lhs - rhs).max() < 1e-11
 
 
+def _residuals(grid, u, g, order=4):
+    tensors = chern_tensors(grid, g)
+    derivs = geometry.covariant_derivatives(grid, u, tensors, order=order)
+    return geometry.commutation_residual(tensors, derivs)
+
+
 def test_commutation_flat_every_order(grid16):
     g = geometry.identity_metric(grid16)
     u = grid16.trig_field([(0.4, [1, 0, 0, 0], 0.0), (0.2, [0, 1, 2, 0], 0.7)])
-    assert geometry.commutation_residual(grid16, u, g, order=3) < 1e-10
-    assert geometry.commutation_residual(grid16, u, g, order=4) < 1e-9
+    third, fourth, _ = _residuals(grid16, u, g)
+    assert third < 1e-10
+    assert fourth < 1e-9
 
 
 def _residual_pair(preset_eps, order):
@@ -368,7 +375,7 @@ def _residual_pair(preset_eps, order):
         u = grid.trig_field(
             [(0.5, [1, 0, 0, 0], 0.0), (0.3, [0, 1, 1, 0], 0.4), (0.2, [0, 0, 2, 1], 1.3)]
         )
-        vals[N] = geometry.commutation_residual(grid, u, g, order=order)
+        vals[N] = _residuals(grid, u, g, order=order)[order - 3]
     return vals
 
 
@@ -383,11 +390,18 @@ def test_commutation_mutation_control():
     grid = TorusGrid(2, 16)
     g = metric_preset(grid, "torsion", epsilon=0.15)
     u = grid.trig_field([(0.5, [1, 0, 0, 0], 0.0), (0.3, [0, 1, 1, 0], 0.4)])
-    intact = geometry.commutation_residual(grid, u, g, order=4)
-    same, broken = geometry.fourth_order_residuals(grid, u, g)
+    _, intact, broken = _residuals(grid, u, g)
     assert broken > 100.0 * intact
-    # the residual is the intact half of the one evaluation, bitwise
-    assert same == intact
+
+
+def test_order_3_derivatives_give_the_third_order_residual_alone(grid8):
+    g = metric_preset(grid8, "torsion", epsilon=0.15)
+    u = grid8.trig_field(list(COMMUTATION_TERMS))
+    third, fourth, omitted = _residuals(grid8, u, g, order=3)
+    assert fourth is None and omitted is None
+    # the third-order fields do not depend on the order, so neither does
+    # the residual, bitwise
+    assert third == _residuals(grid8, u, g, order=4)[0]
 
 
 # ------------------------------------- tensor-first route against oracle
@@ -427,12 +441,9 @@ def test_tensor_first_chern_route_matches_grid_first_oracle(n, N, preset, order)
     variants = [(3, False)] + ([(4, False), (4, True)] if order == 4 else [])
 
     def residuals(derivatives):
-        # the fourth-order pair is (intact, torsion product omitted)
-        kw = dict(tensors=tensors, derivatives=derivatives)
-        got = [geometry.commutation_residual(grid, u, g, order=3, **kw)]
-        if order == 4:
-            got += geometry.fourth_order_residuals(grid, u, g, **kw)
-        return np.array(got)
+        # (third, fourth, fourth with the torsion product omitted)
+        got = geometry.commutation_residual(tensors, derivatives)
+        return np.array(got[:len(variants)])
 
     def oracle_residuals(derivatives):
         return np.array([
