@@ -51,7 +51,6 @@ from .geometry import (
     commutation_residual,
     covariant_derivatives,
     gradient_norm_sq,
-    hessian_pencil_extremes,
     identity_metric,
     inverse_metric,
     metric_preset,
@@ -67,6 +66,7 @@ from .solver import (
     SolveReport,
     SolverOptions,
     StageRecord,
+    hessian_pencil_extremes,
     manufactured_source,
     recovery_error,
     residual_field,
@@ -76,7 +76,6 @@ from .symfunc import (
     basic_inequality_check,
     elementary_all,
     in_gamma_k,
-    lemma21_ratio,
     sample_gamma_k,
     sample_gamma_k_boundary,
     sigma,
@@ -124,7 +123,6 @@ __all__ = [
     "identity_metric",
     "in_gamma_k",
     "inverse_metric",
-    "lemma21_ratio",
     "load_field",
     "manufactured_source",
     "metric_form",

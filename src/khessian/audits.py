@@ -36,7 +36,7 @@ from statistics import median
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_integer
 from .fieldio import plain
 from .geometry import (
     TorusGrid,
@@ -105,16 +105,20 @@ COMMUTATION_EPSILON = 0.15
 @dataclass
 class AuditReport:
     """Outcome of one audit: rows of measurements, derived constants, the
-    tolerances they were judged against, and the verdict."""
+    tolerances they were judged against, and the verdict, which is passed
+    exactly when no violation was counted."""
 
     name: str
     params: dict
     constants: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     violations: int = 0
-    passed: bool = False
+    passed: bool = field(init=False)
     message: str = ""
     rows: list[dict] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.passed = bool(self.violations == 0)
 
     def as_dict(self) -> dict:
         return plain(self)
@@ -211,7 +215,6 @@ def audit_lemma21(
     constants = {f"C_i_{i}": by_i_full[i] for i in sorted(by_i_full)}
     constants["C_global"] = max(by_i_full.values())
     constants["stability_rel"] = stability
-    passed = violations == 0
     return AuditReport(
         name="lemma21_ratio_bound",
         params={"n": n, "k": k, "samples": samples, "seed": seed},
@@ -219,9 +222,8 @@ def audit_lemma21(
         constants=constants,
         tolerances={"stability_rtol": LEMMA21_STABILITY_RTOL},
         violations=violations,
-        passed=passed,
         message="denominators positive and constants saturated"
-        if passed
+        if violations == 0
         else "ratio bound audit failed",
     )
 
@@ -238,6 +240,9 @@ def audit_basic_inequality(
     """
     if len(pairs) == 0:
         raise DomainError("basic-inequality audit needs at least one (n, k) pair")
+    for pair in pairs:
+        if np.shape(pair) != (2,):
+            raise DomainError(f"basic-inequality pairs are (n, k), got {pair!r}")
     rows = []
     violations = 0
     for idx, (n, k) in enumerate(pairs):
@@ -256,7 +261,6 @@ def audit_basic_inequality(
                 "min_margin": float(margin.min()),
             }
         )
-    passed = violations == 0
     return AuditReport(
         name="basic_inequality",
         params={"pairs": list(map(list, pairs)), "samples": samples, "seed": seed},
@@ -264,8 +268,8 @@ def audit_basic_inequality(
         constants={"total_violations": violations},
         tolerances={"violations": 0},
         violations=violations,
-        passed=passed,
-        message="no violations" if passed else f"{violations} samples violated the bound",
+        message="no violations" if violations == 0
+        else f"{violations} samples violated the bound",
     )
 
 
@@ -459,7 +463,12 @@ def audit_lemma22(
     """
     if len(cases) == 0:
         raise DomainError("lemma-22 audit needs at least one (n, N_lo, N_hi) case")
-    for n, n_lo, n_hi in cases:
+    for case in cases:
+        if np.shape(case) != (3,):
+            raise DomainError(f"lemma-22 cases are (n, N_lo, N_hi) triples, got {case!r}")
+        for name, value in zip(("n", "N_lo", "N_hi"), case):
+            require_integer(name, value)
+        n, n_lo, n_hi = case
         if not (2 <= n <= 3 and n_lo < n_hi):
             raise DomainError(
                 f"lemma-22 cases need 2 <= n <= 3 (n >= 4 adds the d omega ^ dbar "
@@ -492,11 +501,11 @@ def audit_lemma22(
                     "correction_sup": corr_sup,
                 }
             )
-    passed = worst <= 1.0
+    violations = sum(1 for r in rows if r["drift"] > r["allowed"])
     tested = any(abs(r["correction_integral"]) > r["allowed"] for r in rows)
     message = (
         "integral constants stable under refinement"
-        if passed
+        if violations == 0
         else "integral constants drift under refinement"
     )
     if not tested:
@@ -522,8 +531,7 @@ def audit_lemma22(
             "stability_rtol": LEMMA22_STABILITY_RTOL,
             "stability_atol": LEMMA22_STABILITY_ATOL,
         },
-        violations=sum(1 for r in rows if r["drift"] > r["allowed"]),
-        passed=passed,
+        violations=violations,
         message=message,
     )
 
@@ -567,17 +575,16 @@ def audit_cherrier(
     c_max = max(values)
     # tail growth rate is informational: a bounded sequence tends to 1
     growth = values[-1] / values[-2] if values[-2] > 0 else 1.0
-    passed = bool(np.isfinite(values).all()) and c_max <= CHERRIER_FACTOR * c_tail
+    ok = bool(np.isfinite(values).all()) and c_max <= CHERRIER_FACTOR * c_tail
     return AuditReport(
         name="cherrier_exponential_gradient",
         params={"p_list": list(map(int, p_list)), "N": grid.N, "n": grid.n},
         rows=rows,
         constants={"C_max": c_max, "C_tail": c_tail, "tail_growth": growth},
         tolerances={"factor": CHERRIER_FACTOR},
-        violations=0 if passed else 1,
-        passed=passed,
+        violations=0 if ok else 1,
         message="weighted gradient constants bounded in p"
-        if passed
+        if ok
         else f"C_max {c_max:.3e} exceeds {CHERRIER_FACTOR} * C({rows[-1]['p']})",
     )
 
@@ -648,7 +655,6 @@ def audit_c0(family: FamilyResult) -> AuditReport:
         constants={"max_osc": max(r["osc_u"] for r in rows), "max_ratio": max(ratios)},
         tolerances={"finite": True},
         violations=0 if ok else 1,
-        passed=bool(ok),
         message="oscillation finite across the family" if ok else "family member failed",
     )
 
@@ -678,7 +684,6 @@ def audit_b_bound(family: FamilyResult) -> AuditReport:
                 "success": rep.success,
             }
         )
-    passed = violations == 0
     return AuditReport(
         name="b_offset_bound",
         params={"preset": family.preset, "n": n, "k": k, "N": family.grid.N},
@@ -689,9 +694,8 @@ def audit_b_bound(family: FamilyResult) -> AuditReport:
         },
         tolerances={"slack": B_BOUND_SLACK},
         violations=violations,
-        passed=passed,
         message="offset inside the a priori window"
-        if passed
+        if violations == 0
         else f"{violations} family members break the offset bound",
     )
 
@@ -720,17 +724,16 @@ def audit_c2(family: FamilyResult) -> AuditReport:
     ratios = [r["ratio"] for r in rows]
     med = median(ratios)
     peak = max(ratios)
-    passed = bool(ok) and peak <= C2_SPREAD * med
+    ok = ok and peak <= C2_SPREAD * med
     return AuditReport(
         name="c2_ratio_spread",
         params={"preset": family.preset, "k": family.k, "N": family.grid.N},
         rows=rows,
         constants={"max_ratio": peak, "median_ratio": med},
         tolerances={"spread": C2_SPREAD},
-        violations=0 if passed else 1,
-        passed=passed,
+        violations=0 if ok else 1,
         message="second-order ratio uniform across the family"
-        if passed
+        if ok
         else "second-order ratio spikes across the family",
     )
 
@@ -818,7 +821,6 @@ def audit_commutation(N_lo: int = 12, N_hi: int = 24) -> AuditReport:
             "floor": COMMUTATION_FLOOR,
         },
         violations=violations,
-        passed=violations == 0,
         message="identities close under refinement and the control breaks them"
         if violations == 0
         else "commutation audit failed",

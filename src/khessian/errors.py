@@ -1,9 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer rule."""
+
+import numbers
 
 
 class DomainError(ValueError):
     """Input violates a mathematical precondition (cone membership, index
     ranges, Hermitian symmetry, positive definiteness)."""
+
+
+def require_integer(name: str, value) -> None:
+    """Reject a size or index that is not an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 class ConeViolationError(DomainError):

@@ -45,12 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_integer
 from .operator import (
     inverse_cholesky_factor,
     inverse_metric,
-    pencil_table,
-    relative_eigenvalues_only,
     require_hermitian,
 )
 
@@ -60,6 +58,8 @@ class TorusGrid:
     one-axis differentiation matrix."""
 
     def __init__(self, n: int, N: int):
+        require_integer("n", n)
+        require_integer("N", N)
         if n < 2:
             raise DomainError(f"need complex dimension n >= 2, got {n}")
         if N < 8 or N % 2 != 0:
@@ -600,45 +600,3 @@ def _gradient_norm_sq(grid: TorusGrid, u: np.ndarray, ginv: np.ndarray) -> np.nd
     # raised tensor g^{i jbar} = ginv[..., j, i]
     out = np.einsum("...ji,...i,...j->...", ginv, du, np.conj(du))
     return out.real
-
-
-# hessian_pencil_extremes' screening margin, relative to the largest
-# sqrt(sum lambda^2) over the nodes
-SCREEN_MARGIN = 1e-6
-
-
-def hessian_pencil_extremes(grid: TorusGrid, u: np.ndarray, g: np.ndarray):
-    """(min, max) relative eigenvalue of ddbar(u) against g over all nodes,
-    i.e. the range of |ddbar u|_g in the signed sense.
-
-    Eigenvalues are computed only where an extreme can sit.  From the mean
-    mu and the population deviation s of a node's n eigenvalues, which
-    sigma_1 and sigma_2 of g^{-1} ddbar u give without eigenvalues,
-    Laguerre-Samuelson places them all in mu +- s sqrt(n - 1), and
-    Wolkowicz-Styan puts the largest at or above mu + s / sqrt(n - 1) and
-    the smallest at or below mu - s / sqrt(n - 1).  A node whose upper bound
-    lies below the largest of the lower bounds on the largest eigenvalue
-    cannot hold the maximum, and likewise for the minimum.  SCREEN_MARGIN
-    stands far above the rounding of s (about sqrt(eps) near a repeated
-    eigenvalue), so the extremes equal those of all nodes.  Raises
-    DomainError for a metric ``require_metric`` rejects.
-    """
-    return _hessian_pencil_extremes(grid, u, *require_metric(grid, g))
-
-
-def _hessian_pencil_extremes(grid: TorusGrid, u: np.ndarray, g: np.ndarray,
-                             ginv: np.ndarray):
-    """``hessian_pencil_extremes`` from a checked metric and its inverse."""
-    h = grid.complex_hessian(u)
-    n = grid.n
-    sigma = pencil_table(ginv, h, 2).sigma
-    mu = sigma[1] / n
-    sum_sq = sigma[1] ** 2 - 2.0 * sigma[2]
-    s = np.sqrt(np.maximum(sum_sq / n - mu**2, 0.0))
-    margin = SCREEN_MARGIN * np.sqrt(max(float(sum_sq.max()), 0.0))
-    wide, narrow = s * np.sqrt(n - 1), s / np.sqrt(n - 1)
-    candidates = (mu + wide >= (mu + narrow).max() - margin) | (
-        mu - wide <= (mu - narrow).min() + margin
-    )
-    lam = relative_eigenvalues_only(g[candidates], h[candidates])
-    return float(lam.min()), float(lam.max())

@@ -17,7 +17,7 @@ slot-wise Cholesky factor ``inverse_cholesky_factor``, which is also the
 package's one positive-definiteness test.  The eigen route reduces the
 pencil with the same factor and runs ``eigh``: ``relative_eigenvalues_only``
 serves callers whose output is a spectrum (the solve report's Hessian
-extremes, at the nodes ``geometry.hessian_pencil_extremes`` screens in),
+extremes, at the nodes ``solver.hessian_pencil_extremes`` screens in),
 and ``relative_eigenvalues`` adds a g-orthonormal eigenframe.
 ``sigma_root_gradient`` (dF/dlambda in that frame) and
 ``coordinate_gradient`` (its conjugation back to coordinates) are the

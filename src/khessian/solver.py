@@ -61,16 +61,13 @@ import numpy as np
 
 from .errors import ConeViolationError, DomainError, LinearSolveError, SolveFailure
 from .fieldio import plain
-from .geometry import (
-    TorusGrid,
-    _gradient_norm_sq,
-    _hessian_pencil_extremes,
-    require_metric,
+from .geometry import TorusGrid, _gradient_norm_sq, require_metric
+from .operator import (
+    PencilTable,
+    as_tensor_first,
+    pencil_table,
+    relative_eigenvalues_only,
 )
-from .operator import PencilTable, as_tensor_first, pencil_table
-# not called here: perfbench/test_perfbench.py checks that its tracer
-# restores this module's binding of the name
-from .operator import relative_eigenvalues_only  # noqa: F401
 from .symfunc import check_k
 
 # Smallest continuation step, as a fraction of the cap 1/continuation_steps.
@@ -100,6 +97,9 @@ LINEAR_RTOL = 1e-10
 # step, so the cap only bounds a linear solve that does not converge.
 GMRES_RESTART = 60
 GMRES_CYCLES = 14
+# hessian_pencil_extremes' screening margin, relative to the largest
+# sqrt(sum lambda^2) over the nodes
+SCREEN_MARGIN = 1e-6
 
 
 @dataclass
@@ -394,6 +394,45 @@ def line_search(
     raise SolveFailure(
         f"line search found no admissible step above {options.linesearch_min_step}"
     )
+
+
+# -------------------------------------------------------- Hessian extremes
+
+def hessian_pencil_extremes(grid: TorusGrid, u: np.ndarray, g: np.ndarray):
+    """(min, max) relative eigenvalue of ddbar(u) against g over all nodes,
+    i.e. the range of |ddbar u|_g in the signed sense.
+
+    Eigenvalues are computed only where an extreme can sit.  From the mean
+    mu and the population deviation s of a node's n eigenvalues, which
+    sigma_1 and sigma_2 of g^{-1} ddbar u give without eigenvalues,
+    Laguerre-Samuelson places them all in mu +- s sqrt(n - 1), and
+    Wolkowicz-Styan puts the largest at or above mu + s / sqrt(n - 1) and
+    the smallest at or below mu - s / sqrt(n - 1).  A node whose upper bound
+    lies below the largest of the lower bounds on the largest eigenvalue
+    cannot hold the maximum, and likewise for the minimum.  SCREEN_MARGIN
+    stands far above the rounding of s (about sqrt(eps) near a repeated
+    eigenvalue), so the extremes equal those of all nodes.  Raises
+    DomainError for a metric ``require_metric`` rejects.
+    """
+    return _hessian_pencil_extremes(grid, u, *require_metric(grid, g))
+
+
+def _hessian_pencil_extremes(grid: TorusGrid, u: np.ndarray, g: np.ndarray,
+                             ginv: np.ndarray):
+    """``hessian_pencil_extremes`` from a checked metric and its inverse."""
+    h = grid.complex_hessian(u)
+    n = grid.n
+    sigma = pencil_table(ginv, h, 2).sigma
+    mu = sigma[1] / n
+    sum_sq = sigma[1] ** 2 - 2.0 * sigma[2]
+    s = np.sqrt(np.maximum(sum_sq / n - mu**2, 0.0))
+    margin = SCREEN_MARGIN * np.sqrt(max(float(sum_sq.max()), 0.0))
+    wide, narrow = s * np.sqrt(n - 1), s / np.sqrt(n - 1)
+    candidates = (mu + wide >= (mu + narrow).max() - margin) | (
+        mu - wide <= (mu - narrow).min() + margin
+    )
+    lam = relative_eigenvalues_only(g[candidates], h[candidates])
+    return float(lam.min()), float(lam.max())
 
 
 # ------------------------------------------------------------ continuation

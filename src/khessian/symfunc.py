@@ -2,7 +2,7 @@
 
 A spectrum is the last axis of a real float array; every routine here is
 vectorized over arbitrary leading (batch) axes.  Where entry order matters
-(position-indexed checks, lemma ratios) the convention is descending,
+(position-indexed checks) the convention is descending,
 ``values[..., 0] >= values[..., 1] >= ...``, and positions are 1-based to
 match the usual statement "lambda_1 >= ... >= lambda_n".
 
@@ -28,24 +28,11 @@ import numbers
 
 import numpy as np
 
-from .errors import ConeViolationError, DomainError, SamplingBudgetError
+from .errors import ConeViolationError, DomainError, SamplingBudgetError, require_integer
 
 # sample_gamma_k's rejection budget: candidate draws it may spend before
 # raising SamplingBudgetError (a block that would pass it is not drawn)
 MAX_ATTEMPTS = 10_000_000
-
-
-def spectrum(values) -> np.ndarray:
-    """Validating constructor: sort a single eigenvalue vector descending.
-
-    Accepts any 1-D array-like with n >= 1 finite real entries.
-    """
-    lam = np.asarray(values, dtype=float)
-    if lam.ndim != 1 or lam.size < 1:
-        raise DomainError(f"spectrum must be a 1-D vector, got shape {lam.shape}")
-    if not np.all(np.isfinite(lam)):
-        raise DomainError("spectrum entries must be finite")
-    return np.sort(lam)[::-1].copy()
 
 
 # Spectra per block of the sigma recurrence: at n = 6 a block's columns,
@@ -123,8 +110,7 @@ def sigma_restricted(r: int, values, excluded) -> float | np.ndarray:
     n = lam.shape[-1]
     idx = [excluded] if np.isscalar(excluded) else list(excluded)
     for i in idx:
-        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-            raise DomainError(f"excluded index must be an integer, got {i!r}")
+        require_integer("excluded index", i)
         if not 0 <= i < n:
             raise DomainError(f"excluded index {i} out of range for n={n}")
     if len(set(idx)) != len(idx):
@@ -148,9 +134,9 @@ def sigma_restricted_each(r: int, values) -> np.ndarray:
 
 
 def check_k(k: int, n: int) -> None:
-    """Reject a cone index that is not an integer with 1 <= k <= n."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise DomainError(f"k must be an integer, got {k!r}")
+    """Reject a non-integer n, and a k that is not an integer with 1 <= k <= n."""
+    require_integer("n", n)
+    require_integer("k", k)
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
 
@@ -314,38 +300,3 @@ def basic_inequality_check(values, k: int) -> bool | np.ndarray:
     bound = (n - k) * lam[..., k - 1 : k]
     ok = np.all(np.abs(lam[..., k:]) <= bound, axis=-1)
     return bool(ok) if ok.ndim == 0 else ok
-
-
-def lemma21_ratio(values, k: int, i: int, j: int, subset) -> float:
-    """|lambda_{j_1} ... lambda_{j_i}| / sigma_i(lambda | j) for a descending
-    spectrum in Gamma_k, 3 <= k <= n, 0 <= i <= k-2.
-
-    ``j`` and the members of ``subset`` are 1-based positions; subset entries
-    are distinct and avoid j.  The denominator sigma_i(lambda|j) is positive
-    for Gamma_k spectra (i <= k-2 < k); nonpositive values are reported as a
-    violation via ConeViolationError.
-    """
-    lam = spectrum(values)
-    n = lam.shape[-1]
-    if not 3 <= k <= n:
-        raise DomainError(f"need 3 <= k <= n, got k={k}, n={n}")
-    if not 0 <= i <= k - 2:
-        raise DomainError(f"need 0 <= i <= k-2, got i={i}, k={k}")
-    if not 1 <= j <= n:
-        raise DomainError(f"position j={j} out of range for n={n}")
-    sub = [int(p) for p in subset]
-    if len(sub) != i or len(set(sub)) != i:
-        raise DomainError(f"subset must hold {i} distinct positions, got {sub}")
-    for p in sub:
-        if not 1 <= p <= n or p == j:
-            raise DomainError(f"subset position {p} invalid (n={n}, j={j})")
-    require_gamma_k(lam, k)
-    denom = sigma_restricted(i, lam, j - 1)
-    if denom <= 0.0:
-        raise ConeViolationError(
-            f"sigma_{i}(lambda|{j}) = {denom} <= 0 on a Gamma_{k} spectrum"
-        )
-    numer = 1.0
-    for p in sub:
-        numer *= abs(lam[p - 1])
-    return float(numer / denom)

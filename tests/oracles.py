@@ -171,7 +171,6 @@ def audit_lemma21_loop(n: int = 4, k: int = 3, samples: int = 20000, seed: int =
     constants = {f"C_i_{i}": by_i_full[i] for i in sorted(by_i_full)}
     constants["C_global"] = max(by_i_full.values())
     constants["stability_rel"] = stability
-    passed = violations == 0
     return audits.AuditReport(
         name="lemma21_ratio_bound",
         params={"n": n, "k": k, "samples": samples, "seed": seed},
@@ -179,9 +178,8 @@ def audit_lemma21_loop(n: int = 4, k: int = 3, samples: int = 20000, seed: int =
         constants=constants,
         tolerances={"stability_rtol": audits.LEMMA21_STABILITY_RTOL},
         violations=violations,
-        passed=passed,
         message="denominators positive and constants saturated"
-        if passed
+        if violations == 0
         else "ratio bound audit failed",
     )
 

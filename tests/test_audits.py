@@ -57,7 +57,6 @@ def test_as_dict_round_trips_numpy_values_through_json():
         params={"shape": (2, 3)},
         constants={"c": np.float64(0.25)},
         violations=np.int64(0),
-        passed=np.bool_(True),
         rows=[{"x": np.float32(0.5), "v": np.arange(3), "m": np.eye(2)}],
     )
     plain = rep.as_dict()
@@ -73,6 +72,12 @@ def test_as_dict_round_trips_numpy_values_through_json():
         "rows": [{"x": 0.5, "v": [0, 1, 2], "m": [[1.0, 0.0], [0.0, 1.0]]}],
     }
     assert list(plain) == [f.name for f in dataclasses.fields(audits.AuditReport)]
+
+
+@pytest.mark.parametrize("violations, passed", [(0, True), (2, False)])
+def test_passed_is_derived_from_the_violation_count(violations, passed):
+    rep = audits.AuditReport(name="count", params={}, violations=violations)
+    assert rep.passed is passed
 
 
 def test_lemma21_enumeration_and_pass():
@@ -117,6 +122,28 @@ def test_cone_audits_reject_a_negative_seed_as_a_domain_error():
         audits.audit_lemma21(4, 3, samples=10, seed=-1)
     with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
         audits.audit_basic_inequality(pairs=((3, 2),), samples=10, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: TorusGrid(2.5, 8), "n must be an integer, got 2.5"),
+        (lambda: TorusGrid(2, 8.0), "N must be an integer, got 8.0"),
+        (lambda: audits.audit_lemma22(cases=[(2.5, 8, 16)]), "n must be an integer, got 2.5"),
+        (lambda: audits.audit_lemma22(cases=[(2, 8.0, 16)]), "N_lo must be an integer"),
+        (lambda: audits.audit_commutation(N_lo=8.0), "N must be an integer, got 8.0"),
+        (lambda: audits.audit_lemma21(n=4.0, samples=10), "n must be an integer, got 4.0"),
+        (lambda: audits.audit_basic_inequality(pairs=[(3.0, 2)], samples=10),
+         "n must be an integer, got 3.0"),
+        (lambda: audits.audit_lemma22(cases=[(2, 8)]), r"\(n, N_lo, N_hi\) triples"),
+        (lambda: audits.audit_basic_inequality(pairs=[(3,)], samples=10), r"pairs are \(n, k\)"),
+    ],
+    ids=["grid-n", "grid-N", "lemma22-n", "lemma22-N", "commutation-N", "lemma21-n", "basic-n",
+         "lemma22-short-case", "basic-short-pair"],
+)
+def test_non_integer_sizes_and_short_records_raise_domain_errors(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
 
 
 def _feed_cone_samples(monkeypatch, lam):

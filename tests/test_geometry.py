@@ -5,7 +5,7 @@ import pytest
 import scipy.fft
 
 import oracles
-from khessian import audits, geometry, operator
+from khessian import audits, geometry, operator, solver
 from khessian.audits import COMMUTATION_TERMS
 from khessian.errors import ConeViolationError, DomainError
 from khessian.geometry import TorusGrid, chern_tensors, metric_preset
@@ -478,7 +478,7 @@ def test_metric_presets_and_inverse_are_index_first(grid8):
 def test_hessian_pencil_extremes(grid16):
     u = grid16.trig_field([(0.05, [1, 0, 0, 0], 0.0)])
     g = geometry.identity_metric(grid16)
-    lo, hi = geometry.hessian_pencil_extremes(grid16, u, g)
+    lo, hi = solver.hessian_pencil_extremes(grid16, u, g)
     # ddbar u has eigenvalues {-pi^2 * 0.05 cos(2 pi x1), 0}
     assert lo == pytest.approx(-0.05 * np.pi**2, rel=1e-6)
     assert hi == pytest.approx(0.05 * np.pi**2, rel=1e-6)
@@ -487,7 +487,7 @@ def test_hessian_pencil_extremes(grid16):
 def test_hessian_pencil_extremes_rejects_indefinite_metric(grid8):
     u = grid8.trig_field([(0.05, [1, 0, 0, 0], 0.0)])
     with pytest.raises(DomainError, match="positive definite"):
-        geometry.hessian_pencil_extremes(grid8, u, -geometry.identity_metric(grid8))
+        solver.hessian_pencil_extremes(grid8, u, -geometry.identity_metric(grid8))
 
 
 @pytest.mark.parametrize("case", ["zero", "crossing", "random-3"])
@@ -511,7 +511,7 @@ def test_hessian_pencil_extremes_screen_is_exact(case, eigvalsh_rows):
     lam = operator.relative_eigenvalues_only(g, grid.complex_hessian(u))
     ref = (lam.min(), lam.max())
     eigvalsh_rows.clear()
-    got = geometry.hessian_pencil_extremes(grid, u, g)
+    got = solver.hessian_pencil_extremes(grid, u, g)
     scale = np.abs(ref).max()
     assert np.abs(np.subtract(got, ref)).max() <= 1e-12 * scale, (got, ref)
     nodes = np.prod(grid.shape)

@@ -238,7 +238,7 @@ def test_garding_floor_positive_as_top_eigenvalue_grows():
     prev = np.inf
     for t in [1.0, 4.0, 16.0, 64.0, 256.0]:
         c = (3.0 - t) / (1.0 + t)
-        lam = symfunc.spectrum([t, 1.0, c])
+        lam = np.array([t, 1.0, c])
         assert symfunc.sigma(2, lam) == pytest.approx(3.0)
         floor = garding_floor(lam, 2)
         assert 0.0 < floor <= prev + 1e-12

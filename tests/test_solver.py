@@ -21,7 +21,6 @@ from khessian.geometry import (
     TorusGrid,
     chern_tensors,
     gradient_norm_sq,
-    hessian_pencil_extremes,
     inverse_metric,
     metric_preset,
 )
@@ -29,6 +28,7 @@ from khessian.operator import as_tensor_first, pencil_table
 from khessian.solver import (
     SolverOptions,
     StageRecord,
+    hessian_pencil_extremes,
     line_search,
     manufactured_source,
     newton_step,
