@@ -28,7 +28,6 @@ tests compare it against.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 from math import comb, factorial, log
@@ -135,7 +134,7 @@ def _mixed_cone_samples(n: int, k: int, samples: int, seed: int) -> np.ndarray:
     shell = sample_gamma_k_boundary(n, k, max(samples // 4, 4), seed=seed + 1)
     lam = np.vstack([interior, shell])
     rng = np.random.default_rng(seed + 2)
-    return lam[rng.permutation(lam.shape[0])]
+    return np.take(lam, rng.permutation(lam.shape[0]), axis=0)
 
 
 def audit_lemma21(
@@ -553,8 +552,8 @@ def audit_cherrier(
     max_p C(p) <= CHERRIER_FACTOR * C(p_max), so it needs at least two
     integer exponents, positive and strictly increasing, the last one p_max.
     """
-    if any(isinstance(p, bool) or not isinstance(p, numbers.Integral) for p in p_list):
-        raise DomainError(f"exponents must be integers, got {list(p_list)}")
+    for p in p_list:
+        require_integer("exponent", p)
     if len(p_list) < 2 or not 0 < p_list[0] or any(
             a >= b for a, b in zip(p_list, p_list[1:])):
         raise DomainError(

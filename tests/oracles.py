@@ -107,6 +107,20 @@ def shrink_into_gamma_k_loop(base, perturb, k: int) -> np.ndarray:
     return trial
 
 
+def sample_gamma_k_box(n: int, k: int, count: int, seed: int = 0) -> np.ndarray:
+    """The sampler without its envelope: candidates uniform on [-1, 1]^n,
+    kept where they lie in Gamma_k, in blocks of 4x the remaining need.
+    Exact for the box-conditioned law; it has no fallback, so it only runs
+    where the box acceptance is well above zero."""
+    rng = np.random.default_rng(seed)
+    got, have = [], 0
+    while have < count:
+        cand = rng.uniform(-1.0, 1.0, size=(min(max(4 * (count - have), 1024), 1_000_000), n))
+        got.append(cand[in_gamma_k(cand, k)])
+        have += got[-1].shape[0]
+    return np.sort(np.concatenate(got)[:count], axis=-1)[:, ::-1]
+
+
 def sample_gamma_k_boundary_two_calls(
     n: int, k: int, count: int, seed: int = 0, depth: float = 1e-8
 ) -> np.ndarray:

@@ -397,7 +397,7 @@ def test_cherrier_rejects_fewer_than_two_positive_exponents(small_family, p_list
 def test_cherrier_rejects_exponents_that_are_not_integers(small_family, p_list):
     # 4.5 would be reported as p = 4 next to the value of C(4.5)
     grid, g, u = small_family.grid, small_family.g, small_family.reports[-1].u
-    with pytest.raises(DomainError, match="exponents must be integers"):
+    with pytest.raises(DomainError, match="exponent must be an integer"):
         audits.audit_cherrier(grid, g, u, p_list=p_list)
 
 
@@ -615,7 +615,7 @@ def test_report_tolerances_are_the_module_constants(small_family):
 
 def _run_small_audit(name, family):
     if name == "lemma21":
-        return audits.audit_lemma21(4, 3, samples=3000)
+        return audits.audit_lemma21(4, 3, samples=3000, seed=1)
     if name == "lemma22":
         return audits.audit_lemma22(cases=((2, 8, 12),))
     if name == "lemma22-fine":
@@ -632,7 +632,8 @@ def _run_small_audit(name, family):
 # (audit, constant, a stricter value than the measured quantity in the
 # comment, other constants set first)
 STRICTER = [
-    # stability_rel is 4.8e-4 at 3000 samples
+    # stability_rel is 1.8e-3 at 3000 samples and seed 1; at seed 0 it is
+    # exactly 0, which no rtol can fail
     ("lemma21", "LEMMA21_STABILITY_RTOL", 0.0, {}),
     # the i = 1 constant, 0.478, drifts by 5.0e-5 from N = 8 to 12
     ("lemma22", "LEMMA22_STABILITY_RTOL", 1e-5, {}),

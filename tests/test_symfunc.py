@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from khessian import symfunc
 from khessian.errors import ConeViolationError, DomainError, SamplingBudgetError
@@ -11,6 +12,7 @@ from khessian.errors import ConeViolationError, DomainError, SamplingBudgetError
 from oracles import (
     boundary_shift_bisection,
     elementary_all_last_axis,
+    sample_gamma_k_box,
     sample_gamma_k_boundary_two_calls,
     shrink_into_gamma_k_loop,
     sigma_enumerated,
@@ -284,35 +286,103 @@ def test_sampler_single_draw():
     assert symfunc.in_gamma_k(lam, 3)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gamma_k_members_of_the_box_have_at_least_k_positive_entries(n):
+    # the fact behind the orthant envelope; the bound is reached
+    lam = np.random.default_rng(n).uniform(-1.0, 1.0, size=(200_000, n))
+    positives = np.count_nonzero(lam > 0.0, axis=-1)
+    for k in range(1, n + 1):
+        inside = symfunc.in_gamma_k(lam, k)
+        assert positives[inside].min() == k
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_negated_spectra_have_the_alternating_table(n):
+    # sigma_j(-lambda) = (-1)^j sigma_j(lambda), bit for bit, so one table
+    # gives the signed verdict; 2 B + 7 rows cross two block boundaries
+    lam = np.random.default_rng(n).uniform(-1.0, 1.0, size=(2 * B + 7, n))
+    signs = (-1.0) ** np.arange(n + 1)
+    assert np.array_equal(symfunc.elementary_all(-lam), signs * symfunc.elementary_all(lam))
+    for k in range(1, n + 1):
+        signed = symfunc.in_gamma_k(lam, k, signed=True)
+        assert signed.dtype == np.int8
+        expect = symfunc.in_gamma_k(lam, k).astype(np.int8) - symfunc.in_gamma_k(-lam, k)
+        assert np.array_equal(signed, expect)
+    assert symfunc.in_gamma_k(-np.ones(n), n, signed=True) == -1
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (4, 3), (5, 3), (6, 5), (6, 6), (5, 1)])
+def test_sampler_law_matches_the_box_rejection_oracle(n, k):
+    # two-sample KS on each sorted coordinate and on sigma_1..sigma_k, 10^5
+    # draws a side; the smallest p over these pairs is 0.0017, at (6, 6)
+    box = sample_gamma_k_box(n, k, 100_000, seed=1)
+    env = symfunc.sample_gamma_k(n, k, 100_000, seed=2)
+    sig_box, sig_env = symfunc.elementary_all(box), symfunc.elementary_all(env)
+    pairs = [(box[:, i], env[:, i]) for i in range(n)]
+    pairs += [(sig_box[:, j], sig_env[:, j]) for j in range(1, k + 1)]
+    for a, b in pairs:
+        assert ks_2samp(a, b).pvalue > 1e-3
+
+
 def test_sampler_fallback_deep_cone():
-    # Gamma_n for larger n has tiny box mass; the constructive fallback
-    # must still deliver members.
+    # Gamma_6 has box mass 1/64, above the 1 % that starts the fallback, so
+    # this pair never reached it; with the orthant envelope every candidate
+    # is accepted.  It pins the deepest cone the n = 6 audits sample.
     lam = symfunc.sample_gamma_k(6, 6, count=200, seed=2)
     assert lam.shape == (200, 6)
     assert np.all(symfunc.in_gamma_k(lam, 6))
 
 
-def test_sampler_fallback_shrinks_like_the_whole_batch_loop(monkeypatch):
-    # Gamma_7 and Gamma_8 have box mass 2^-n, below the 1 % that starts the
-    # fallback; its rows are rebuilt from the sampler's last two draws
-    draws = []
+class RecordingRng:
+    """A numpy Generator that records the arguments and result of each
+    ``uniform`` call; the fallback's draws are the ones with low = 1e-6."""
+
+    def __init__(self, rng, calls):
+        self._rng = rng
+        self._calls = calls
+
+    def uniform(self, low, high, size=None):
+        out = self._rng.uniform(low, high, size=size)
+        self._calls.append((low, out))
+        return out.copy()
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def record_draws(monkeypatch) -> list:
+    calls = []
     default_rng = np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: RecordingRng(default_rng(seed), calls)
+    )
+    return calls
 
-    class RecordingRng:
-        def __init__(self, seed):
-            self._rng = default_rng(seed)
 
-        def uniform(self, *args, size=None):
-            draws.append(self._rng.uniform(*args, size=size))
-            return draws[-1].copy()
+def test_sampler_reaches_no_fallback_up_to_n_9(monkeypatch):
+    # the envelope's lowest acceptance at n <= 9 is 0.021, at (9, 5)
+    calls = record_draws(monkeypatch)
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            calls.clear()
+            out = symfunc.sample_gamma_k(n, k, count=2000, seed=n * 10 + k)
+            assert all(low != 1e-6 for low, _ in calls), (n, k)
+            assert np.all(symfunc.in_gamma_k(out, k))
 
-    monkeypatch.setattr(np.random, "default_rng", RecordingRng)
-    for n, fallback_rows in ((7, 1938), (8, 1961)):
-        draws.clear()
-        out = symfunc.sample_gamma_k(n, n, count=2000, seed=3)
-        base = np.sort(draws[-2], axis=-1)[:, ::-1]
-        perturb = -draws[-1] * base[:, -1]
-        expect = shrink_into_gamma_k_loop(base, perturb, n)
+
+def test_sampler_fallback_shrinks_like_the_whole_batch_loop(monkeypatch):
+    # the envelope accepts 0.0077 of its draws at (11, 7) and 0.0050 at
+    # (12, 8), below the 1 % that starts the fallback; its rows are rebuilt
+    # from the sampler's last two draws
+    calls = record_draws(monkeypatch)
+    for n, k, fallback_rows in ((11, 7, 1940), (12, 8, 1963)):
+        calls.clear()
+        out = symfunc.sample_gamma_k(n, k, count=2000, seed=3)
+        (low, base), (_, shift) = calls[-2:]
+        assert low == 1e-6
+        base = np.sort(base, axis=-1)[:, ::-1]
+        perturb = -shift * base[:, -1]
+        expect = shrink_into_gamma_k_loop(base, perturb, k)
         assert len(base) == fallback_rows
         assert np.array_equal(out[-fallback_rows:], expect)
         # the loop never halves: every row takes its whole perturbation
@@ -322,25 +392,14 @@ def test_sampler_fallback_shrinks_like_the_whole_batch_loop(monkeypatch):
 
 
 def test_sampler_budget_raises_before_drawing(monkeypatch):
-    draws = []
-    default_rng = np.random.default_rng
-
-    class RecordingRng:
-        def __init__(self, seed):
-            self._rng = default_rng(seed)
-
-        def uniform(self, *args, size=None):
-            draws.append(size)
-            return self._rng.uniform(*args, size=size)
-
-    monkeypatch.setattr(np.random, "default_rng", RecordingRng)
+    calls = record_draws(monkeypatch)
     monkeypatch.setattr(symfunc, "MAX_ATTEMPTS", 1000)  # below the first block
     with pytest.raises(SamplingBudgetError, match=r"after 0 attempts \(0/10 accepted\)"):
         symfunc.sample_gamma_k(3, 2, count=10)
-    assert draws == []
+    assert calls == []
     monkeypatch.setattr(symfunc, "MAX_ATTEMPTS", 1024)  # exactly one block
     assert symfunc.sample_gamma_k(3, 2, count=10).shape == (10, 3)
-    assert draws == [(1024, 3)]
+    assert [draw.shape for _, draw in calls] == [(1024, 3)]
 
 
 def test_boundary_sampler_targets_thin_shell():
