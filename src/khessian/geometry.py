@@ -304,7 +304,6 @@ class TorusGrid:
         """
         out = np.zeros(self.shape)
         for idx, (amp, freqs, phase) in enumerate(terms):
-            freqs = [int(v) for v in freqs]
             if len(freqs) != 2 * self.n:
                 raise DomainError(
                     f"term {idx}: frequency vector must have length {2 * self.n}, "
@@ -312,6 +311,7 @@ class TorusGrid:
                 )
             arg = np.zeros(self.shape)
             for a, m in enumerate(freqs):
+                require_integer(f"term {idx}: frequency entry {a}", m)
                 if m:
                     arg = arg + 2.0 * np.pi * m * self.axis_coordinate(a)
             out = out + float(amp) * np.cos(arg + float(phase))

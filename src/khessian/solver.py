@@ -59,7 +59,13 @@ from math import comb, log
 
 import numpy as np
 
-from .errors import ConeViolationError, DomainError, LinearSolveError, SolveFailure
+from .errors import (
+    ConeViolationError,
+    DomainError,
+    LinearSolveError,
+    SolveFailure,
+    require_integer,
+)
 from .fieldio import plain
 from .geometry import TorusGrid, _gradient_norm_sq, require_metric
 from .operator import (
@@ -114,12 +120,10 @@ class SolverOptions:
         field name."""
         for f in fields(self):
             value = getattr(self, f.name)
-            integral = isinstance(f.default, int)
-            if isinstance(value, bool) or not isinstance(
-                value, numbers.Integral if integral else numbers.Real
-            ):
-                label = "an integer" if integral else "a number"
-                raise DomainError(f"{f.name} must be {label}, got {value!r}")
+            if isinstance(f.default, int):
+                require_integer(f.name, value)
+            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"{f.name} must be a number, got {value!r}")
         for name, ok, rule in (
             ("continuation_steps", self.continuation_steps >= 1, "be >= 1"),
             ("newton_tol", 0 < self.newton_tol < 1, "lie in (0, 1)"),

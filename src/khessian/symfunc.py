@@ -213,7 +213,7 @@ def _envelope_block(rng, shape: tuple[int, int], k: int, edges) -> np.ndarray:
 def sample_gamma_k(
     n: int,
     k: int,
-    count: int | None = None,
+    count: int,
     seed: int = 0,
 ) -> np.ndarray:
     """Draw spectra uniformly from the box [-1, 1]^n conditioned on Gamma_k
@@ -230,20 +230,14 @@ def sample_gamma_k(
     the box's weights C(n, m), and the first m entries negated.  Rows are
     sorted and the law is exchangeable, so fixed positions are exact.
 
-    If the observed acceptance rate drops below 1% a fallback fills the
-    remainder from another fixed law: entries uniform on [1e-6, 1), with the
-    smallest one multiplied by 1 - U for U uniform on [0, 1).  Every
-    fallback row is positive, so it lies inside Gamma_k without a test, and
-    none has a negative entry.  Fallback rows keep audits running instead of
-    stalling.  With the envelope, the lowest acceptance over 1 <= k <= n <= 9
-    is 0.021, at (9, 5), so no pair with n <= 9 reaches the fallback; (11, 7)
-    and (12, 8), at 0.0077 and 0.0050, do.
+    No second law fills in: a draw that would pass MAX_ATTEMPTS candidates
+    raises SamplingBudgetError.  The envelope accepts at least 0.021 of its
+    candidates for n <= 9, at (9, 5).
 
-    Returns shape (count, n), or (n,) when count is None.
+    Returns shape (count, n).
     """
     check_k(k, n)
-    want = 1 if count is None else count
-    for name, value in (("count", want), ("seed", seed)):
+    for name, value in (("count", count), ("seed", seed)):
         require_integer(name, value)
         if value < 0:
             raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
@@ -257,33 +251,20 @@ def sample_gamma_k(
     got: list[np.ndarray] = [np.empty((0, n))]
     have = 0
     attempts = 0
-    fallback = False
     # probe in blocks; block size adapts to the remaining need
-    while have < want:
-        block = min(max(4 * (want - have), 1024), 1_000_000)
+    while have < count:
+        block = min(max(4 * (count - have), 1024), 1_000_000)
         if attempts + block > MAX_ATTEMPTS:
             raise SamplingBudgetError(
                 f"rejection budget exhausted after {attempts} attempts "
-                f"({have}/{want} accepted)"
+                f"({have}/{count} accepted)"
             )
         keep = _envelope_block(rng, (block, n), k, edges)
         attempts += block
         got.append(keep)
         have += keep.shape[0]
-        if have < want and attempts >= 4096 and have < 0.01 * attempts:
-            fallback = True
-            break
-    if fallback:
-        need = want - have
-        base = rng.uniform(1e-6, 1.0, size=(need, n))
-        base = np.sort(base, axis=-1)[:, ::-1]
-        # U <= 1 - 2^-53 keeps U * base[:, -1] below base[:, -1] in floating
-        # point, so the smallest entry stays positive
-        base[:, -1] += -rng.uniform(0.0, 1.0, size=need) * base[:, -1]
-        got.append(base)
-    out = np.concatenate(got, axis=0)[:want]
-    out = np.sort(out, axis=-1)[:, ::-1]
-    return out[0] if count is None else out
+    out = np.concatenate(got, axis=0)[:count]
+    return np.sort(out, axis=-1)[:, ::-1]
 
 
 def sample_gamma_k_boundary(
@@ -306,15 +287,16 @@ def sample_gamma_k_boundary(
     """
     if not isinstance(depth, numbers.Real) or not 0.0 < depth < 1.0:
         raise DomainError(f"depth must lie in (0, 1), got {depth!r}")
-    lam = np.atleast_2d(sample_gamma_k(n, k, count, seed=seed))
+    lam = sample_gamma_k(n, k, count, seed=seed)
     # deletion by zeroing keeps sigma_n(lambda|n) = 0, so t* = lambda_n at k = n
     rest = lam.copy()
     rest[:, -1] = 0.0
     sig = _sigma_table(rest, k)
     ratio = sig[k] / sig[k - 1]
     out = lam.copy()
+    # t* = sigma_k(lambda) / sigma_{k-1}(lambda|n) > 0, so the shift only
+    # lowers the smallest entry and every row stays descending, unsorted
     out[:, -1] -= (lam[:, -1] + ratio) * (1.0 - depth)
-    out = np.sort(out, axis=-1)[:, ::-1]
     bad = ~in_gamma_k(out, k)
     if np.any(bad):  # fall back to the interior point where rounding left the cone
         out[bad] = lam[bad]

@@ -171,6 +171,26 @@ def test_lemma21_fails_when_only_the_second_half_holds_the_largest_ratio(monkeyp
     assert rep.passed is False
 
 
+def test_lemma21_fails_when_only_the_first_half_holds_the_largest_ratio(monkeypatch):
+    # the mirror of the case above: the (1, eps, eps, eps) row lies in the
+    # first half, so only a comparison of the two disjoint halves sees it
+    rng = np.random.default_rng(0)
+    first = -np.sort(-rng.uniform(0.5, 1.0, size=(50, 4)), axis=-1)
+    second = np.vstack([first[:49], [[1.0, 1e-3, 1e-3, 1e-3]]])
+    _feed_cone_samples(monkeypatch, np.vstack([second, first]))
+    rep = _lemma21_fed(50)
+    assert rep.violations == 1
+    assert rep.constants["stability_rel"] > rep.tolerances["stability_rtol"]
+    assert rep.passed is False
+
+
+def test_lemma21_stability_is_positive_where_the_first_half_holds_every_maximum():
+    # at seed 0 each per-i maximum falls in the first half of the samples,
+    # where a comparison with the full-sample maximum reads exactly 0
+    rep = audits.audit_lemma21(4, 3, samples=3000, seed=0)
+    assert rep.constants["stability_rel"] > 0.0
+
+
 def test_lemma21_counts_nonpositive_denominators_per_row(monkeypatch):
     # (1, 1, -5, -5) lies outside Gamma_3: sigma_1(lambda|j) < 0 for every j
     lam = np.vstack([np.ones((20, 4)), [[1.0, 1.0, -5.0, -5.0]] * 3])
@@ -632,8 +652,7 @@ def _run_small_audit(name, family):
 # (audit, constant, a stricter value than the measured quantity in the
 # comment, other constants set first)
 STRICTER = [
-    # stability_rel is 1.8e-3 at 3000 samples and seed 1; at seed 0 it is
-    # exactly 0, which no rtol can fail
+    # stability_rel is 1.8e-3 at 3000 samples and seed 1
     ("lemma21", "LEMMA21_STABILITY_RTOL", 0.0, {}),
     # the i = 1 constant, 0.478, drifts by 5.0e-5 from N = 8 to 12
     ("lemma22", "LEMMA22_STABILITY_RTOL", 1e-5, {}),

@@ -42,12 +42,20 @@ def test_grid_validation():
 
 
 def test_trig_field_matches_manual(grid8):
-    terms = [(0.5, [1, 0, 0, 0], 0.0), (0.25, [0, 2, 1, 0], 0.3)]
+    terms = [(0.5, [1, 0, 0, 0], 0.0), (0.25, np.array([0, 2, 1, 0]), 0.3)]
     field = grid8.trig_field(terms)
     manual = 0.5 * np.cos(2 * np.pi * grid8.x(0)) + 0.25 * np.cos(
         2 * np.pi * (2 * grid8.y(0) + grid8.x(1)) + 0.3
     )
     assert np.abs(field - manual).max() < 1e-14
+
+
+@pytest.mark.parametrize("bad", [1.5, np.nan, "a", True], ids=["1.5", "nan", "str", "bool"])
+def test_trig_field_rejects_a_non_integer_frequency(grid8, bad):
+    # 1.5 used to truncate to 1 and True to pass as 1, silently
+    terms = [(0.5, [1, 0, 0, 0], 0.0), (0.25, [0, 2, bad, 0], 0.3)]
+    with pytest.raises(DomainError, match=r"^term 1: frequency entry 2 must be an integer"):
+        grid8.trig_field(terms)
 
 
 def test_mean_and_integrate(grid8):

@@ -14,7 +14,6 @@ from oracles import (
     elementary_all_last_axis,
     sample_gamma_k_box,
     sample_gamma_k_boundary_two_calls,
-    shrink_into_gamma_k_loop,
     sigma_enumerated,
     sigma_restricted_enumerated,
     sigma_restricted_pairs,
@@ -281,9 +280,11 @@ def test_sampler_deterministic():
 
 
 def test_sampler_single_draw():
-    lam = symfunc.sample_gamma_k(3, 3, seed=9)
-    assert lam.shape == (3,)
-    assert symfunc.in_gamma_k(lam, 3)
+    lam = symfunc.sample_gamma_k(3, 3, count=1, seed=9)
+    assert lam.shape == (1, 3)
+    assert symfunc.in_gamma_k(lam[0], 3)
+    # one candidate block serves both counts, so the row leads a larger draw
+    assert np.array_equal(lam[0], symfunc.sample_gamma_k(3, 3, count=5, seed=9)[0])
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -325,8 +326,7 @@ def test_sampler_law_matches_the_box_rejection_oracle(n, k):
 
 
 def test_sampler_fallback_deep_cone():
-    # Gamma_6 has box mass 1/64, above the 1 % that starts the fallback, so
-    # this pair never reached it; with the orthant envelope every candidate
+    # Gamma_6 has box mass 1/64; with the orthant envelope every candidate
     # is accepted.  It pins the deepest cone the n = 6 audits sample.
     lam = symfunc.sample_gamma_k(6, 6, count=200, seed=2)
     assert lam.shape == (200, 6)
@@ -335,7 +335,7 @@ def test_sampler_fallback_deep_cone():
 
 class RecordingRng:
     """A numpy Generator that records the arguments and result of each
-    ``uniform`` call; the fallback's draws are the ones with low = 1e-6."""
+    ``uniform`` call."""
 
     def __init__(self, rng, calls):
         self._rng = rng
@@ -359,36 +359,31 @@ def record_draws(monkeypatch) -> list:
     return calls
 
 
-def test_sampler_reaches_no_fallback_up_to_n_9(monkeypatch):
-    # the envelope's lowest acceptance at n <= 9 is 0.021, at (9, 5)
-    calls = record_draws(monkeypatch)
+def test_sampler_reaches_no_fallback_up_to_n_9():
+    # the envelope's lowest acceptance at n <= 9 is 0.021, at (9, 5), far
+    # above what the attempt budget needs at this count
     for n in range(1, 10):
         for k in range(1, n + 1):
-            calls.clear()
             out = symfunc.sample_gamma_k(n, k, count=2000, seed=n * 10 + k)
-            assert all(low != 1e-6 for low, _ in calls), (n, k)
+            assert out.shape == (2000, n)
             assert np.all(symfunc.in_gamma_k(out, k))
 
 
-def test_sampler_fallback_shrinks_like_the_whole_batch_loop(monkeypatch):
+@pytest.mark.parametrize("n, k", [(11, 7), (12, 8)])
+def test_sampler_keeps_the_box_law_at_low_acceptance(n, k):
     # the envelope accepts 0.0077 of its draws at (11, 7) and 0.0050 at
-    # (12, 8), below the 1 % that starts the fallback; its rows are rebuilt
-    # from the sampler's last two draws
-    calls = record_draws(monkeypatch)
-    for n, k, fallback_rows in ((11, 7, 1940), (12, 8, 1963)):
-        calls.clear()
-        out = symfunc.sample_gamma_k(n, k, count=2000, seed=3)
-        (low, base), (_, shift) = calls[-2:]
-        assert low == 1e-6
-        base = np.sort(base, axis=-1)[:, ::-1]
-        perturb = -shift * base[:, -1]
-        expect = shrink_into_gamma_k_loop(base, perturb, k)
-        assert len(base) == fallback_rows
-        assert np.array_equal(out[-fallback_rows:], expect)
-        # the loop never halves: every row takes its whole perturbation
-        assert np.array_equal(expect[:, :-1], base[:, :-1])
-        assert np.array_equal(expect[:, -1], base[:, -1] + perturb)
-        assert np.all(expect > 0.0)
+    # (12, 8); the box law conditioned on Gamma_k gives a negative entry to
+    # 0.78 and 0.76 of the rows, an all-positive law to none
+    out = symfunc.sample_gamma_k(n, k, count=2000, seed=3)
+    assert np.all(symfunc.in_gamma_k(out, k))
+    assert np.mean(out[:, -1] < 0.0) >= 0.5
+
+
+def test_sampler_raises_when_the_budget_runs_out(monkeypatch):
+    # (12, 8) accepts 0.0050 of its draws: 2000 rows need about 400000
+    monkeypatch.setattr(symfunc, "MAX_ATTEMPTS", 200_000)
+    with pytest.raises(SamplingBudgetError, match=r"/2000 accepted\)"):
+        symfunc.sample_gamma_k(12, 8, count=2000, seed=3)
 
 
 def test_sampler_budget_raises_before_drawing(monkeypatch):
@@ -452,7 +447,7 @@ def test_samplers_give_an_empty_batch_for_count_zero():
     assert symfunc.sample_gamma_k_boundary(3, 2, 0).shape == (0, 3)
 
 
-@pytest.mark.parametrize("count", [5.5, True, np.float64(3.0), "3"])
+@pytest.mark.parametrize("count", [5.5, True, np.float64(3.0), "3", None])
 def test_samplers_reject_a_non_integer_count(count):
     with pytest.raises(DomainError):
         symfunc.sample_gamma_k(3, 2, count)
