@@ -145,14 +145,15 @@ def audit_lemma21(
 ) -> AuditReport:
     """Ratio bound |lambda_{j_1}..lambda_{j_i}| / sigma_i(lambda|j) on Gamma_k.
 
-    Enumerates every admissible (i, j, subset) for n <= 6 and maximizes the
-    ratio over sampled spectra (interior plus boundary shell).  The verdict
-    requires positive denominators throughout and per-i maxima over the two
-    disjoint halves of the samples that differ by at most
-    LEMMA21_STABILITY_RTOL of the larger one, i.e. the empirical constants
-    have saturated.  Every nonpositive denominator is a violation, and so is
-    a failed stability check, so the audit passes exactly when it counts no
-    violation.
+    Enumerates every (i, j, subset) with 1 <= i <= k - 2 for n <= 6 (at
+    i = 0 the ratio is the empty product over sigma_0 = 1, so it checks
+    nothing) and maximizes the ratio over sampled spectra (interior plus
+    boundary shell).  The verdict requires positive denominators throughout
+    and per-i maxima over the two disjoint halves of the samples that differ
+    by at most LEMMA21_STABILITY_RTOL of the larger one, i.e. the empirical
+    constants have saturated.  Every nonpositive denominator is a violation,
+    and so is a failed stability check, so the audit passes exactly when it
+    counts no violation.
     """
     if not 3 <= k <= n <= 6:
         raise DomainError(f"audit needs 3 <= k <= n <= 6, got n={n}, k={k}")
@@ -169,10 +170,9 @@ def audit_lemma21(
     violations = 0
     by_i_half: dict[int, float] = {}
     by_i_other: dict[int, float] = {}
-    for i in range(k - 1):
+    for i in range(1, k - 1):
         numers = {
             subset: np.abs(np.prod(lam[:, [p - 1 for p in subset]], axis=-1))
-            if subset else np.ones(lam.shape[0])
             for subset in combinations(range(1, n + 1), i)
         }
         for j in range(1, n + 1):
@@ -196,7 +196,7 @@ def audit_lemma21(
                     {
                         "i": i,
                         "j": j,
-                        "subset": "+".join(map(str, subset)) or "-",
+                        "subset": "+".join(map(str, subset)),
                         "max_ratio": full_max,
                         "max_ratio_half": half_max,
                         "denominator_violations": bad,

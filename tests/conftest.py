@@ -26,3 +26,25 @@ def eigvalsh_rows(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     return rows
+
+
+@pytest.fixture
+def operator_applies(monkeypatch):
+    """Count the applications of the solver's GMRES operator; the list it
+    yields gains one entry per ``apply`` call."""
+    from khessian import solver
+
+    applies = []
+    build = solver.right_preconditioned_operator
+
+    def counted(*args):
+        apply, recover = build(*args)
+
+        def counted_apply(z):
+            applies.append(1)
+            return apply(z)
+
+        return counted_apply, recover
+
+    monkeypatch.setattr(solver, "right_preconditioned_operator", counted)
+    return applies

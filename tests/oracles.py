@@ -133,17 +133,14 @@ def audit_lemma21_loop(n: int = 4, k: int = 3, samples: int = 20000, seed: int =
     violations = 0
     by_i_half: dict[int, float] = {}
     by_i_other: dict[int, float] = {}
-    for i in range(k - 1):
+    for i in range(1, k - 1):
         for j in range(1, n + 1):
             denom = sigma_restricted(i, lam, j - 1)
             bad = int(np.count_nonzero(denom <= 0.0))
             good = denom > 0.0
             others = [p for p in range(1, n + 1) if p != j]
             for subset in itertools.combinations(others, i):
-                if subset:
-                    numer = np.abs(np.prod(lam[:, [p - 1 for p in subset]], axis=-1))
-                else:
-                    numer = np.ones(lam.shape[0])
+                numer = np.abs(np.prod(lam[:, [p - 1 for p in subset]], axis=-1))
                 violations += bad
                 ratio = numer[good] / denom[good]
                 head = max(np.count_nonzero(good[:half]), 1)
@@ -155,7 +152,7 @@ def audit_lemma21_loop(n: int = 4, k: int = 3, samples: int = 20000, seed: int =
                 rows.append({
                     "i": i,
                     "j": j,
-                    "subset": "+".join(map(str, subset)) or "-",
+                    "subset": "+".join(map(str, subset)),
                     "max_ratio": full_max,
                     "max_ratio_half": half_max,
                     "denominator_violations": bad,

@@ -84,10 +84,11 @@ def test_lemma21_enumeration_and_pass():
     rep = audits.audit_lemma21(4, 3, samples=3000)
     assert rep.passed
     assert rep.violations == 0
-    # i = 0 over 4 positions, i = 1 over 4 * 3 (position, subset) choices
-    assert len(rep.rows) == 16
-    assert rep.constants["C_i_0"] == pytest.approx(1.0)
-    assert rep.constants["C_global"] <= 2.0
+    # i = 1 over 4 * 3 (position, subset) choices; i = 0 reads 1 and is left out
+    assert len(rep.rows) == 12
+    assert {row["i"] for row in rep.rows} == {1}
+    assert "C_i_0" not in rep.constants
+    assert rep.constants["C_global"] == rep.constants["C_i_1"] <= 2.0
 
 
 @pytest.mark.parametrize("n, k, samples", [(4, 3, 400), (6, 5, 300)])

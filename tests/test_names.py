@@ -1,12 +1,15 @@
 """Names that other code looks up by string: the benchmark tracer's target
-list, the positional slots its measurement hooks read, and the package's
-``__all__``.  A rename or reordering that misses one of them would only
-show when that code runs, or as a skewed per-layer metric."""
+list, the positional slots its measurement hooks read, the result slot its
+``newton_step`` hook reads, and the package's ``__all__``.  A rename or
+reordering that misses one of them would only show when that code runs, or
+as a skewed per-layer metric."""
 
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+
+import numpy as np
 
 import khessian
 
@@ -47,6 +50,21 @@ def test_tracer_hooks_read_the_slots_they_name():
             owner = getattr(owner, cls_name)
         params = list(inspect.signature(getattr(owner, fn_name)).parameters)
         assert params[position] == name, (fn_name, position, params)
+
+
+def test_newton_step_result_holds_the_gmres_count_at_slot_2(operator_applies):
+    # the tracer's newton_step hook reads result[2] as solver.gmres_iters;
+    # one operator application per iteration when the first cycle converges
+    from khessian import solver
+    from khessian.geometry import TorusGrid
+
+    grid = TorusGrid(2, 8)
+    phi = grid.zeros(extra=(2, 2), dtype=complex)
+    phi[..., 0, 0] = phi[..., 1, 1] = 0.5
+    residual = grid.trig_field([(1e-3, (1, 0, 0, 1), 0.3)])
+    result = solver.newton_step(grid, phi, np.full(grid.shape, 0.5), residual, 1e-10)
+    assert isinstance(result, tuple) and len(result) == 4
+    assert type(result[2]) is int and result[2] == len(operator_applies) > 0
 
 
 def test_package_all_resolves():

@@ -6,6 +6,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import comb, log
 from pathlib import Path
 
@@ -144,12 +145,12 @@ def _linearization(case):
 def test_fused_operator_matches_left_preconditioned_pair(case):
     # oracle: the solver's one-pass A P^{-1} against matvec(precond(z))
     grid, phi, scale, residual = _linearization(case)
-    apply, recover, size = right_preconditioned_operator(grid, phi, scale)
+    apply, recover = right_preconditioned_operator(grid, phi, scale)
     matvec, precond, model = bordered_pair(grid, phi, scale)
-    m = size - 1
+    m = residual.size
     rng = np.random.default_rng(11)
     for _ in range(3):
-        z = rng.normal(size=size)
+        z = rng.normal(size=m + 1)
         # precond inverts the pointwise model exactly
         assert np.linalg.norm(model(precond(z)) - z) <= 1e-12 * np.linalg.norm(z)
         ref = matvec(precond(z))
@@ -173,8 +174,8 @@ def test_fused_operator_takes_n2_minus_1_inverse_transforms(case, monkeypatch):
     # last one costs no inverse transform
     import scipy.fft
 
-    grid, phi, scale, _ = _linearization(case)
-    apply, _, size = right_preconditioned_operator(grid, phi, scale)
+    grid, phi, scale, residual = _linearization(case)
+    apply, _ = right_preconditioned_operator(grid, phi, scale)
     calls = {"rfftn": 0, "irfftn": 0}
     for name in calls:
         def counted(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
@@ -182,7 +183,7 @@ def test_fused_operator_takes_n2_minus_1_inverse_transforms(case, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, name, counted)
-    apply(np.random.default_rng(5).normal(size=size))
+    apply(np.random.default_rng(5).normal(size=residual.size + 1))
     assert calls == {"rfftn": 1, "irfftn": grid.n**2 - 1}
 
 
@@ -194,6 +195,47 @@ def test_newton_step_hessian_is_complex_hessian_of_du(case):
     np.testing.assert_array_equal(hess_du, grid.complex_hessian(du))
 
 
+def _scipy_gmres(apply, rhs, rtol, restart):
+    """(x, iterations) of scipy's GMRES(restart) from x = 0, the oracle for
+    the solver's own ``_gmres``."""
+    size = rhs.size
+    op = scipy.sparse.linalg.LinearOperator((size, size), matvec=apply, dtype=float)
+    iters = []
+    x, info = scipy.sparse.linalg.gmres(op, rhs, rtol=rtol, atol=0.0, restart=restart,
+                                        maxiter=100, callback=iters.append,
+                                        callback_type="pr_norm")
+    assert info == 0
+    return x, len(iters)
+
+
+@pytest.mark.parametrize("restart", [60, 3])
+@pytest.mark.parametrize("case", ["torsion-2", "torsion-3", "random"])
+def test_gmres_matches_scipy_and_meets_its_tolerance(case, restart, monkeypatch):
+    # restart 3 makes every case but the loosest cross cycles
+    monkeypatch.setattr(solver_module, "GMRES_RESTART", restart)
+    grid, phi, scale, residual = _linearization(case)
+    apply, _ = right_preconditioned_operator(grid, phi, scale)
+    rhs = np.concatenate([-residual.ravel(), [0.0]])
+    for rtol in (1e-1, 1e-6, 1e-10):
+        x, iters = solver_module._gmres(apply, rhs, rtol)
+        ref, ref_iters = _scipy_gmres(apply, rhs, rtol, restart)
+        assert iters == ref_iters
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        # stopped on the Arnoldi estimate, with no true-residual re-check
+        assert np.linalg.norm(rhs - apply(x)) <= 1.01 * rtol * np.linalg.norm(rhs)
+
+
+def test_gmres_raises_when_its_cycles_run_out(monkeypatch):
+    grid, phi, scale, residual = _linearization("random")
+    apply, _ = right_preconditioned_operator(grid, phi, scale)
+    rhs = np.concatenate([-residual.ravel(), [0.0]])
+    monkeypatch.setattr(solver_module, "GMRES_RESTART", 3)
+    assert solver_module._gmres(apply, rhs, 1e-6)[1] > 3  # needs a second cycle
+    monkeypatch.setattr(solver_module, "GMRES_CYCLES", 1)
+    with pytest.raises(LinearSolveError, match="1 cycles of 3 iterations"):
+        solver_module._gmres(apply, rhs, 1e-6)
+
+
 @pytest.mark.parametrize("where", ["phi", "source_scale", "residual", "cbar", "trace"])
 def test_newton_step_rejects_a_bad_linearization_before_gmres(where, monkeypatch):
     # a NaN passes a `tr phi <= 0` test and would drive GMRES through its
@@ -202,8 +244,7 @@ def test_newton_step_rejects_a_bad_linearization_before_gmres(where, monkeypatch
     def no_gmres(*args, **kwargs):
         raise AssertionError("GMRES ran on a bad linearization")
 
-    # newton_step imports gmres from scipy at call time
-    monkeypatch.setattr(scipy.sparse.linalg, "gmres", no_gmres)
+    monkeypatch.setattr(solver_module, "_gmres", no_gmres)
     grid, phi, scale, residual = _linearization("random")
     phi, scale, residual = phi.copy(), scale.copy(), residual.copy()
     node = (3,) * (2 * grid.n)
@@ -224,8 +265,8 @@ def test_newton_step_rejects_a_bad_linearization_before_gmres(where, monkeypatch
 
 
 def test_import_loads_no_scipy_until_a_solve():
-    # scipy.sparse.linalg is most of the import time, and scipy.fft loads
-    # scipy.special; only a solve needs either, so audits must not load them
+    # scipy.fft loads scipy.special, and only a solve needs it, so audits
+    # must not load it; GMRES is the solver's own, so scipy.sparse never loads
     script = (
         "import sys, khessian\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'\n"
@@ -237,7 +278,7 @@ def test_import_loads_no_scipy_until_a_solve():
         "f = khessian.manufactured_source(grid, g, u, 2)\n"
         "assert 'scipy.fft' not in sys.modules, 'scipy.fft loaded before a solve'\n"
         "assert khessian.solve(grid, g, f, 2).success\n"
-        "assert 'scipy.sparse.linalg' in sys.modules\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy.sparse')], 'scipy.sparse'\n"
         "assert 'scipy.fft' in sys.modules\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -503,19 +544,24 @@ def test_a_stalled_stage_is_rejected_before_its_budget():
         assert attempt.residual_stop - attempt.residual_start < budget
 
 
+def _bench_mms(seed, N=12):
+    """(grid, g, f) of the benchmark's mms-torsion input at this seed."""
+    spec = importlib.util.spec_from_file_location("khessian_bench_workloads", BENCH_WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    inputs = workloads.build_mms(sys.modules["khessian"], seed, N=N)
+    return inputs["grid"], inputs["g"], inputs["f"]
+
+
 def _manufactured_inputs():
     """(grid, g, f) of criterion 1 and of the benchmark's mms-torsion seeds 1-3."""
     for preset in ("euclidean", "torsion"):
         grid = TorusGrid(2, 16)
         g = metric_preset(grid, preset, epsilon=0.1)
         yield grid, g, manufactured_source(grid, g, grid.trig_field(MMS_TERMS), 2)
-    spec = importlib.util.spec_from_file_location("khessian_bench_workloads", BENCH_WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
     for seed in (1, 2, 3):
-        inputs = workloads.build_mms(sys.modules["khessian"], seed)
-        yield inputs["grid"], inputs["g"], inputs["f"]
+        yield _bench_mms(seed)
 
 
 def test_manufactured_solves_never_stall():
@@ -524,6 +570,29 @@ def test_manufactured_solves_never_stall():
         rep = solve(grid, g, f, 2)
         assert rep.success
         assert not rep.rejected, [r.message for r in rep.rejected]
+
+
+def test_gmres_applies_the_operator_once_per_iteration(operator_applies):
+    # the stop needs no b - A x: a cycle that converges forms none
+    rep = solve(*_bench_mms(1), 2)
+    assert rep.success
+    iterations = sum(sum(s.gmres_per_step) for s in rep.stages)
+    assert len(operator_applies) == iterations == 28
+
+
+def test_solve_peak_stays_below_70_grid_fields():
+    # the GMRES basis grows with its iterations, and the Newton loop drops
+    # the pencil table, Phi and the previous correction once it is done
+    # with them; a preallocated GMRES(60) basis alone is 61 fields
+    grid, g, f = _bench_mms(1, N=16)
+    solve(grid, g, f, 2)  # warm-up: first-call caches are not working set
+    tracemalloc.start()
+    try:
+        assert solve(grid, g, f, 2).success
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / f.nbytes <= 70.0
 
 
 def test_solve_checks_the_metric_once(monkeypatch):
