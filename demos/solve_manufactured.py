@@ -17,8 +17,6 @@ from khessian import (
     metric_preset,
     recovery_error,
     residual_field,
-    save_field,
-    load_field,
     solve,
 )
 
@@ -52,12 +50,13 @@ for s in report.stages:
 err = recovery_error(report, u_star)
 print(f"\nrecovery error (gauge matched): {err:.2e}")
 
-# Round-trip the solution through the flat binary dump and recheck the
-# equation residual on the loaded copy.
+# Round-trip the solution through numpy's .npy format, as `khessian solve`
+# writes it with save_fields, and recheck the equation residual on the
+# loaded copy.
 with tempfile.TemporaryDirectory() as tmp:
-    path = os.path.join(tmp, "u_demo.khf")
-    save_field(path, report.u, n, N, kind="potential")
-    u_back, header = load_field(path)
+    path = os.path.join(tmp, "u.npy")
+    np.save(path, report.u)
+    u_back = np.load(path)
 res = residual_field(grid, u_back, report.b, f, g, k)
-print(f"reloaded field kind={header['kind']!r}, "
+print(f"reloaded field shape={u_back.shape}, "
       f"sup residual {np.abs(res).max():.2e}")

@@ -40,7 +40,6 @@ from .errors import (
     SamplingBudgetError,
     SolveFailure,
 )
-from .fieldio import load_field, save_field
 from .forms import Form, gradient_band_form, metric_form
 from .geometry import (
     PRESET_NAMES,
@@ -123,7 +122,6 @@ __all__ = [
     "identity_metric",
     "in_gamma_k",
     "inverse_metric",
-    "load_field",
     "manufactured_source",
     "metric_form",
     "metric_preset",
@@ -134,7 +132,6 @@ __all__ = [
     "run_family",
     "sample_gamma_k",
     "sample_gamma_k_boundary",
-    "save_field",
     "sigma",
     "sigma_restricted",
     "sigma_restricted_each",

@@ -36,7 +36,6 @@ from statistics import median
 import numpy as np
 
 from .errors import DomainError, require_integer
-from .fieldio import plain
 from .geometry import (
     TorusGrid,
     chern_tensors,
@@ -45,7 +44,7 @@ from .geometry import (
     gradient_norm_sq,
     metric_preset,
 )
-from .solver import SolveReport, SolverOptions, solve
+from .solver import SolveReport, SolverOptions, plain, solve
 from .symfunc import (
     _sigma_table,
     basic_inequality_check,
@@ -758,8 +757,15 @@ def audit_commutation(N_lo: int = 12, N_hi: int = 24) -> AuditReport:
     mutation control drops the torsion-product term from the fourth-order
     identity on the torsion preset; the mutated residual must exceed the
     intact one by COMMUTATION_MUTATION_FACTOR at N_hi, guarding the audit
-    against a vacuous pass.
+    against a vacuous pass.  N_lo < N_hi is required.
     """
+    for N in (N_lo, N_hi):
+        require_integer("N", N)  # the grid's own check, before the comparison
+    if N_lo >= N_hi:
+        raise DomainError(
+            f"commutation audit needs N_lo < N_hi (a residual cannot decay "
+            f"without refinement), got N_lo={N_lo}, N_hi={N_hi}"
+        )
     rows = []
     res: dict[tuple, float] = {}  # (preset, order or "mutated", N) -> residual
     for N in (N_lo, N_hi):

@@ -19,7 +19,9 @@ environment variable, then ./khessian-out.  Both files come from the
 report dataclasses' fields: for solve and mms, report.json holds every
 SolveReport field but the grid arrays (the stages and the residual history
 included) and rows.csv one column per StageRecord field; an audit writes
-its AuditReport and one row per measurement.
+its AuditReport and one row per measurement.  With save_fields, solve
+and mms also write the potential to u.npy, and the source to f.npy (solve)
+or the manufactured potential to u_star.npy (mms), in numpy's .npy format.
 
 Exit status: 0 on success, 1 when the run completed but failed (solver
 divergence, audit violation), 2 for configuration errors.
@@ -40,6 +42,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 
@@ -63,9 +66,8 @@ _ConfigLoader.add_implicit_resolver(
 
 from . import audits
 from .errors import ConfigError, DomainError, SamplingBudgetError
-from .fieldio import plain, save_field
 from .geometry import TorusGrid, check_preset, metric_preset
-from .solver import SolverOptions, manufactured_source, recovery_error, solve
+from .solver import SolverOptions, manufactured_source, plain, recovery_error, solve
 from .symfunc import check_k, elementary_all, sample_gamma_k
 
 AUDIT_NAMES = (
@@ -302,11 +304,8 @@ def _cmd_solve(cfg: dict, outdir: Path, mms: bool) -> int:
                       recovery_error=err, tol=cfg["mms"]["tol"])
     _write_outputs(outdir, {**report, **rep.summary_dict(), "config": cfg}, rep.stages)
     if cfg["save_fields"]:
-        save_field(outdir / "u.khf", rep.u, grid.n, grid.N, kind="potential")
-        if mms:
-            save_field(outdir / "u_star.khf", u_star, grid.n, grid.N, kind="reference")
-        else:
-            save_field(outdir / "f.khf", f, grid.n, grid.N, kind="source")
+        np.save(outdir / "u.npy", rep.u)
+        np.save(outdir / ("u_star.npy" if mms else "f.npy"), u_star if mms else f)
     return 0 if report["passed"] else 1
 
 

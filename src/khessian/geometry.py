@@ -304,10 +304,10 @@ class TorusGrid:
         """
         out = np.zeros(self.shape)
         for idx, (amp, freqs, phase) in enumerate(terms):
-            if len(freqs) != 2 * self.n:
+            if not np.iterable(freqs) or len(freqs) != 2 * self.n:
                 raise DomainError(
                     f"term {idx}: frequency vector must have length {2 * self.n}, "
-                    f"got {len(freqs)}"
+                    f"got {freqs!r}"
                 )
             arg = np.zeros(self.shape)
             for a, m in enumerate(freqs):
@@ -482,7 +482,6 @@ def covariant_derivatives(
         raise DomainError(f"covariant derivative order must be 3 or 4, got {order}")
     n = grid.n
     gamma = tensors.gamma
-    gamma_bar = np.conj(gamma)
     grad = grid.holomorphic_gradient(u)
     hess = grid.complex_hessian(u)
     # u_{p i} = d_i d_p u - Gamma^q_ip u_q
@@ -493,17 +492,16 @@ def covariant_derivatives(
             hol2[..., p, i] = ent
             hol2[..., i, p] = ent
     hol2 -= np.einsum("...qip,...q->...pi", gamma, grad)
-    # u_{i jbar l} = d_l u_{i jbar} - Gamma^p_li u_{p jbar} and
-    # u_{i pbar jbar} = d_jbar u_{i pbar} - conj(Gamma^q_jp) u_{i qbar},
+    # u_{i jbar l} = d_l u_{i jbar} - Gamma^p_li u_{p jbar}
     d3_mixed = _index_first(grid, 3)
-    d3_anti = _index_first(grid, 3)
     for i in range(n):
         for j in range(n):
             for l in range(n):
                 d3_mixed[..., i, j, l] = grid.dz(hess[..., i, j], l)
-                d3_anti[..., i, j, l] = grid.dzbar(hess[..., i, j], l)
     d3_mixed -= np.einsum("...pli,...pj->...ijl", gamma, hess)
-    d3_anti -= np.einsum("...qjp,...iq->...ipj", gamma_bar, hess)
+    # u_{i pbar jbar} = d_jbar u_{i pbar} - conj(Gamma^q_jp) u_{i qbar}
+    # = conj(u_{p ibar j}), as u is real and u_{i pbar} Hermitian
+    d3_anti = np.conj(np.swapaxes(d3_mixed, -3, -2), out=_index_first(grid, 3))
     # u_{p i jbar} = d_jbar u_{p i}
     d3_hol = _index_first(grid, 3)
     for p in range(n):
@@ -519,7 +517,7 @@ def covariant_derivatives(
                 for l in range(n):
                     for m in range(n):
                         d4[..., i, j, l, m] = grid.dzbar(d3_mixed[..., i, j, l], m)
-        d4 -= np.einsum("...qmj,...iql->...ijlm", gamma_bar, d3_mixed)
+        d4 -= np.einsum("...qmj,...iql->...ijlm", np.conj(gamma), d3_mixed)
     return CovariantDerivatives(
         grad=grad, hess=hess, hol2=hol2, d3_mixed=d3_mixed, d3_hol=d3_hol,
         d3_anti=d3_anti, d4=d4,
@@ -530,14 +528,16 @@ def commutation_residual(
     tensors: ChernTensors, derivatives: CovariantDerivatives
 ) -> tuple[float, float | None, float | None]:
     """(third, fourth, fourth_without_torsion_product): max-abs defects of
-    the commutation identities.  third is the worst case over the three
+    the commutation identities.  third is the worse of the two
     index-exchange identities
 
         u_{i jbar l} = u_{l jbar i} - T^p_li u_{p jbar}
         u_{p i jbar} = u_{p jbar i} + u_q R_{i jbar p}^q
-        u_{i pbar jbar} = u_{i jbar pbar} - conj(T^q_jp) u_{i qbar}
 
-    and fourth is the defect of
+    The third, u_{i pbar jbar} = u_{i jbar pbar} - conj(T^q_jp) u_{i qbar},
+    is not evaluated: d3_anti is d3_mixed conjugated with its first two
+    slots exchanged, so that defect is the first one's, transformed alike.
+    fourth is the defect of
 
         u_{i jbar l mbar} = u_{l mbar i jbar}
             + u_{p jbar} R_{l mbar i}^p - u_{p mbar} R_{i jbar l}^p
@@ -549,7 +549,6 @@ def commutation_residual(
     None for order-3 derivatives.
     """
     t, r, d = tensors.torsion, tensors.curvature, derivatives
-    t_bar = np.conj(t)
     res_a = (
         d.d3_mixed
         - np.swapaxes(d.d3_mixed, -3, -1)  # u_{l jbar i} in [i, j, l] slots
@@ -560,19 +559,11 @@ def commutation_residual(
         - np.transpose(d.d3_mixed, axes=tuple(range(d.d3_mixed.ndim - 3)) + (-3, -1, -2))
         - np.einsum("...q,...ijpq->...pij", d.grad, r)
     )
-    res_c = (
-        d.d3_anti
-        - np.swapaxes(d.d3_anti, -2, -1)  # u_{i jbar pbar} in [i, p, j] slots
-        + np.einsum("...qjp,...iq->...ipj", t_bar, d.hess)
-    )
-    third = max(
-        float(np.abs(res_a).max()),
-        float(np.abs(res_b).max()),
-        float(np.abs(res_c).max()),
-    )
-    del res_a, res_b, res_c  # before the larger fourth-order defect
+    third = max(float(np.abs(res_a).max()), float(np.abs(res_b).max()))
+    del res_a, res_b  # before the larger fourth-order defect
     if d.d4 is None:
         return third, None, None
+    t_bar = np.conj(t)
     res = (
         d.d4
         - np.transpose(d.d4, axes=tuple(range(d.d4.ndim - 4)) + (-2, -1, -4, -3))

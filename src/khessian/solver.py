@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from math import comb, log
 
@@ -69,7 +69,6 @@ from .errors import (
     SolveFailure,
     require_integer,
 )
-from .fieldio import plain
 from .geometry import TorusGrid, _gradient_norm_sq, require_metric
 from .operator import (
     PencilTable,
@@ -166,6 +165,22 @@ class RejectedAttempt:
     message: str
     residual_start: int
     residual_stop: int
+
+
+def plain(value):
+    """A JSON-ready copy of value: dataclasses become dicts of their fields,
+    tuples become lists, numpy scalars and arrays become Python values."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {str(k): plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
 
 
 @dataclass
@@ -653,5 +668,10 @@ def solve(
 def recovery_error(report: SolveReport, u_star: np.ndarray) -> float:
     """Sup-norm distance between a solve and a reference potential, after
     matching the sup u = 0 gauge."""
+    u_star = np.asarray(u_star)
+    if u_star.shape != report.u.shape:
+        raise DomainError(
+            f"reference shape {u_star.shape} does not match the solution's {report.u.shape}"
+        )
     ref = u_star - u_star.max()
     return float(np.abs(report.u - ref).max())

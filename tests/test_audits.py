@@ -514,6 +514,17 @@ def test_commutation_audit_reduced():
     assert rep.params["epsilon"] == audits.COMMUTATION_EPSILON
 
 
+@pytest.mark.parametrize("N_lo, N_hi", [(8, 8), (16, 8)])
+def test_commutation_audit_rejects_sizes_that_do_not_refine(N_lo, N_hi, monkeypatch):
+    # refused before any grid is built, not reported as failed identities
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid built for a rejected size pair")
+
+    monkeypatch.setattr(audits, "TorusGrid", refuse)
+    with pytest.raises(DomainError, match="N_lo < N_hi"):
+        audits.audit_commutation(N_lo=N_lo, N_hi=N_hi)
+
+
 def _count_builds(monkeypatch):
     """Wrap the Chern and derivative builds that audit_commutation calls,
     recording each derivative build's order and result."""
@@ -611,7 +622,7 @@ def test_report_tolerances_are_the_module_constants(small_family):
     reports = {
         "lemma21": audits.audit_lemma21(4, 3, samples=500),
         "lemma22": audits.audit_lemma22(cases=((2, 8, 12),)),
-        "commutation": audits.audit_commutation(N_lo=8, N_hi=8),
+        "commutation": audits.audit_commutation(N_lo=8, N_hi=10),
         "b-bound": audits.audit_b_bound(small_family),
         "c2": audits.audit_c2(small_family),
         "cherrier": audits.audit_cherrier(grid, g, u),

@@ -19,7 +19,6 @@ import khessian
 from khessian import symfunc
 from khessian.cli import AUDIT_NAMES, DEFAULTS, _run_audit, load_config, main
 from khessian.errors import ConfigError
-from khessian.fieldio import load_field
 from khessian.solver import StageRecord
 
 
@@ -162,6 +161,12 @@ def test_bad_value_is_exit_2_without_traceback(tmp_path, monkeypatch, capsys):
         ("lemma22", "audit.lemma22_cases=[[4, 8, 10]]", "audit.lemma22_cases"),
         ("lemma22", "audit.lemma22_cases=[[3, 8, 8]]", "audit.lemma22_cases"),
         pytest.param(
+            "commutation",
+            ("audit.commutation.N_lo=16", "audit.commutation.N_hi=8"),
+            "audit.commutation",
+            id="commutation-reversed-sizes",
+        ),
+        pytest.param(
             "cherrier",
             ("problem.N=8", "audit.family_amplitudes=[1.0]", "audit.p_list=[0, 0]"),
             "audit.p_list",
@@ -291,9 +296,10 @@ def test_solve_writes_report_and_rows(tmp_path, monkeypatch):
         assert len(residuals) == stage["newton_iterations"] + 1
         assert residuals[-1] == stage["final_residual"]
         assert int(row["residual_stop"]) == stage["residual_stop"]
-    u, header = load_field(out / "u.khf")
-    assert header["kind"] == "potential"
-    assert u.shape == (8, 8, 8, 8)
+    assert sorted(p.name for p in out.iterdir()) == ["f.npy", "report.json", "rows.csv", "u.npy"]
+    u, f = np.load(out / "u.npy"), np.load(out / "f.npy")
+    for field in (u, f):
+        assert field.dtype == np.float64 and field.shape == (8, 8, 8, 8)
     assert u.max() <= 1e-12  # sup gauge
 
 
@@ -313,12 +319,12 @@ def test_mms_roundtrip(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert list(report)[:4] == ["command", "passed", "recovery_error", "tol"]
     assert report["recovery_error"] <= 1e-8
-    u, header = load_field(tmp_path / "out" / "u.khf")
-    assert header["kind"] == "potential"
-    u_star, header = load_field(tmp_path / "out" / "u_star.khf")
-    assert header["kind"] == "reference"
+    u = np.load(tmp_path / "out" / "u.npy")
+    u_star = np.load(tmp_path / "out" / "u_star.npy")
+    for field in (u, u_star):
+        assert field.dtype == np.float64 and field.shape == (8, 8, 8, 8)
     assert np.abs(u - (u_star - u_star.max())).max() <= 1e-8
-    assert not (tmp_path / "out" / "f.khf").exists()
+    assert not (tmp_path / "out" / "f.npy").exists()
     with open(tmp_path / "out" / "rows.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [int(r["newton_iterations"]) for r in rows] == report["newton_iterations"]
@@ -360,12 +366,13 @@ def test_audit_family_based(tmp_path, monkeypatch):
 
 
 def test_audit_failure_exits_1(tmp_path, monkeypatch):
-    # zero refinement: residual decay cannot reach the threshold
+    # too little refinement: the kahler residuals decay about 4x from 8 to
+    # 10 nodes, short of the 10x threshold
     rc = run_cli(
         [
             "audit", "commutation",
             "--set", "audit.commutation.N_lo=8",
-            "--set", "audit.commutation.N_hi=8",
+            "--set", "audit.commutation.N_hi=10",
         ],
         tmp_path,
         monkeypatch,

@@ -58,6 +58,11 @@ def test_trig_field_rejects_a_non_integer_frequency(grid8, bad):
         grid8.trig_field(terms)
 
 
+def test_trig_field_rejects_a_scalar_frequency_vector(grid8):
+    with pytest.raises(DomainError, match=r"^term 0: frequency vector must have length 4"):
+        grid8.trig_field([(0.1, 5, 0.0)])
+
+
 def test_mean_and_integrate(grid8):
     f = np.cos(2 * np.pi * grid8.x(0)) ** 2 + 0 * grid8.zeros()
     assert grid8.mean(f) == pytest.approx(0.5)
@@ -359,6 +364,15 @@ def test_holomorphic_second_derivative_antisymmetry(grid16):
     lhs = d.hol2 - np.swapaxes(d.hol2, -1, -2)
     rhs = -np.einsum("...qip,...q->...pi", tens.torsion, d.grad)
     assert np.abs(lhs - rhs).max() < 1e-11
+
+
+def test_antiholomorphic_third_derivative_is_the_conjugate_swap(grid16):
+    # u_{i pbar jbar} = conj(u_{p ibar j}) for a real u, bitwise by construction
+    g = metric_preset(grid16, "torsion", epsilon=0.2)
+    u = grid16.trig_field([(0.5, [1, 0, 0, 0], 0.2), (0.3, [0, 1, 1, 0], 1.1)])
+    d = geometry.covariant_derivatives(grid16, u, chern_tensors(grid16, g), order=3)
+    assert np.array_equal(d.d3_anti, np.conj(np.swapaxes(d.d3_mixed, -3, -2)))
+    assert _index_first_is_contiguous(d.d3_anti, grid16)
 
 
 def _residuals(grid, u, g, order=4):

@@ -1,19 +1,22 @@
 """Names that other code looks up by string: the benchmark tracer's target
 list, the positional slots its measurement hooks read, the result slot its
-``newton_step`` hook reads, and the package's ``__all__``.  A rename or
-reordering that misses one of them would only show when that code runs, or
-as a skewed per-layer metric."""
+``newton_step`` hook reads, the package's ``__all__``, and the README's
+module list.  A rename or reordering that misses one of them would only
+show when that code runs, as a skewed per-layer metric, or as a stale
+README."""
 
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
 
 import khessian
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_tracer_targets_resolve():
@@ -71,3 +74,12 @@ def test_package_all_resolves():
     missing = [name for name in khessian.__all__ if not hasattr(khessian, name)]
     assert not missing
     assert len(set(khessian.__all__)) == len(khessian.__all__)
+
+
+def test_readme_layout_names_every_module():
+    readme = (ROOT / "README.md").read_text()
+    layout = re.search(r"^## Layout\n(.*?)(?=^## )", readme, re.S | re.M)
+    assert layout is not None
+    listed = re.findall(r"^- `src/khessian/(\w+\.py)`", layout.group(1), re.M)
+    assert len(set(listed)) == len(listed)
+    assert sorted(listed) == sorted(p.name for p in (ROOT / "src" / "khessian").glob("*.py"))

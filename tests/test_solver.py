@@ -355,6 +355,13 @@ def test_solve_mms_recovery_and_gauge():
     assert abs(rep2.b - (rep.b - 0.7)) <= 1e-8
 
 
+def test_recovery_error_rejects_a_reference_on_another_grid():
+    grid = TorusGrid(2, 8)
+    rep = solve(grid, metric_preset(grid, "euclidean"), grid.zeros(), 1)
+    with pytest.raises(DomainError, match="reference shape"):
+        recovery_error(rep, TorusGrid(2, 12).zeros())
+
+
 def test_solve_torsion_metric_mms():
     grid = TorusGrid(2, 12)
     g = metric_preset(grid, "torsion", epsilon=0.1)
